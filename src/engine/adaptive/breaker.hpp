@@ -21,8 +21,8 @@
 // Like engine/liveness, the machine is pure: callers feed explicit
 // timestamps to record_failure/record_success/tick and receive the
 // transitions that occurred, which makes every path unit-testable without
-// sleeping.  Not thread-safe; the supervisor serializes calls under its
-// own lock.
+// sleeping.  Not thread-safe; its owner, the ReplicaScheduler
+// (engine/scheduler), is only ever called serialized.
 #pragma once
 
 #include <chrono>

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <mutex>
-#include <queue>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -22,6 +20,8 @@
 #include <unistd.h>
 
 #include "engine/liveness.hpp"
+#include "engine/montecarlo.hpp"
+#include "engine/scheduler.hpp"
 #include "io/wire.hpp"
 #include "obs/heartbeat.hpp"
 
@@ -31,7 +31,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Parent poll cadence, matching the thread supervisor's monitor: bounds the
+// Parent poll cadence, matching the thread executor's monitor: bounds the
 // liveness-tick, deadline, and reap latency without measurable idle cost.
 constexpr std::chrono::milliseconds kFleetPoll{5};
 
@@ -136,32 +136,21 @@ void install_worker_signals() {
     }
     g_worker_token.store(&token, std::memory_order_relaxed);
     std::optional<std::string> payload;
-    bool threw = false;
-    FailureClass failure = FailureClass::kTransient;
-    std::string message;
-    try {
-      Rng rng(Rng::retry_seed(options.master_seed, replica, attempt));
-      payload = task(replica, rng, token);
-    } catch (const std::exception& error) {
-      threw = true;
-      message = error.what();
-      failure =
-          options.classify ? options.classify(error) : classify_failure(error);
-    } catch (...) {
-      threw = true;
-      message = "unknown exception";
-      failure = FailureClass::kTransient;
-    }
+    const std::optional<AttemptFailure> failure =
+        catch_attempt_failure(options, [&] {
+          Rng rng(Rng::retry_seed(options.master_seed, replica, attempt));
+          payload = task(replica, rng, token);
+        });
     g_worker_token.store(nullptr, std::memory_order_relaxed);
 
     std::string reply;
     if (payload.has_value()) {
       reply = "ok " + std::to_string(replica) + " " +
               std::to_string(attempt) + " " + *payload;
-    } else if (threw) {
+    } else if (failure.has_value()) {
       reply = "err " + std::to_string(replica) + " " +
-              std::to_string(attempt) + " " + to_string(failure) + " " +
-              message;
+              std::to_string(attempt) + " " + to_string(failure->failure) +
+              " " + failure->message;
     } else {
       reply = "drain " + std::to_string(replica) + " " +
               std::to_string(attempt) + " " + to_string(token.reason());
@@ -182,31 +171,9 @@ void install_worker_signals() {
 }
 
 // ---------------------------------------------------------------------------
-// Parent (monitor) side.
+// Parent side: the process executor.
 
-enum class Phase { kQueued, kRunning, kDone, kQuarantined, kUnfinished };
-
-struct ReplicaSlot {
-  std::size_t id = 0;
-  Phase phase = Phase::kQueued;
-  unsigned base_attempt = 0;
-  unsigned next_attempt = 0;
-  unsigned current_attempt = 0;
-  unsigned consumed = 0;
-  unsigned worker_deaths = 0;  // crashes while running this replica
-};
-
-struct WorkItem {
-  Clock::time_point ready_at;
-  std::size_t slot = 0;
-  unsigned attempt = 0;
-};
-
-struct ReadyLater {
-  bool operator()(const WorkItem& a, const WorkItem& b) const {
-    return a.ready_at > b.ready_at;
-  }
-};
+using ExecutionId = ReplicaScheduler::ExecutionId;
 
 struct Worker {
   Worker(std::int64_t id_, const LivenessOptions& liveness_options,
@@ -220,11 +187,9 @@ struct Worker {
   WireReader reader;
   LivenessTracker liveness;
   bool busy = false;
-  std::size_t slot = 0;
-  unsigned attempt = 0;
-  Clock::time_point started;
-  bool deadline_signaled = false;  // SIGUSR1 sent for the current attempt
-  Clock::time_point kill_at;       // SIGKILL escalation when still no drain
+  ReplicaScheduler::Launch launch;  // the in-flight attempt while busy
+  bool deadline_signaled = false;   // SIGUSR1 sent for the current attempt
+  Clock::time_point kill_at;        // SIGKILL escalation when still no drain
   bool kill_sent = false;
   bool quit_sent = false;
   bool reaped = false;
@@ -246,48 +211,24 @@ class SigpipeGuard {
   struct sigaction saved_ {};
 };
 
+// Forks the worker pool, speaks the wire protocol, tracks liveness, polls
+// and reaps, escalates SIGUSR1 -> SIGKILL, and sizes the pool to the
+// scheduler's width cap.  Every policy decision comes from the
+// ReplicaScheduler; this class launches, signals and collects.
 class FleetRun {
  public:
   FleetRun(std::span<const std::size_t> replica_ids, const SupervisedTask& task,
            const std::function<void(std::size_t, std::string&&)>& on_success,
            const SupervisorOptions& options)
-      : task_(task), on_success_(on_success), options_(options) {
-    slots_.reserve(replica_ids.size());
-    for (const std::size_t id : replica_ids) {
-      ReplicaSlot slot;
-      slot.id = id;
-      slots_.push_back(slot);
-    }
-    if (options_.metrics != nullptr) {
-      counter_for_[kind_index(SupervisionEvent::Kind::kRetry)] =
-          &options_.metrics->counter("supervisor_retries");
-      counter_for_[kind_index(SupervisionEvent::Kind::kFailFast)] =
-          &options_.metrics->counter("supervisor_fail_fasts");
-      counter_for_[kind_index(SupervisionEvent::Kind::kDeadlineKill)] =
-          &options_.metrics->counter("supervisor_deadline_kills");
-      counter_for_[kind_index(SupervisionEvent::Kind::kSpeculativeLaunch)] =
-          &options_.metrics->counter("supervisor_speculative_launches");
-      counter_for_[kind_index(SupervisionEvent::Kind::kSpeculativeWin)] =
-          &options_.metrics->counter("supervisor_speculative_wins");
-      counter_for_[kind_index(SupervisionEvent::Kind::kQuarantine)] =
-          &options_.metrics->counter("supervisor_quarantines");
-      counter_for_[kind_index(SupervisionEvent::Kind::kWorkerSpawn)] =
-          &options_.metrics->counter("fleet_worker_spawns");
-      counter_for_[kind_index(SupervisionEvent::Kind::kWorkerAlive)] =
-          &options_.metrics->counter("fleet_worker_alive");
-      counter_for_[kind_index(SupervisionEvent::Kind::kWorkerSuspect)] =
-          &options_.metrics->counter("fleet_worker_suspects");
-      counter_for_[kind_index(SupervisionEvent::Kind::kWorkerDead)] =
-          &options_.metrics->counter("fleet_worker_deaths");
-      counter_for_[kind_index(SupervisionEvent::Kind::kWorkerDismiss)] =
-          &options_.metrics->counter("fleet_worker_dismissals");
-      counter_for_[kind_index(SupervisionEvent::Kind::kDeadlineAdapt)] =
-          &options_.metrics->counter("supervisor_deadline_adapts");
-      counter_for_[kind_index(SupervisionEvent::Kind::kBreakerOpen)] =
-          &options_.metrics->counter("supervisor_breaker_opens");
-      counter_for_[kind_index(SupervisionEvent::Kind::kBreakerClose)] =
-          &options_.metrics->counter("supervisor_breaker_closes");
-    }
+      : task_(task),
+        options_(options),
+        target_workers_(std::min<std::size_t>(
+            resolve_thread_count(options.fleet.workers != 0
+                                     ? options.fleet.workers
+                                     : options.num_threads),
+            replica_ids.size())),
+        scheduler_(replica_ids, options, on_success, target_workers_,
+                   Isolation::kProcess, Clock::now()) {
     // A heartbeat cadence at or above suspect_after would make every healthy
     // worker flap Alive -> Suspect between beats (and at dead_after, get
     // SIGKILLed mid-work).  Clamp loudly rather than run a fleet whose
@@ -308,58 +249,21 @@ class FleetRun {
   }
 
   SupervisorReport run() {
-    report_.replicas = slots_.size();
-    if (slots_.empty()) {
-      return std::move(report_);
+    if (scheduler_.finished()) {
+      return scheduler_.finish(false);  // empty batch
     }
     if (options_.cancel != nullptr && options_.cancel->requested()) {
-      report_.cancelled = true;
-      report_.unfinished = slots_.size();
-      return std::move(report_);
+      scheduler_.cancel();  // preset cancel: fork nothing
+      return scheduler_.finish(true);
     }
     SigpipeGuard sigpipe;
-    const auto now = Clock::now();
-    armed_deadline_ = options_.deadline;
-    if (options_.breaker_enabled) {
-      breaker_.emplace(options_.breaker, now);
-    }
-    for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
-      ReplicaSlot& state = slots_[slot];
-      const unsigned base =
-          options_.first_attempt ? options_.first_attempt(state.id) : 0;
-      state.base_attempt = base;
-      state.next_attempt = base + 1;
-      queue_.push({now, slot, base});
-    }
-    target_workers_ = options_.fleet.workers != 0 ? options_.fleet.workers
-                                                  : options_.num_threads;
-    if (target_workers_ == 0) {
-      const unsigned hardware = std::thread::hardware_concurrency();
-      target_workers_ = hardware > 0 ? hardware : 1;
-    }
-    target_workers_ = static_cast<unsigned>(
-        std::min<std::size_t>(target_workers_, slots_.size()));
-
     monitor_loop();
     shutdown_fleet();
-    finalize_report();
-    return std::move(report_);
+    return scheduler_.finish(options_.cancel != nullptr &&
+                             options_.cancel->requested());
   }
 
  private:
-  static std::size_t kind_index(SupervisionEvent::Kind kind) {
-    return static_cast<std::size_t>(kind);
-  }
-
-  void emit(SupervisionEvent event) {
-    Counter* counter = counter_for_[kind_index(event.kind)];
-    if (counter != nullptr) {
-      counter->add();
-    }
-    if (options_.on_event) {
-      options_.on_event(event);
-    }
-  }
 
   // Publishes liveness transitions as events + report counters; annotates
   // with the worker's current assignment so operators can see what a dying
@@ -370,8 +274,8 @@ class FleetRun {
       SupervisionEvent event;
       event.worker = worker.id;
       if (worker.busy) {
-        event.replica = slots_[worker.slot].id;
-        event.attempt = worker.attempt;
+        event.replica = worker.launch.replica;
+        event.attempt = worker.launch.attempt;
       }
       event.detail = std::string(to_string(transition.from)) + "->" +
                      to_string(transition.to) + " (" +
@@ -382,16 +286,21 @@ class FleetRun {
           break;
         case WorkerLiveness::kSuspect:
           event.kind = SupervisionEvent::Kind::kWorkerSuspect;
-          ++report_.worker_suspects;
           break;
         case WorkerLiveness::kDead:
           event.kind = SupervisionEvent::Kind::kWorkerDead;
-          ++report_.worker_deaths;
           break;
         case WorkerLiveness::kUnknown:
           continue;  // no transition enters Unknown
       }
-      emit(event);
+      scheduler_.emit(event);
+    }
+  }
+
+  static void kill_worker(Worker& worker) {
+    if (!worker.kill_sent) {
+      ::kill(worker.pid, SIGKILL);
+      worker.kill_sent = true;
     }
   }
 
@@ -442,24 +351,12 @@ class FleetRun {
     worker->work_fd = work_pipe[1];
     worker->result_fd = result_pipe[0];
     worker->reader = WireReader(result_pipe[0]);
-    ++report_.worker_spawns;
     SupervisionEvent event;
     event.kind = SupervisionEvent::Kind::kWorkerSpawn;
     event.worker = worker->id;
     event.detail = "forked pid " + std::to_string(pid);
     workers_.push_back(std::move(worker));
-    emit(event);
-  }
-
-  std::size_t live_worker_count() const {
-    std::size_t live = 0;
-    for (const auto& worker : workers_) {
-      if (!worker->reaped &&
-          worker->liveness.state() != WorkerLiveness::kDead) {
-        ++live;
-      }
-    }
-    return live;
+    scheduler_.emit(event);
   }
 
   // Live workers still part of the pool: a dismissed (quit_sent) worker is
@@ -485,198 +382,43 @@ class FleetRun {
       worker.work_fd = -1;
     }
     worker.quit_sent = true;
-    ++report_.worker_dismissals;
     SupervisionEvent event;
     event.kind = SupervisionEvent::Kind::kWorkerDismiss;
     event.worker = worker.id;
     event.detail = "breaker open: pool shrunk to " +
-                   std::to_string(breaker_->cap(target_workers_)) + " of " +
+                   std::to_string(scheduler_.width_cap()) + " of " +
                    std::to_string(target_workers_) + " workers";
-    emit(event);
+    scheduler_.emit(event);
   }
 
   void maintain_fleet(Clock::time_point now) {
-    if (cancel_seen_) {
+    if (scheduler_.cancelled()) {
       return;  // draining: never grow the fleet during shutdown
     }
-    const std::size_t remaining = slots_.size() - terminal_;
-    std::size_t wanted = std::min<std::size_t>(target_workers_, remaining);
-    if (breaker_.has_value()) {
-      // Backpressure: while the breaker is open, the POOL ITSELF shrinks to
-      // the breaker's cap -- surplus idle workers are dismissed outright,
-      // not merely left unreplaced -- so a failure spike stops burning
-      // fork+memory on capacity the retry backoff cannot feed anyway.
-      // Busy workers are never dismissed; if every surplus worker is busy
-      // the shrink completes as their attempts drain.  When the breaker
-      // closes, `wanted` recovers and the pool regrows below.
-      wanted = std::min(wanted, breaker_->cap(target_workers_));
-      if (breaker_->state() == BreakerState::kOpen) {
-        for (const auto& worker : workers_) {
-          if (pool_size() <= wanted) {
-            break;
-          }
-          if (!worker->reaped && !worker->quit_sent && !worker->busy &&
-              worker->liveness.state() != WorkerLiveness::kDead) {
-            dismiss_worker(*worker);
-          }
+    // Backpressure: while the breaker holds the width cap below the target,
+    // the POOL ITSELF shrinks to it -- surplus idle workers are dismissed
+    // outright, not merely left unreplaced -- so a failure spike stops
+    // burning fork+memory on capacity the retry backoff cannot feed anyway.
+    // Busy workers are never dismissed; if every surplus worker is busy the
+    // shrink completes as their attempts drain.  When the breaker closes the
+    // cap recovers and the pool regrows below.
+    const std::size_t cap = scheduler_.width_cap();
+    const std::size_t wanted =
+        std::min({target_workers_, scheduler_.remaining(), cap});
+    if (cap < target_workers_) {
+      for (const auto& worker : workers_) {
+        if (pool_size() <= wanted) {
+          break;
+        }
+        if (!worker->reaped && !worker->quit_sent && !worker->busy &&
+            worker->liveness.state() != WorkerLiveness::kDead) {
+          dismiss_worker(*worker);
         }
       }
     }
     while (pool_size() < wanted) {
       spawn_worker(now);
     }
-  }
-
-  // Reports circuit-breaker transitions (HalfOpen probes stay internal).
-  void publish_breaker(const std::vector<BreakerTransition>& moved) {
-    for (const BreakerTransition& transition : moved) {
-      if (transition.to == BreakerState::kOpen) {
-        ++report_.breaker_opens;
-        emit({SupervisionEvent::Kind::kBreakerOpen, 0, 0,
-              FailureClass::kTransient, 0.0,
-              "failure spike (" +
-                  std::to_string(transition.failures_in_window) +
-                  " in window): backoff x" +
-                  std::to_string(options_.breaker.backoff_multiplier) +
-                  ", fleet pool shrinking from " +
-                  std::to_string(pool_size()) + " to " +
-                  std::to_string(breaker_->cap(target_workers_)) +
-                  " workers"});
-      } else if (transition.to == BreakerState::kClosed) {
-        ++report_.breaker_closes;
-        emit({SupervisionEvent::Kind::kBreakerClose, 0, 0,
-              FailureClass::kTransient, 0.0,
-              "quiet period: fleet pool regrowing from " +
-                  std::to_string(pool_size()) + " toward " +
-                  std::to_string(target_workers_) + " workers"});
-      }
-    }
-  }
-
-  // Re-arms the effective per-attempt deadline from the estimator; mirrors
-  // the thread supervisor's rearm (same >10% event hysteresis).
-  void rearm_deadline() {
-    if (!options_.deadline_auto || options_.estimator == nullptr) {
-      return;
-    }
-    const bool confident = options_.estimator->confident();
-    const std::chrono::milliseconds next =
-        confident ? options_.estimator->deadline(options_.deadline)
-                  : options_.deadline;
-    if (confident) {
-      report_.learned_deadline_ms = static_cast<double>(next.count());
-    }
-    const double previous = static_cast<double>(armed_deadline_.count());
-    const double current = static_cast<double>(next.count());
-    const bool edge = confident != armed_learned_;
-    const bool moved = confident && !edge && previous > 0.0 &&
-                       std::abs(current - previous) > 0.10 * previous;
-    if (confident && (edge || moved)) {
-      ++report_.deadline_adapts;
-      const EstimatorSnapshot snap = options_.estimator->stats();
-      emit({SupervisionEvent::Kind::kDeadlineAdapt, 0, 0,
-            FailureClass::kTransient, current,
-            "adaptive deadline now " + std::to_string(next.count()) + "ms (q" +
-                std::to_string(options_.estimator->options().quantile) +
-                " x safety " +
-                std::to_string(options_.estimator->options().safety_factor) +
-                ", " + std::to_string(snap.samples) + " samples)"});
-    }
-    armed_deadline_ = next;
-    armed_learned_ = confident;
-  }
-
-  void quarantine(ReplicaSlot& state, FailureClass failure,
-                  std::string message) {
-    state.phase = Phase::kQuarantined;
-    ++terminal_;
-    if (options_.progress != nullptr) {
-      options_.progress->completed.fetch_add(1, std::memory_order_relaxed);
-      options_.progress->errored.fetch_add(1, std::memory_order_relaxed);
-    }
-    // Cumulative across resumes (base + consumed), matching thread mode, so
-    // the poison-seed dodge can pick up from a fresh stream.
-    const unsigned attempts = state.base_attempt + state.consumed;
-    emit({SupervisionEvent::Kind::kQuarantine, state.id, attempts, failure,
-          0.0, message});
-    report_.quarantined.push_back(
-        {state.id, attempts, failure, std::move(message)});
-  }
-
-  // Mirror of the thread supervisor's budget logic: consume one attempt,
-  // then retry (with jittered backoff on a fresh seed), fail fast, or
-  // quarantine.
-  void handle_failure(std::size_t slot, unsigned attempt, FailureClass failure,
-                      std::string message) {
-    ReplicaSlot& state = slots_[slot];
-    if (state.phase != Phase::kRunning || state.current_attempt != attempt) {
-      return;  // stale verdict
-    }
-    ++state.consumed;
-    if (cancel_seen_) {
-      state.phase = Phase::kUnfinished;
-      ++terminal_;
-      return;
-    }
-    if (failure == FailureClass::kDeterministic) {
-      ++report_.fail_fasts;
-      emit({SupervisionEvent::Kind::kFailFast, state.id, attempt, failure, 0.0,
-            message});
-      quarantine(state, failure, std::move(message));
-      return;
-    }
-    // Transient/resource failures (which include worker crashes until they
-    // are reclassified) are load signals for the breaker.
-    if (breaker_.has_value()) {
-      publish_breaker(breaker_->record_failure(Clock::now()));
-    }
-    if (state.next_attempt - state.base_attempt <
-        std::max(1u, options_.max_attempts)) {
-      const unsigned next = state.next_attempt++;
-      std::chrono::milliseconds delay =
-          backoff_delay(options_, state.id, next);
-      if (breaker_.has_value() && breaker_->backoff_multiplier() > 1.0) {
-        double widened =
-            static_cast<double>(delay.count()) * breaker_->backoff_multiplier();
-        if (options_.backoff_cap.count() > 0) {
-          widened = std::min(
-              widened, static_cast<double>(options_.backoff_cap.count()));
-        }
-        delay = std::chrono::milliseconds(
-            static_cast<std::int64_t>(std::llround(widened)));
-      }
-      ++report_.retries;
-      report_.backoff_wait_ms += static_cast<double>(delay.count());
-      if (options_.progress != nullptr) {
-        options_.progress->retried.fetch_add(1, std::memory_order_relaxed);
-      }
-      emit({SupervisionEvent::Kind::kRetry, state.id, next, failure,
-            static_cast<double>(delay.count()), message});
-      state.phase = Phase::kQueued;
-      queue_.push({Clock::now() + delay, slot, next});
-      return;
-    }
-    quarantine(state, failure, std::move(message));
-  }
-
-  void handle_success(std::size_t slot, unsigned attempt, double seconds,
-                      std::string&& payload) {
-    ReplicaSlot& state = slots_[slot];
-    if (state.phase != Phase::kRunning || state.current_attempt != attempt) {
-      return;
-    }
-    state.phase = Phase::kDone;
-    ++terminal_;
-    if (options_.estimator != nullptr) {
-      options_.estimator->observe(seconds);
-    }
-    if (breaker_.has_value()) {
-      publish_breaker(breaker_->record_success(Clock::now()));
-    }
-    if (options_.progress != nullptr) {
-      options_.progress->completed.fetch_add(1, std::memory_order_relaxed);
-    }
-    on_success_(state.id, std::move(payload));
   }
 
   // One frame from a worker's result pipe.  Every frame proves the process
@@ -692,11 +434,15 @@ class FleetRun {
     std::size_t replica = 0;
     unsigned attempt = 0;
     header >> verb >> replica >> attempt;
-    if (!worker.busy || slots_[worker.slot].id != replica ||
-        worker.attempt != attempt) {
+    if (!worker.busy || worker.launch.replica != replica ||
+        worker.launch.attempt != attempt) {
       return;  // stale frame from a superseded assignment
     }
-    const std::size_t slot = worker.slot;
+    if (verb != "ok" && verb != "err" && verb != "drain") {
+      kill_worker(worker);  // off-protocol: the reap path fails the attempt
+      return;
+    }
+    const ExecutionId execution = worker.launch.execution;
     worker.busy = false;
     worker.deadline_signaled = false;
     worker.kill_sent = false;
@@ -709,13 +455,8 @@ class FleetRun {
       }
     }
     if (verb == "ok") {
-      slots_[slot].worker_deaths = 0;  // the replica proved it can finish
-      const double seconds =
-          std::chrono::duration<double>(now - worker.started).count();
-      handle_success(slot, attempt, seconds, frame.substr(body));
-      return;
-    }
-    if (verb == "err") {
+      scheduler_.succeeded(execution, now, frame.substr(body));
+    } else if (verb == "err") {
       std::string failure_name;
       header >> failure_name;
       FailureClass failure = FailureClass::kTransient;
@@ -728,30 +469,14 @@ class FleetRun {
       if (message_at != std::string::npos) {
         message = frame.substr(message_at + 1);
       }
-      handle_failure(slot, attempt, failure, std::move(message));
-      return;
-    }
-    if (verb == "drain") {
+      scheduler_.failed(execution, now, failure, std::move(message));
+    } else {
       std::string reason;
       header >> reason;
-      if (reason == to_string(CancelReason::kDeadline)) {
-        std::string detail = (armed_learned_ ? "learned deadline of "
-                                             : "wall-clock deadline of ") +
-                             std::to_string(armed_deadline_.count()) +
-                             "ms exceeded";
-        ++report_.deadline_kills;
-        emit({SupervisionEvent::Kind::kDeadlineKill, slots_[slot].id, attempt,
-              FailureClass::kTransient, 0.0, detail});
-        handle_failure(slot, attempt, FailureClass::kTransient,
-                       std::move(detail));
-        return;
-      }
-      // Operator drain (or a task that declined): unfinished, not retried.
-      ReplicaSlot& state = slots_[slot];
-      if (state.phase == Phase::kRunning && state.current_attempt == attempt) {
-        state.phase = Phase::kUnfinished;
-        ++terminal_;
-      }
+      scheduler_.drained(execution, now,
+                         reason == to_string(CancelReason::kDeadline)
+                             ? CancelReason::kDeadline
+                             : CancelReason::kUser);
     }
   }
 
@@ -761,79 +486,74 @@ class FleetRun {
     while (worker.reader.next(frame)) {
       handle_frame(worker, frame, now);
     }
-    if (worker.reader.corrupt() && !worker.kill_sent && !worker.reaped) {
+    if (worker.reader.corrupt() && !worker.reaped) {
       // A corrupted stream gets no benefit of the doubt: the memory behind
       // the worker's writer is suspect, so the worker is too.
-      ::kill(worker.pid, SIGKILL);
-      worker.kill_sent = true;
+      kill_worker(worker);
     }
   }
 
+  // Hands ready attempts to idle workers, as far as the scheduler's width
+  // cap allows.  A Dead worker awaiting its reap no longer occupies width.
   void assign_work(Clock::time_point now) {
-    while (!queue_.empty() && queue_.top().ready_at <= now) {
-      const WorkItem item = queue_.top();
-      ReplicaSlot& state = slots_[item.slot];
-      if (state.phase != Phase::kQueued) {
-        queue_.pop();  // dropped by a cancel drain
-        continue;
-      }
+    while (true) {
       Worker* idle = nullptr;
+      std::size_t busy = 0;
       for (const auto& worker : workers_) {
-        if (!worker->reaped && !worker->busy && !worker->quit_sent &&
-            worker->liveness.state() != WorkerLiveness::kDead) {
+        if (worker->reaped ||
+            worker->liveness.state() == WorkerLiveness::kDead) {
+          continue;
+        }
+        if (worker->busy) {
+          ++busy;
+        } else if (idle == nullptr && !worker->quit_sent) {
           idle = worker.get();
-          break;
         }
       }
       if (idle == nullptr) {
         return;  // every live worker is busy; try next poll round
       }
-      queue_.pop();
-      const std::string assignment = "work " + std::to_string(state.id) +
-                                     " " + std::to_string(item.attempt);
+      const std::optional<ReplicaScheduler::Launch> launch =
+          scheduler_.claim(now, busy);
+      if (!launch.has_value()) {
+        return;
+      }
+      const std::string assignment = "work " +
+                                     std::to_string(launch->replica) + " " +
+                                     std::to_string(launch->attempt);
       if (!wire_write_frame(idle->work_fd, assignment)) {
-        // The worker died between polls; put the item back untouched (no
-        // budget consumed) and let the reap path recycle the worker.
-        queue_.push(item);
-        if (!idle->kill_sent) {
-          ::kill(idle->pid, SIGKILL);
-          idle->kill_sent = true;
-        }
+        // The worker died between polls; hand the attempt back untouched
+        // (no budget consumed) and let the reap path recycle the worker.
+        scheduler_.unclaim(launch->execution, now);
+        kill_worker(*idle);
         idle->quit_sent = true;  // never reuse this channel
         return;
       }
-      state.phase = Phase::kRunning;
-      state.current_attempt = item.attempt;
       idle->busy = true;
-      idle->slot = item.slot;
-      idle->attempt = item.attempt;
-      idle->started = now;
+      idle->launch = *launch;
       idle->deadline_signaled = false;
       idle->kill_sent = false;
     }
   }
 
-  void enforce_deadlines(Clock::time_point now) {
-    if (armed_deadline_.count() <= 0) {
-      return;
+  // Deadlines are cooperative first: SIGUSR1 makes the worker fire its
+  // attempt token with kDeadline, draining at a step boundary.  A worker
+  // that keeps beating but never drains never reached a cancellation point,
+  // so after the dead_after grace the crash barrier is the only kill left.
+  void enforce_deadlines(const std::vector<ReplicaScheduler::Kill>& kills,
+                         Clock::time_point now) {
+    for (const ReplicaScheduler::Kill& kill : kills) {
+      for (const auto& worker : workers_) {
+        if (worker->busy && worker->launch.execution == kill.execution) {
+          ::kill(worker->pid, SIGUSR1);
+          worker->deadline_signaled = true;
+          worker->kill_at = now + fleet_.dead_after;
+        }
+      }
     }
     for (const auto& worker : workers_) {
-      if (worker->reaped || !worker->busy) {
-        continue;
-      }
-      if (!worker->deadline_signaled &&
-          now - worker->started >= armed_deadline_) {
-        // Cooperative first: the worker's SIGUSR1 handler fires the attempt
-        // token with kDeadline and the run drains at a step boundary.
-        ::kill(worker->pid, SIGUSR1);
-        worker->deadline_signaled = true;
-        worker->kill_at = now + fleet_.dead_after;
-      } else if (worker->deadline_signaled && !worker->kill_sent &&
-                 now >= worker->kill_at) {
-        // Hung-but-beating: it never reached a cancellation point, so the
-        // crash barrier is the only kill that still works.
-        ::kill(worker->pid, SIGKILL);
-        worker->kill_sent = true;
+      if (worker->busy && worker->deadline_signaled && now >= worker->kill_at) {
+        kill_worker(*worker);
       }
     }
   }
@@ -846,12 +566,10 @@ class FleetRun {
       const WorkerLiveness before = worker->liveness.state();
       emit_transitions(*worker, worker->liveness.tick(now));
       if (before != WorkerLiveness::kDead &&
-          worker->liveness.state() == WorkerLiveness::kDead &&
-          !worker->kill_sent) {
+          worker->liveness.state() == WorkerLiveness::kDead) {
         // dead_after with no beat: the process is wedged beyond even its
         // heartbeat thread (stopped, swapped to death, or zombied).
-        ::kill(worker->pid, SIGKILL);
-        worker->kill_sent = true;
+        kill_worker(*worker);
       }
     }
   }
@@ -873,27 +591,14 @@ class FleetRun {
     if (!worker.busy) {
       return;  // idle death costs nothing; maintain_fleet refills
     }
-    const std::size_t slot = worker.slot;
-    const unsigned attempt = worker.attempt;
     worker.busy = false;
-    ReplicaSlot& state = slots_[slot];
-
+    const ExecutionId execution = worker.launch.execution;
     if (worker.deadline_signaled) {
-      // The deadline escalation (or the crash it provoked) ate the worker:
-      // account it as a deadline kill, retryable like thread mode's.
-      std::string detail = (armed_learned_ ? "learned deadline of "
-                                           : "wall-clock deadline of ") +
-                           std::to_string(armed_deadline_.count()) +
-                           "ms exceeded; worker " + std::to_string(worker.id) +
-                           " killed";
-      ++report_.deadline_kills;
-      emit({SupervisionEvent::Kind::kDeadlineKill, state.id, attempt,
-            FailureClass::kTransient, 0.0, detail});
-      handle_failure(slot, attempt, FailureClass::kTransient,
-                     std::move(detail));
+      // The deadline escalation (or the crash it provoked) ate the worker.
+      scheduler_.drained(execution, now, CancelReason::kDeadline,
+                         "; worker " + std::to_string(worker.id) + " killed");
       return;
     }
-
     std::string detail;
     if (WIFSIGNALED(status)) {
       detail = "worker " + std::to_string(worker.id) + " killed by signal " +
@@ -902,18 +607,8 @@ class FleetRun {
       detail = "worker " + std::to_string(worker.id) + " exited with status " +
                std::to_string(WIFEXITED(status) ? WEXITSTATUS(status) : -1);
     }
-    detail += " while running attempt " + std::to_string(attempt);
-    // Crash reclassification: the first death on a replica could be anything
-    // (OOM kill, a stray bit, the scheduler) => transient, retried on a
-    // fresh seed.  Repeated deaths on the SAME replica are a reproducible
-    // crash => deterministic => quarantine.
-    ++state.worker_deaths;
-    const FailureClass failure =
-        state.worker_deaths >=
-                std::max(1u, options_.fleet.max_worker_deaths_per_replica)
-            ? FailureClass::kDeterministic
-            : FailureClass::kTransient;
-    handle_failure(slot, attempt, failure, std::move(detail));
+    detail += " while running attempt " + std::to_string(worker.launch.attempt);
+    scheduler_.worker_died(execution, now, std::move(detail));
   }
 
   void reap_workers(Clock::time_point now) {
@@ -930,22 +625,13 @@ class FleetRun {
   }
 
   void propagate_cancel() {
-    if (cancel_seen_ || options_.cancel == nullptr ||
+    if (scheduler_.cancelled() || options_.cancel == nullptr ||
         !options_.cancel->requested()) {
       return;
     }
-    cancel_seen_ = true;
-    // Queued (never-started) work is unfinished for resume...
-    while (!queue_.empty()) {
-      const WorkItem item = queue_.top();
-      queue_.pop();
-      ReplicaSlot& state = slots_[item.slot];
-      if (state.phase == Phase::kQueued) {
-        state.phase = Phase::kUnfinished;
-        ++terminal_;
-      }
-    }
-    // ...and in-flight attempts drain cooperatively via SIGTERM.
+    // Queued work becomes unfinished for resume, and in-flight attempts
+    // drain cooperatively via SIGTERM (idle workers simply exit on it).
+    scheduler_.cancel();
     for (const auto& worker : workers_) {
       if (!worker->reaped) {
         ::kill(worker->pid, SIGTERM);
@@ -954,13 +640,9 @@ class FleetRun {
   }
 
   void monitor_loop() {
-    while (terminal_ < slots_.size()) {
+    while (!scheduler_.finished()) {
       const auto now = Clock::now();
       propagate_cancel();
-      if (breaker_.has_value()) {
-        publish_breaker(breaker_->tick(now));
-      }
-      rearm_deadline();
       maintain_fleet(now);
       assign_work(now);
 
@@ -981,13 +663,16 @@ class FleetRun {
             drain_reader(*owners[i], Clock::now());
           }
         }
+        // Reassign the workers those results freed in this same pass: no
+        // poll wait ever sits between a result and the next assignment.
+        assign_work(Clock::now());
       } else {
         std::this_thread::sleep_for(kFleetPoll);
       }
 
       const auto after = Clock::now();
       tick_liveness(after);
-      enforce_deadlines(after);
+      enforce_deadlines(scheduler_.tick(after), after);
       reap_workers(after);
     }
   }
@@ -1055,41 +740,16 @@ class FleetRun {
     }
   }
 
-  void finalize_report() {
-    for (const ReplicaSlot& state : slots_) {
-      if (state.phase == Phase::kDone) {
-        ++report_.succeeded;
-      } else if (state.phase == Phase::kUnfinished) {
-        ++report_.unfinished;
-      }
-    }
-    std::sort(report_.quarantined.begin(), report_.quarantined.end(),
-              [](const QuarantineRecord& a, const QuarantineRecord& b) {
-                return a.replica < b.replica;
-              });
-    report_.cancelled =
-        options_.cancel != nullptr && options_.cancel->requested();
-  }
-
   const SupervisedTask& task_;
-  const std::function<void(std::size_t, std::string&&)>& on_success_;
   const SupervisorOptions& options_;
+  const std::size_t target_workers_;
+  ReplicaScheduler scheduler_;
 
-  std::vector<ReplicaSlot> slots_;
-  std::priority_queue<WorkItem, std::vector<WorkItem>, ReadyLater> queue_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::int64_t next_worker_id_ = 0;
-  unsigned target_workers_ = 1;
-  std::size_t terminal_ = 0;
-  bool cancel_seen_ = false;
   // Validated copy of options_.fleet (heartbeat cadence clamped against the
   // liveness thresholds); every parent/child consumer reads this one.
   FleetOptions fleet_;
-  std::chrono::milliseconds armed_deadline_{0};
-  bool armed_learned_ = false;
-  std::optional<CircuitBreaker> breaker_;
-  Counter* counter_for_[SupervisionEvent::kNumKinds] = {};
-  SupervisorReport report_;
 };
 
 }  // namespace

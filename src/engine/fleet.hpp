@@ -33,6 +33,11 @@
 // after a dead_after grace.  Operator cancel is SIGTERM (kUser), leaving
 // replicas unfinished for resume, exactly like thread mode.
 //
+// Every policy decision -- budget, backoff, taxonomy and the crash
+// reclassification above, quarantine, deadlines, the breaker's width cap --
+// comes from the same ReplicaScheduler (engine/scheduler) the thread
+// executor uses; this file only forks, frames, signals, polls and reaps.
+//
 // Determinism: attempts run the same (master_seed, replica, attempt) streams
 // as thread mode, so healthy replicas produce bit-identical payload bytes
 // under either isolation.  Straggler speculation is a thread-mode policy and

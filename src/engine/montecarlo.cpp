@@ -9,12 +9,16 @@
 
 namespace divlib {
 
-unsigned resolve_thread_count(const MonteCarloOptions& options) {
-  if (options.num_threads > 0) {
-    return options.num_threads;
+unsigned resolve_thread_count(unsigned requested) {
+  if (requested > 0) {
+    return requested;
   }
   const unsigned hardware = std::thread::hardware_concurrency();
   return hardware > 0 ? hardware : 1;
+}
+
+unsigned resolve_thread_count(const MonteCarloOptions& options) {
+  return resolve_thread_count(options.num_threads);
 }
 
 namespace {

@@ -66,6 +66,10 @@ struct MonteCarloOptions {
 // of silently thrashing.
 inline constexpr unsigned kMaxBatchLanes = 4096;
 
+// 0 means hardware_concurrency (at least 1); every replica driver and
+// supervision executor sizes its pool through this.
+unsigned resolve_thread_count(unsigned requested);
+
 // Returns the worker count that `options` resolves to.
 unsigned resolve_thread_count(const MonteCarloOptions& options);
 

@@ -1,21 +1,17 @@
 #include "engine/supervisor.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <condition_variable>
-#include <list>
+#include <map>
 #include <mutex>
-#include <new>
 #include <optional>
-#include <queue>
 #include <stdexcept>
-#include <system_error>
 #include <thread>
 #include <vector>
 
 #include "engine/fleet.hpp"
 #include "engine/montecarlo.hpp"
-#include "obs/jsonl.hpp"
+#include "engine/scheduler.hpp"
 
 namespace divlib {
 
@@ -23,54 +19,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Jitter stream salt: keeps backoff draws out of every replica stream
-// (substream/retry seeds) while staying a pure function of the master seed.
-constexpr std::uint64_t kBackoffSalt = 0xb0ff5eedULL;
-
 // Monitor poll cadence: bounds the deadline-kill and cancel-propagation
 // latency.  5ms is invisible next to a replica run but keeps the idle scan
 // (a walk over the in-flight list) essentially free.
 constexpr std::chrono::milliseconds kMonitorPoll{5};
 
 }  // namespace
-
-const char* to_string(FailureClass failure) {
-  switch (failure) {
-    case FailureClass::kTransient:
-      return "transient";
-    case FailureClass::kResource:
-      return "resource";
-    case FailureClass::kDeterministic:
-      return "deterministic";
-  }
-  return "unknown";
-}
-
-FailureClass parse_failure_class(std::string_view name) {
-  for (const FailureClass failure :
-       {FailureClass::kTransient, FailureClass::kResource,
-        FailureClass::kDeterministic}) {
-    if (name == to_string(failure)) {
-      return failure;
-    }
-  }
-  throw std::invalid_argument("unknown failure class '" + std::string(name) +
-                              "'");
-}
-
-FailureClass classify_failure(const std::exception& error) {
-  // Order matters only for documentation: the three bases are disjoint.
-  // system_error subsumes std::ios_base::failure (C++11 and later), so all
-  // I/O failures land in kResource without naming iostreams here.
-  if (dynamic_cast<const std::bad_alloc*>(&error) != nullptr ||
-      dynamic_cast<const std::system_error*>(&error) != nullptr) {
-    return FailureClass::kResource;
-  }
-  if (dynamic_cast<const std::logic_error*>(&error) != nullptr) {
-    return FailureClass::kDeterministic;
-  }
-  return FailureClass::kTransient;
-}
 
 const char* to_string(Isolation isolation) {
   switch (isolation) {
@@ -92,118 +46,15 @@ Isolation parse_isolation(std::string_view name) {
                               "' (expected 'thread' or 'process')");
 }
 
-const char* to_string(SupervisionEvent::Kind kind) {
-  switch (kind) {
-    case SupervisionEvent::Kind::kRetry:
-      return "retry";
-    case SupervisionEvent::Kind::kFailFast:
-      return "fail-fast";
-    case SupervisionEvent::Kind::kDeadlineKill:
-      return "deadline-kill";
-    case SupervisionEvent::Kind::kSpeculativeLaunch:
-      return "speculative-launch";
-    case SupervisionEvent::Kind::kSpeculativeWin:
-      return "speculative-win";
-    case SupervisionEvent::Kind::kQuarantine:
-      return "quarantine";
-    case SupervisionEvent::Kind::kWorkerSpawn:
-      return "worker-spawn";
-    case SupervisionEvent::Kind::kWorkerAlive:
-      return "worker-alive";
-    case SupervisionEvent::Kind::kWorkerSuspect:
-      return "worker-suspect";
-    case SupervisionEvent::Kind::kWorkerDead:
-      return "worker-dead";
-    case SupervisionEvent::Kind::kWorkerDismiss:
-      return "worker-dismiss";
-    case SupervisionEvent::Kind::kDeadlineAdapt:
-      return "deadline-adapt";
-    case SupervisionEvent::Kind::kBreakerOpen:
-      return "breaker-open";
-    case SupervisionEvent::Kind::kBreakerClose:
-      return "breaker-close";
-  }
-  return "unknown";
-}
-
-std::string SupervisionEvent::to_json() const {
-  JsonObject object;
-  object.field("kind", to_string(kind))
-      .field("replica", static_cast<std::uint64_t>(replica))
-      .field("attempt", static_cast<std::uint64_t>(attempt))
-      .field("failure", to_string(failure))
-      .field("backoff_ms", backoff_ms)
-      .field("detail", detail);
-  if (worker >= 0) {
-    object.field("worker", static_cast<std::uint64_t>(worker));
-  }
-  return object.str();
-}
-
-std::chrono::milliseconds backoff_delay(const SupervisorOptions& options,
-                                        std::size_t replica,
-                                        unsigned attempt) {
-  if (options.backoff_base.count() <= 0 || attempt == 0) {
-    return std::chrono::milliseconds{0};
-  }
-  // base * 2^(attempt-1), exponent clamped so the double stays finite; the
-  // cap below is what actually bounds the wait.
-  const int exponent = static_cast<int>(std::min(attempt - 1, 20u));
-  const double base = static_cast<double>(options.backoff_base.count()) *
-                      std::ldexp(1.0, exponent);
-  // Deterministic jitter: a private stream keyed by (master ^ salt, replica,
-  // attempt), so the schedule replays exactly and never perturbs any replica
-  // stream.  Uniform in [0.5x, 1.5x) -- desynchronizes retry herds while
-  // keeping the expectation at the nominal delay.
-  Rng jitter(Rng::retry_seed(options.master_seed ^ kBackoffSalt, replica,
-                             attempt));
-  double delay = base * (0.5 + jitter.uniform01());
-  if (options.backoff_cap.count() > 0) {
-    delay = std::min(delay, static_cast<double>(options.backoff_cap.count()));
-  }
-  return std::chrono::milliseconds(
-      static_cast<std::int64_t>(std::llround(delay)));
-}
-
 namespace {
 
-enum class Phase { kQueued, kRunning, kDone, kQuarantined, kUnfinished };
+using ExecutionId = ReplicaScheduler::ExecutionId;
 
-struct ReplicaState {
-  std::size_t id = 0;
-  Phase phase = Phase::kQueued;
-  unsigned base_attempt = 0;     // first seed index (poison-seed dodge)
-  unsigned next_attempt = 0;     // next fresh seed index to schedule
-  unsigned current_attempt = 0;  // seed index of the in-flight instance
-  unsigned consumed = 0;         // attempt instances that reached a failure
-  bool twin_launched = false;    // duplicate exists for the current instance
-};
-
-struct WorkItem {
-  Clock::time_point ready_at;
-  std::size_t slot = 0;
-  unsigned attempt = 0;
-  bool speculative = false;
-};
-
-struct ReadyLater {
-  bool operator()(const WorkItem& a, const WorkItem& b) const {
-    return a.ready_at > b.ready_at;  // min-heap on ready_at
-  }
-};
-
-// One in-flight execution of (slot, attempt).  At most two exist per slot:
-// the primary and a speculative duplicate on the same seed.  Lives in a
-// std::list so the token's address stays stable while the task polls it
-// without the lock.
-struct Execution {
-  std::size_t slot = 0;
-  unsigned attempt = 0;
-  bool speculative = false;
-  CancelToken token;
-  Clock::time_point started;
-};
-
+// The thread executor.  Worker threads claim attempts and run them, each
+// under a private CancelToken; the calling thread is the monitor that feeds
+// the scheduler's clock and fires the tokens it names.  Every policy
+// decision -- which attempt, when, and what its verdict means -- comes from
+// the ReplicaScheduler, always called under mu_.
 class SupervisorRun {
  public:
   SupervisorRun(std::span<const std::size_t> replica_ids,
@@ -211,32 +62,13 @@ class SupervisorRun {
                 const std::function<void(std::size_t, std::string&&)>&
                     on_success,
                 const SupervisorOptions& options)
-      : task_(task), on_success_(on_success), options_(options) {
-    states_.reserve(replica_ids.size());
-    for (const std::size_t id : replica_ids) {
-      ReplicaState state;
-      state.id = id;
-      states_.push_back(state);
-    }
+      : task_(task),
+        options_(options),
+        workers_(static_cast<unsigned>(std::min<std::size_t>(
+            resolve_thread_count(options.num_threads), replica_ids.size()))),
+        scheduler_(replica_ids, options, on_success, workers_,
+                   Isolation::kThread, Clock::now()) {
     if (options_.metrics != nullptr) {
-      counters_[index(SupervisionEvent::Kind::kRetry)] =
-          &options_.metrics->counter("supervisor_retries");
-      counters_[index(SupervisionEvent::Kind::kFailFast)] =
-          &options_.metrics->counter("supervisor_fail_fasts");
-      counters_[index(SupervisionEvent::Kind::kDeadlineKill)] =
-          &options_.metrics->counter("supervisor_deadline_kills");
-      counters_[index(SupervisionEvent::Kind::kSpeculativeLaunch)] =
-          &options_.metrics->counter("supervisor_speculative_launches");
-      counters_[index(SupervisionEvent::Kind::kSpeculativeWin)] =
-          &options_.metrics->counter("supervisor_speculative_wins");
-      counters_[index(SupervisionEvent::Kind::kQuarantine)] =
-          &options_.metrics->counter("supervisor_quarantines");
-      counters_[index(SupervisionEvent::Kind::kDeadlineAdapt)] =
-          &options_.metrics->counter("supervisor_deadline_adapts");
-      counters_[index(SupervisionEvent::Kind::kBreakerOpen)] =
-          &options_.metrics->counter("supervisor_breaker_opens");
-      counters_[index(SupervisionEvent::Kind::kBreakerClose)] =
-          &options_.metrics->counter("supervisor_breaker_closes");
       batch_groups_counter_ =
           &options_.metrics->counter("supervisor_batch_groups");
       batched_attempts_counter_ =
@@ -245,601 +77,184 @@ class SupervisorRun {
   }
 
   SupervisorReport run() {
-    report_.replicas = states_.size();
-    if (states_.empty()) {
-      return std::move(report_);
+    if (scheduler_.finished()) {
+      return scheduler_.finish(false);  // empty batch
     }
     if (options_.cancel != nullptr && options_.cancel->requested()) {
       // Preset cancel: nothing starts, everything re-runs on resume --
-      // mirrors the isolated driver's claim-nothing behavior.
-      report_.cancelled = true;
-      report_.unfinished = states_.size();
-      return std::move(report_);
+      // the isolated driver's claim-nothing behavior.
+      scheduler_.cancel();
+      return scheduler_.finish(true);
     }
-    const auto now = Clock::now();
-    armed_deadline_ = options_.deadline;
-    if (options_.breaker_enabled) {
-      breaker_.emplace(options_.breaker, now);
-    }
-    for (std::size_t slot = 0; slot < states_.size(); ++slot) {
-      ReplicaState& state = states_[slot];
-      const unsigned base =
-          options_.first_attempt ? options_.first_attempt(state.id) : 0;
-      state.base_attempt = base;
-      queue_.push({now, slot, base, false});
-      state.next_attempt = base + 1;
-    }
-    unsigned workers = options_.num_threads;
-    if (workers == 0) {
-      const unsigned hardware = std::thread::hardware_concurrency();
-      workers = hardware > 0 ? hardware : 1;
-    }
-    workers =
-        static_cast<unsigned>(std::min<std::size_t>(workers, states_.size()));
-    // Workers execute attempts; the calling thread is the monitor (deadline
-    // arming, straggler checks, cancel propagation) until the batch drains.
     std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i) {
+    pool.reserve(workers_);
+    for (unsigned i = 0; i < workers_; ++i) {
       pool.emplace_back([this] { worker_loop(); });
     }
     monitor_loop();
     for (std::thread& thread : pool) {
       thread.join();
     }
-    finalize_report();
-    return std::move(report_);
+    SupervisorReport report = scheduler_.finish(
+        options_.cancel != nullptr && options_.cancel->requested());
+    report.batch_groups = batch_groups_;
+    report.batched_attempts = batched_attempts_;
+    return report;
   }
 
  private:
-  static std::size_t index(SupervisionEvent::Kind kind) {
-    return static_cast<std::size_t>(kind);
-  }
-
-  void emit_locked(SupervisionEvent event) {
-    Counter* counter = counters_[index(event.kind)];
-    if (counter != nullptr) {
-      counter->add();
-    }
-    if (options_.on_event) {
-      options_.on_event(event);
+  void fire_locked(const std::vector<ReplicaScheduler::Kill>& kills) {
+    for (const ReplicaScheduler::Kill& kill : kills) {
+      tokens_.at(kill.execution).request(kill.reason);
     }
   }
 
-  bool other_execution_live_locked(std::size_t slot) const {
-    for (const Execution& execution : live_) {
-      if (execution.slot == slot) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void supersede_twin_locked(std::size_t slot, unsigned attempt) {
-    for (Execution& execution : live_) {
-      if (execution.slot == slot && execution.attempt == attempt) {
-        execution.token.request(CancelReason::kSuperseded);
-      }
-    }
-  }
-
-  void insert_duration_locked(double seconds) {
-    durations_.insert(
-        std::upper_bound(durations_.begin(), durations_.end(), seconds),
-        seconds);
-  }
-
-  double median_duration_locked() const {
-    return durations_[durations_.size() / 2];
-  }
-
-  // Reports circuit-breaker transitions (HalfOpen probes stay internal: the
-  // externally visible states are "backpressure on" and "backpressure off").
-  void publish_breaker_locked(const std::vector<BreakerTransition>& moved) {
-    for (const BreakerTransition& transition : moved) {
-      if (transition.to == BreakerState::kOpen) {
-        ++report_.breaker_opens;
-        emit_locked({SupervisionEvent::Kind::kBreakerOpen, 0, 0,
-                     FailureClass::kTransient, 0.0,
-                     "failure spike (" +
-                         std::to_string(transition.failures_in_window) +
-                         " in window): backoff x" +
-                         std::to_string(options_.breaker.backoff_multiplier) +
-                         ", width capped"});
-      } else if (transition.to == BreakerState::kClosed) {
-        ++report_.breaker_closes;
-        emit_locked({SupervisionEvent::Kind::kBreakerClose, 0, 0,
-                     FailureClass::kTransient, 0.0,
-                     "quiet period: full width restored"});
-      }
-    }
-  }
-
-  // Re-arms the effective per-attempt deadline from the estimator.  The
-  // armed value drifts with every accepted sample, so kDeadlineAdapt events
-  // fire only on the confidence-gate edge or a >10% move -- a journal line
-  // per sample would be noise, not explanation.
-  void rearm_deadline_locked() {
-    if (!options_.deadline_auto || options_.estimator == nullptr) {
-      return;
-    }
-    const bool confident = options_.estimator->confident();
-    const std::chrono::milliseconds next =
-        confident ? options_.estimator->deadline(options_.deadline)
-                  : options_.deadline;
-    if (confident) {
-      report_.learned_deadline_ms = static_cast<double>(next.count());
-    }
-    const double previous = static_cast<double>(armed_deadline_.count());
-    const double current = static_cast<double>(next.count());
-    const bool edge = confident != armed_learned_;
-    const bool moved = confident && !edge && previous > 0.0 &&
-                       std::abs(current - previous) > 0.10 * previous;
-    if (confident && (edge || moved)) {
-      ++report_.deadline_adapts;
-      const EstimatorSnapshot snap = options_.estimator->stats();
-      emit_locked({SupervisionEvent::Kind::kDeadlineAdapt, 0, 0,
-                   FailureClass::kTransient, current,
-                   "adaptive deadline now " + std::to_string(next.count()) +
-                       "ms (q" +
-                       std::to_string(options_.estimator->options().quantile) +
-                       " x safety " +
-                       std::to_string(
-                           options_.estimator->options().safety_factor) +
-                       ", " + std::to_string(snap.samples) + " samples)"});
-    }
-    armed_deadline_ = next;
-    armed_learned_ = confident;
-  }
-
-  // Drops every queued item; fresh items whose slot never started become
-  // terminal kUnfinished (a resume re-runs them from their true seeds).
-  void drop_queued_locked() {
-    while (!queue_.empty()) {
-      const WorkItem item = queue_.top();
-      queue_.pop();
-      ReplicaState& state = states_[item.slot];
-      if (!item.speculative && state.phase == Phase::kQueued) {
-        state.phase = Phase::kUnfinished;
-        ++terminal_;
-      }
-    }
-  }
-
-  void quarantine_locked(ReplicaState& state, FailureClass failure,
-                         std::string message) {
-    state.phase = Phase::kQuarantined;
-    ++terminal_;
-    if (options_.progress != nullptr) {
-      options_.progress->completed.fetch_add(1, std::memory_order_relaxed);
-      options_.progress->errored.fetch_add(1, std::memory_order_relaxed);
-    }
-    // `attempts` is cumulative across resumes (base + consumed this run), so
-    // a later poison-seed dodge resumes from a fresh retry_seed stream.
-    const unsigned attempts = state.base_attempt + state.consumed;
-    emit_locked({SupervisionEvent::Kind::kQuarantine, state.id, attempts,
-                 failure, 0.0, message});
-    report_.quarantined.push_back(
-        {state.id, attempts, failure, std::move(message)});
-  }
-
-  // A failed attempt instance of `slot` reached its verdict: consume one
-  // unit of budget and decide retry / fail-fast / quarantine.
-  void handle_failure_locked(std::size_t slot, unsigned attempt,
-                             FailureClass failure, std::string message) {
-    ReplicaState& state = states_[slot];
-    if (state.phase != Phase::kRunning || state.current_attempt != attempt) {
-      return;  // stale: the instance already reached a verdict elsewhere
-    }
-    if (other_execution_live_locked(slot)) {
-      // The duplicate on the same seed is still running (say the primary hit
-      // its deadline while the twin is healthy): defer to the survivor
-      // rather than consuming the shared attempt twice.
-      return;
-    }
-    ++state.consumed;
-    state.twin_launched = false;
-    if (cancel_seen_) {
-      // Draining on operator cancel: no retries during shutdown; the resume
-      // re-runs the replica from its true seed.
-      state.phase = Phase::kUnfinished;
-      ++terminal_;
-      return;
-    }
-    if (failure == FailureClass::kDeterministic) {
-      ++report_.fail_fasts;
-      emit_locked({SupervisionEvent::Kind::kFailFast, state.id, attempt,
-                   failure, 0.0, message});
-      quarantine_locked(state, failure, std::move(message));
-      return;
-    }
-    // Transient/resource failures are load signals; a deterministic bug is
-    // not, so it never feeds the breaker.
-    if (breaker_.has_value()) {
-      publish_breaker_locked(breaker_->record_failure(Clock::now()));
-    }
-    if (state.next_attempt - state.base_attempt <
-        std::max(1u, options_.max_attempts)) {
-      const unsigned next = state.next_attempt++;
-      std::chrono::milliseconds delay =
-          backoff_delay(options_, state.id, next);
-      if (breaker_.has_value() && breaker_->backoff_multiplier() > 1.0) {
-        // Global widening while the breaker is open; the cap still rules.
-        double widened =
-            static_cast<double>(delay.count()) * breaker_->backoff_multiplier();
-        if (options_.backoff_cap.count() > 0) {
-          widened = std::min(
-              widened, static_cast<double>(options_.backoff_cap.count()));
-        }
-        delay = std::chrono::milliseconds(
-            static_cast<std::int64_t>(std::llround(widened)));
-      }
-      ++report_.retries;
-      report_.backoff_wait_ms += static_cast<double>(delay.count());
-      if (options_.progress != nullptr) {
-        options_.progress->retried.fetch_add(1, std::memory_order_relaxed);
-      }
-      emit_locked({SupervisionEvent::Kind::kRetry, state.id, next, failure,
-                   static_cast<double>(delay.count()), message});
-      state.phase = Phase::kQueued;
-      queue_.push({Clock::now() + delay, slot, next, false});
-      return;
-    }
-    quarantine_locked(state, failure, std::move(message));
-  }
-
-  void handle_verdict_locked(std::list<Execution>::iterator execution,
-                             std::optional<std::string> payload, bool threw,
-                             FailureClass failure, std::string message) {
-    const std::size_t slot = execution->slot;
-    const unsigned attempt = execution->attempt;
-    const bool speculative = execution->speculative;
-    const CancelReason reason = execution->token.reason();
-    const double seconds =
-        std::chrono::duration<double>(Clock::now() - execution->started)
-            .count();
-    live_.erase(execution);
-    ReplicaState& state = states_[slot];
-    const bool current =
-        state.phase == Phase::kRunning && state.current_attempt == attempt;
-
+  // Hands one attempt's verdict to the scheduler: a payload, a classified
+  // failure, or (neither) a drain whose meaning the token's reason carries.
+  void record_locked(ExecutionId execution, std::optional<std::string> payload,
+                     const std::optional<AttemptFailure>& failure) {
+    const auto now = Clock::now();
+    const CancelReason reason = tokens_.at(execution).reason();
+    tokens_.erase(execution);
     if (payload.has_value()) {
-      if (!current) {
-        return;  // the duplicate already won; identical bytes, drop them
-      }
-      state.phase = Phase::kDone;
-      ++terminal_;
-      insert_duration_locked(seconds);
-      if (options_.estimator != nullptr) {
-        options_.estimator->observe(seconds);
-      }
-      if (breaker_.has_value()) {
-        publish_breaker_locked(breaker_->record_success(Clock::now()));
-      }
-      if (speculative) {
-        ++report_.speculative_wins;
-        emit_locked({SupervisionEvent::Kind::kSpeculativeWin, state.id,
-                     attempt, FailureClass::kTransient, 0.0, {}});
-      }
-      supersede_twin_locked(slot, attempt);
-      if (options_.progress != nullptr) {
-        options_.progress->completed.fetch_add(1, std::memory_order_relaxed);
-      }
-      on_success_(state.id, std::move(*payload));
-      return;
-    }
-
-    if (threw) {
-      handle_failure_locked(slot, attempt, failure, std::move(message));
-      return;
-    }
-
-    // nullopt: the attempt drained on its token (or declined on its own).
-    if (reason == CancelReason::kDeadline) {
-      std::string detail =
-          (armed_learned_ ? "learned deadline of " : "wall-clock deadline of ") +
-          std::to_string(armed_deadline_.count()) + "ms exceeded";
-      ++report_.deadline_kills;
-      emit_locked({SupervisionEvent::Kind::kDeadlineKill, state.id, attempt,
-                   FailureClass::kTransient, 0.0, detail});
-      // A deadline kill is a retryable failure: the wall clock says nothing
-      // about determinism, and a fresh stream may well miss the tail.
-      handle_failure_locked(slot, attempt, FailureClass::kTransient,
-                            std::move(detail));
-      return;
-    }
-    if (reason == CancelReason::kSuperseded) {
-      return;  // the twin won; this result is unwanted by construction
-    }
-    // Operator cancel (or a task-level drain): unfinished, never retried.
-    if (current && !other_execution_live_locked(slot)) {
-      state.phase = Phase::kUnfinished;
-      ++terminal_;
+      fire_locked(scheduler_.succeeded(execution, now, std::move(*payload)));
+    } else if (failure.has_value()) {
+      scheduler_.failed(execution, now, failure->failure, failure->message);
+    } else {
+      scheduler_.drained(execution, now, reason);
     }
   }
 
   void worker_loop() {
     std::unique_lock<std::mutex> lock(mu_);
-    while (true) {
-      if (cancel_seen_) {
-        drop_queued_locked();
-      }
-      if (queue_.empty()) {
-        if (terminal_ == states_.size()) {
-          return;
-        }
-        work_cv_.wait(lock);
-        continue;
-      }
-      const WorkItem item = queue_.top();
+    while (!scheduler_.finished()) {
       const auto now = Clock::now();
-      if (item.ready_at > now) {
-        // Backoff without blocking a replica's worth of work would need a
-        // timer wheel; with replica-scale queue depths, sleeping on the
-        // earliest ready_at is equivalent and simpler.  Any earlier enqueue
-        // notifies and re-sorts under us.
-        work_cv_.wait_until(lock, item.ready_at);
+      const std::optional<ReplicaScheduler::Launch> launch =
+          scheduler_.claim(now, busy_);
+      if (!launch.has_value()) {
+        // Nothing claimable: sleep until the earliest backoff expires, or
+        // until a verdict, a tick or a cancel notifies.
+        const Clock::time_point wake = scheduler_.wake_at(busy_);
+        if (wake == Clock::time_point::max()) {
+          work_cv_.wait(lock);
+        } else {
+          work_cv_.wait_until(lock, wake);
+        }
         continue;
       }
-      queue_.pop();
-      ReplicaState& state = states_[item.slot];
-      if (item.speculative) {
-        // Valid only while the exact instance it duplicates is still in
-        // flight; anything else is a stale launch (the instance finished,
-        // failed, or moved on to another attempt).
-        if (state.phase != Phase::kRunning ||
-            state.current_attempt != item.attempt) {
-          continue;
-        }
-      } else {
-        if (state.phase != Phase::kQueued) {
-          continue;  // dropped by a cancel drain
-        }
-        state.phase = Phase::kRunning;
-        state.current_attempt = item.attempt;
-      }
-      const auto execution = live_.emplace(live_.end());
-      execution->slot = item.slot;
-      execution->attempt = item.attempt;
-      execution->speculative = item.speculative;
-      execution->started = now;
-      const std::size_t replica = state.id;
-
-      // Lock-step batching: a non-speculative claim greedily absorbs up to
-      // batch_lanes - 1 more ready non-speculative queued items into one
-      // group for options_.batch_task.  The scan stops at the first
-      // ineligible queue top (future ready_at, speculative twin, or a slot a
-      // cancel drain already moved on) -- peeking deeper would perturb the
-      // heap for nothing, and stragglers simply form smaller groups.  A slot
-      // can appear at most once per group: claiming flips it to kRunning,
-      // and a second queued item for a kRunning slot fails the phase check.
-      std::vector<std::list<Execution>::iterator> group;
-      if (!item.speculative && options_.batch_lanes > 1 &&
+      ++busy_;
+      tokens_.try_emplace(launch->execution);
+      std::vector<ReplicaScheduler::Launch> group;
+      if (!launch->speculative && options_.batch_lanes > 1 &&
           options_.batch_task) {
-        group.push_back(execution);
-        while (group.size() < options_.batch_lanes && !queue_.empty()) {
-          const WorkItem mate_item = queue_.top();
-          if (mate_item.speculative || mate_item.ready_at > now ||
-              states_[mate_item.slot].phase != Phase::kQueued) {
+        // Lock-step batching: the claim absorbs up to batch_lanes - 1 more
+        // ready fresh attempts; the whole group occupies this one worker.
+        group.push_back(*launch);
+        while (group.size() < options_.batch_lanes) {
+          const std::optional<ReplicaScheduler::Launch> mate =
+              scheduler_.claim_mate(now);
+          if (!mate.has_value()) {
             break;
           }
-          queue_.pop();
-          ReplicaState& mate = states_[mate_item.slot];
-          mate.phase = Phase::kRunning;
-          mate.current_attempt = mate_item.attempt;
-          const auto mate_execution = live_.emplace(live_.end());
-          mate_execution->slot = mate_item.slot;
-          mate_execution->attempt = mate_item.attempt;
-          mate_execution->speculative = false;
-          mate_execution->started = now;
-          group.push_back(mate_execution);
+          tokens_.try_emplace(mate->execution);
+          group.push_back(*mate);
         }
       }
       if (group.size() > 1) {
-        ++report_.batch_groups;
-        report_.batched_attempts += group.size();
-        if (batch_groups_counter_ != nullptr) {
-          batch_groups_counter_->add();
-          batched_attempts_counter_->add(
-              static_cast<std::uint64_t>(group.size()));
-        }
-        std::vector<BatchLane> lanes(group.size());
-        for (std::size_t i = 0; i < group.size(); ++i) {
-          lanes[i].replica = states_[group[i]->slot].id;
-          lanes[i].seed = Rng::retry_seed(options_.master_seed,
-                                          lanes[i].replica,
-                                          group[i]->attempt);
-          lanes[i].cancel = &group[i]->token;
-        }
-        lock.unlock();
-
-        std::vector<std::optional<std::string>> verdicts;
-        bool group_threw = false;
-        FailureClass group_failure = FailureClass::kTransient;
-        std::string group_message;
-        try {
-          verdicts = options_.batch_task(lanes);
-          if (verdicts.size() != lanes.size()) {
-            group_threw = true;
-            group_failure = FailureClass::kDeterministic;
-            group_message = "batch_task returned " +
-                            std::to_string(verdicts.size()) +
-                            " verdicts for " + std::to_string(lanes.size()) +
-                            " lanes";
-            verdicts.clear();
-          }
-        } catch (const std::exception& error) {
-          group_threw = true;
-          group_message = error.what();
-          group_failure = options_.classify ? options_.classify(error)
-                                           : classify_failure(error);
-        } catch (...) {
-          group_threw = true;
-          group_message = "unknown exception";
-          group_failure = FailureClass::kTransient;
-        }
-
-        lock.lock();
-        for (std::size_t i = 0; i < group.size(); ++i) {
-          std::optional<std::string> payload;
-          if (!group_threw) {
-            payload = std::move(verdicts[i]);
-          }
-          handle_verdict_locked(group[i], std::move(payload), group_threw,
-                                group_failure, group_message);
-        }
-        work_cv_.notify_all();
-        monitor_cv_.notify_one();
-        continue;
+        run_group(lock, group);
+      } else {
+        run_scalar(lock, *launch);
       }
-      lock.unlock();
-
-      std::optional<std::string> payload;
-      bool threw = false;
-      FailureClass failure = FailureClass::kTransient;
-      std::string message;
-      try {
-        Rng rng(Rng::retry_seed(options_.master_seed, replica, item.attempt));
-        payload = task_(replica, rng, execution->token);
-      } catch (const std::exception& error) {
-        threw = true;
-        message = error.what();
-        failure = options_.classify ? options_.classify(error)
-                                    : classify_failure(error);
-      } catch (...) {
-        threw = true;
-        message = "unknown exception";
-        failure = FailureClass::kTransient;
-      }
-
-      lock.lock();
-      handle_verdict_locked(execution, std::move(payload), threw, failure,
-                            std::move(message));
+      --busy_;
       work_cv_.notify_all();
       monitor_cv_.notify_one();
     }
   }
 
+  void run_scalar(std::unique_lock<std::mutex>& lock,
+                  const ReplicaScheduler::Launch& launch) {
+    const CancelToken& token = tokens_.at(launch.execution);
+    lock.unlock();
+    std::optional<std::string> payload;
+    const std::optional<AttemptFailure> failure =
+        catch_attempt_failure(options_, [&] {
+          Rng rng(Rng::retry_seed(options_.master_seed, launch.replica,
+                                  launch.attempt));
+          payload = task_(launch.replica, rng, token);
+        });
+    lock.lock();
+    record_locked(launch.execution, std::move(payload), failure);
+  }
+
+  // Dispatches a lock-step group through options_.batch_task.  Every lane
+  // keeps its own token and verdict; a throw fails every lane with one
+  // shared classification (the lanes shared the execution that died).
+  void run_group(std::unique_lock<std::mutex>& lock,
+                 const std::vector<ReplicaScheduler::Launch>& group) {
+    ++batch_groups_;
+    batched_attempts_ += group.size();
+    if (batch_groups_counter_ != nullptr) {
+      batch_groups_counter_->add();
+      batched_attempts_counter_->add(static_cast<std::uint64_t>(group.size()));
+    }
+    std::vector<BatchLane> lanes(group.size());
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      lanes[i].replica = group[i].replica;
+      lanes[i].seed = Rng::retry_seed(options_.master_seed, group[i].replica,
+                                      group[i].attempt);
+      lanes[i].cancel = &tokens_.at(group[i].execution);
+    }
+    lock.unlock();
+    std::vector<std::optional<std::string>> verdicts;
+    std::optional<AttemptFailure> failure = catch_attempt_failure(
+        options_, [&] { verdicts = options_.batch_task(lanes); });
+    if (!failure.has_value() && verdicts.size() != lanes.size()) {
+      failure = AttemptFailure{
+          FailureClass::kDeterministic,
+          "batch_task returned " + std::to_string(verdicts.size()) +
+              " verdicts for " + std::to_string(lanes.size()) + " lanes"};
+    }
+    lock.lock();
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      record_locked(group[i].execution,
+                    failure.has_value() ? std::nullopt : std::move(verdicts[i]),
+                    failure);
+    }
+  }
+
   void monitor_loop() {
     std::unique_lock<std::mutex> lock(mu_);
-    while (terminal_ != states_.size() || !live_.empty() || !queue_.empty()) {
+    while (!scheduler_.idle()) {
       const auto now = Clock::now();
-      if (!cancel_seen_ && options_.cancel != nullptr &&
+      if (!scheduler_.cancelled() && options_.cancel != nullptr &&
           options_.cancel->requested()) {
-        cancel_seen_ = true;
-        drop_queued_locked();
-        for (Execution& execution : live_) {
-          execution.token.request(CancelReason::kUser);
-        }
-        work_cv_.notify_all();
+        fire_locked(scheduler_.cancel());
       }
-      if (breaker_.has_value()) {
-        publish_breaker_locked(breaker_->tick(now));
-      }
-      rearm_deadline_locked();
-      if (armed_deadline_.count() > 0) {
-        for (Execution& execution : live_) {
-          if (!execution.token.requested() &&
-              now - execution.started >= armed_deadline_) {
-            execution.token.request(CancelReason::kDeadline);
-          }
-        }
-      }
-      if (options_.straggler_factor > 0.0) {
-        // Predictive speculation once the estimator is confident: an attempt
-        // already past the learned quantile is in the worst (1-P) tail, so
-        // its projected finish exceeds what the distribution promises --
-        // speculate NOW instead of waiting for factor x median of this run's
-        // own (possibly sparse) durations.  Reactive median is the fallback.
-        double threshold = 0.0;
-        bool predictive = false;
-        if (options_.estimator != nullptr && options_.estimator->confident()) {
-          threshold = options_.estimator->quantile_seconds();
-          predictive = threshold > 0.0;
-        }
-        if (!predictive) {
-          if (durations_.size() <
-              std::max<std::size_t>(1, options_.straggler_warmup)) {
-            threshold = 0.0;
-          } else {
-            threshold = options_.straggler_factor * median_duration_locked();
-          }
-        }
-        for (Execution& execution : live_) {
-          if (threshold <= 0.0) {
-            break;
-          }
-          ReplicaState& state = states_[execution.slot];
-          if (execution.speculative || state.twin_launched ||
-              state.phase != Phase::kRunning ||
-              state.current_attempt != execution.attempt ||
-              execution.token.requested()) {
-            continue;
-          }
-          const double elapsed =
-              std::chrono::duration<double>(now - execution.started).count();
-          if (elapsed > threshold) {
-            state.twin_launched = true;
-            ++report_.speculative_launches;
-            emit_locked(
-                {SupervisionEvent::Kind::kSpeculativeLaunch, state.id,
-                 execution.attempt, FailureClass::kTransient, 0.0,
-                 predictive
-                     ? "projected finish past learned q" +
-                           std::to_string(
-                               options_.estimator->options().quantile) +
-                           " (" + std::to_string(threshold) + "s)"
-                     : "elapsed exceeds " +
-                           std::to_string(options_.straggler_factor) +
-                           "x median"});
-            queue_.push({now, execution.slot, execution.attempt, true});
-            work_cv_.notify_all();
-          }
-        }
-      }
+      fire_locked(scheduler_.tick(now));
+      // Idle workers re-try their claim: the tick may have queued a twin
+      // or lifted the breaker's width cap.
+      work_cv_.notify_all();
       monitor_cv_.wait_for(lock, kMonitorPoll);
     }
     work_cv_.notify_all();
   }
 
-  void finalize_report() {
-    for (const ReplicaState& state : states_) {
-      if (state.phase == Phase::kDone) {
-        ++report_.succeeded;
-      } else if (state.phase == Phase::kUnfinished) {
-        ++report_.unfinished;
-      }
-    }
-    std::sort(report_.quarantined.begin(), report_.quarantined.end(),
-              [](const QuarantineRecord& a, const QuarantineRecord& b) {
-                return a.replica < b.replica;
-              });
-    report_.cancelled =
-        options_.cancel != nullptr && options_.cancel->requested();
-  }
-
   const SupervisedTask& task_;
-  const std::function<void(std::size_t, std::string&&)>& on_success_;
   const SupervisorOptions& options_;
+  const unsigned workers_;
 
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable monitor_cv_;
-  std::vector<ReplicaState> states_;
-  std::priority_queue<WorkItem, std::vector<WorkItem>, ReadyLater> queue_;
-  std::list<Execution> live_;
-  std::vector<double> durations_;  // successful attempt durations, sorted
-  std::size_t terminal_ = 0;       // slots in kDone/kQuarantined/kUnfinished
-  bool cancel_seen_ = false;
-  // Effective per-attempt deadline: options_.deadline until the estimator's
-  // confidence gate opens, the learned quantile x safety after.
-  std::chrono::milliseconds armed_deadline_{0};
-  bool armed_learned_ = false;
-  std::optional<CircuitBreaker> breaker_;
-  Counter* counters_[SupervisionEvent::kNumKinds] = {};
+  ReplicaScheduler scheduler_;
+  // Each in-flight attempt's private lease token.  Map nodes never move, so
+  // a task polls its token lock-free while other entries come and go.
+  std::map<ExecutionId, CancelToken> tokens_;
+  std::size_t busy_ = 0;  // workers holding an attempt (a group counts once)
+  std::uint64_t batch_groups_ = 0;
+  std::uint64_t batched_attempts_ = 0;
   Counter* batch_groups_counter_ = nullptr;
   Counter* batched_attempts_counter_ = nullptr;
-  SupervisorReport report_;
 };
 
 }  // namespace

@@ -35,6 +35,10 @@
 // supervisor changes WHICH attempts run and WHEN, never what an attempt
 // computes.  Every supervision decision is reported as a SupervisionEvent
 // (and mirrored into a MetricsRegistry when given one).
+//
+// The policies are decided once, by the pure ReplicaScheduler
+// (engine/scheduler), for two executors: the in-process thread pool
+// (engine/supervisor.cpp) and the forked worker fleet (engine/fleet).
 #pragma once
 
 #include <chrono>
@@ -256,12 +260,13 @@ struct SupervisorOptions {
   // can explain every kill.
   CompletionEstimator* estimator = nullptr;
   bool deadline_auto = false;
-  // Fleet backpressure: when enabled, transient/resource failures and
-  // worker deaths feed a circuit breaker; while it is Open, retry backoff
-  // is widened by breaker.backoff_multiplier and (under process isolation)
-  // the fleet respawns at most breaker.width_fraction of its worker
-  // target.  Disabled by default -- supervision semantics are unchanged
-  // unless a caller opts in.
+  // Backpressure: when enabled, transient/resource failures and worker
+  // deaths feed a circuit breaker; while it is Open, retry backoff is
+  // widened by breaker.backoff_multiplier and in-flight width is capped at
+  // breaker.width_fraction of the pool (floor 1) under either isolation --
+  // thread workers stop claiming past the cap, and the process fleet also
+  // dismisses idle workers down to it.  Disabled by default -- supervision
+  // semantics are unchanged unless a caller opts in.
   bool breaker_enabled = false;
   BreakerOptions breaker;
 };

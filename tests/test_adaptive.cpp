@@ -692,6 +692,67 @@ TEST(AdaptiveSupervisorTest, BreakerOpensOnTransientFailureSpike) {
   EXPECT_EQ(static_cast<std::uint64_t>(opened), report.breaker_opens);
 }
 
+// Which attempt is this?  The stream is keyed by (master, replica,
+// attempt), so probing the candidate seeds recovers the index.  Must run
+// before the task consumes any randomness.
+unsigned attempt_of(std::uint64_t master, std::size_t replica,
+                    const Rng& rng) {
+  unsigned attempt = 0;
+  while (attempt < 8 &&
+         Rng(Rng::retry_seed(master, replica, attempt)).state() !=
+             rng.state()) {
+    ++attempt;
+  }
+  return attempt;
+}
+
+TEST(AdaptiveSupervisorTest, OpenBreakerCapsThreadWidth) {
+  // Every attempt 0 throws, so the first failure trips the breaker
+  // (threshold 1, no close for 10 s) and every retry runs while it is Open.
+  // The cap is floor(4 x 0.5) = 2: four workers are free, but at most two
+  // 20 ms retries may be in flight at once.
+  constexpr std::uint64_t kMaster = 23;
+  const std::size_t n = 8;
+  SupervisorOptions options;
+  options.master_seed = kMaster;
+  options.num_threads = 4;
+  options.max_attempts = 2;
+  options.backoff_base = 1ms;
+  options.breaker_enabled = true;
+  options.breaker.failure_threshold = 1;
+  options.breaker.window = 10'000ms;
+  options.breaker.cooldown = 10'000ms;
+  std::atomic<int> retrying{0};
+  std::atomic<int> peak{0};
+  Collector got(n);
+  const SupervisorReport report = run_supervised_set(
+      iota_ids(n),
+      [&](std::size_t replica, Rng& rng,
+          const CancelToken&) -> std::optional<std::string> {
+        if (attempt_of(kMaster, replica, rng) == 0) {
+          throw std::runtime_error("io timeout: transient spike");
+        }
+        const int now_retrying = retrying.fetch_add(1) + 1;
+        int seen = peak.load();
+        while (now_retrying > seen &&
+               !peak.compare_exchange_weak(seen, now_retrying)) {
+        }
+        std::this_thread::sleep_for(20ms);
+        retrying.fetch_sub(1);
+        return rng_payload(replica, rng);
+      },
+      got.sink(), options);
+  EXPECT_EQ(report.succeeded, n);
+  EXPECT_EQ(report.retries, n);
+  EXPECT_EQ(report.breaker_opens, 1u);
+  EXPECT_LE(peak.load(), 2) << "an Open breaker must cap in-flight width";
+  for (std::size_t replica = 0; replica < n; ++replica) {
+    ASSERT_TRUE(got.payloads[replica].has_value()) << replica;
+    Rng expected(Rng::retry_seed(kMaster, replica, 1));
+    EXPECT_EQ(got.payloads[replica], rng_payload(replica, expected));
+  }
+}
+
 TEST(AdaptiveSupervisorTest, EstimatorLearnsFromSupervisedSuccesses) {
   // The supervisor feeds every successful attempt's wall time back into the
   // estimator it was given -- that is the loop that makes a later

@@ -24,9 +24,11 @@
 #include <new>
 #include <numeric>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/cancel.hpp"
@@ -148,6 +150,84 @@ TEST(FleetTest, HealthyFleetMatchesThreadIsolationBitForBit) {
     EXPECT_EQ(*got.payloads[replica], *expected.payloads[replica])
         << "replica " << replica;
   }
+}
+
+// One scheduler decides for both executors, so the same failures must draw
+// the same policy decisions under either isolation: the same events (the
+// fleet's own worker-* events aside), report counters and payloads.
+TEST(FleetTest, PolicyEventsMatchThreadIsolation) {
+  constexpr std::uint64_t kMaster = 20261017;
+  const std::size_t n = 8;
+  const SupervisedTask task = [](std::size_t replica, Rng& rng,
+                                 const CancelToken&)
+      -> std::optional<std::string> {
+    if (replica == 2 && attempt_of(kMaster, replica, rng) == 0) {
+      throw std::runtime_error("transient glitch");
+    }
+    if (replica == 5) {
+      throw std::logic_error("replica 5 always fails");
+    }
+    return rng_payload(replica, rng);
+  };
+  using Decision = std::tuple<std::string, std::size_t, unsigned, std::string,
+                              double, std::string>;
+  struct Outcome {
+    SupervisorReport report;
+    std::multiset<Decision> decisions;
+    std::vector<std::optional<std::string>> payloads;
+  };
+  const auto run = [&](SupervisorOptions options) {
+    options.max_attempts = 3;
+    EventLog log;
+    options.on_event = log.sink();
+    Collector got(n);
+    Outcome outcome;
+    outcome.report = run_supervised_set(iota_ids(n), task, got.sink(), options);
+    for (const SupervisionEvent& event : log.events) {
+      const std::string kind = to_string(event.kind);
+      if (kind.rfind("worker-", 0) != 0) {
+        outcome.decisions.insert({kind, event.replica, event.attempt,
+                                  to_string(event.failure), event.backoff_ms,
+                                  event.detail});
+      }
+    }
+    outcome.payloads = got.payloads;
+    return outcome;
+  };
+
+  SupervisorOptions thread_options;
+  thread_options.master_seed = kMaster;
+  thread_options.num_threads = 2;
+  thread_options.backoff_base = 1ms;
+  const Outcome thread = run(thread_options);
+  const Outcome process = run(fleet_options(kMaster, 2));
+
+  EXPECT_EQ(thread.decisions.size(), 3u);  // retry, fail-fast, quarantine
+  EXPECT_EQ(thread.decisions, process.decisions);
+  const SupervisorReport& a = thread.report;
+  const SupervisorReport& b = process.report;
+  EXPECT_EQ(a.replicas, b.replicas);
+  EXPECT_EQ(a.succeeded, b.succeeded);
+  EXPECT_EQ(a.unfinished, b.unfinished);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.fail_fasts, b.fail_fasts);
+  EXPECT_EQ(a.deadline_kills, b.deadline_kills);
+  EXPECT_EQ(a.speculative_launches, b.speculative_launches);
+  EXPECT_EQ(a.speculative_wins, b.speculative_wins);
+  EXPECT_EQ(a.deadline_adapts, b.deadline_adapts);
+  EXPECT_EQ(a.breaker_opens, b.breaker_opens);
+  EXPECT_EQ(a.breaker_closes, b.breaker_closes);
+  EXPECT_EQ(a.backoff_wait_ms, b.backoff_wait_ms);
+  EXPECT_EQ(a.cancelled, b.cancelled);
+  ASSERT_EQ(a.quarantined.size(), 1u);
+  ASSERT_EQ(b.quarantined.size(), 1u);
+  EXPECT_EQ(a.quarantined[0].replica, b.quarantined[0].replica);
+  EXPECT_EQ(a.quarantined[0].attempts, b.quarantined[0].attempts);
+  EXPECT_EQ(a.quarantined[0].failure, b.quarantined[0].failure);
+  EXPECT_EQ(a.quarantined[0].message, b.quarantined[0].message);
+  EXPECT_EQ(thread.payloads, process.payloads);
+  ASSERT_TRUE(process.payloads[2].has_value());
+  EXPECT_EQ(*process.payloads[2], expected_payload(kMaster, 2, 1));
 }
 
 // Regression: a heartbeat cadence at/above suspect_after used to flap every

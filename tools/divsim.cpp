@@ -161,8 +161,9 @@ int usage() {
       "backpressure:  supervised runs trip a circuit breaker after\n"
       "               --breaker-failures transient failures (default 4;\n"
       "               0 disables) inside --breaker-window-ms (default 2000):\n"
-      "               retry backoff widens 4x and the process fleet stops\n"
-      "               replacing dead workers past half width until a\n"
+      "               retry backoff widens 4x and in-flight width halves --\n"
+      "               thread workers stop claiming and the process fleet\n"
+      "               dismisses idle workers -- until a\n"
       "               --breaker-cooldown-ms (default 3000) quiet period\n"
       "               passes a probe.  Trips are journaled and land in\n"
       "               `journal --json` as supervision events.\n"
@@ -496,6 +497,40 @@ int cmd_run(const Args& args) {
         std::chrono::milliseconds(heartbeat_ms));
   }
 
+  // Per-replica accounting for scalar runs and batch lanes alike: status
+  // counter, scheduled_steps histogram, and one "run" record keyed by
+  // replica id (a retried replica emits one per attempt; readers keep the
+  // last).  Scalar runs attach their RunMetrics trajectory; batch lanes,
+  // whose engine reports group-level metrics only, attach the lane width.
+  const auto account_run = [&](std::size_t replica, const RunResult& result,
+                               std::uint64_t effective_steps,
+                               const RunMetrics* metrics, unsigned lanes) {
+    if (telemetry) {
+      switch (result.status) {
+        case RunStatus::kCompleted: runs_completed.add(); break;
+        case RunStatus::kCapped:    runs_capped.add(); break;
+        case RunStatus::kFaulted:   runs_faulted.add(); break;
+        case RunStatus::kCancelled: runs_cancelled.add(); break;
+        case RunStatus::kDeadline:  runs_deadline.add(); break;
+      }
+      steps_hist.observe(static_cast<double>(result.steps));
+    }
+    if (metrics_out) {
+      JsonObject line;
+      line.field("type", "run")
+          .field("replica", static_cast<std::uint64_t>(replica))
+          .field("status", to_string(result.status))
+          .field("steps", result.steps)
+          .field("effective_steps", effective_steps);
+      if (metrics != nullptr) {
+        line.raw_field("metrics", metrics->to_json());
+      } else {
+        line.field("batch_lanes", static_cast<std::uint64_t>(lanes));
+      }
+      metrics_out->emit(line.str());
+    }
+  };
+
   // `cancel` is the attempt's drain token: the global SIGINT token for the
   // plain drivers, a supervisor-owned per-attempt lease under supervision
   // (so a deadline kill stops one attempt, not the whole batch).
@@ -536,60 +571,10 @@ int cmd_run(const Args& args) {
     } else {
       out.result = run_guarded(*process, state, rng, replica_options);
     }
-    if (telemetry && emit_telemetry) {
-      switch (out.result.status) {
-        case RunStatus::kCompleted: runs_completed.add(); break;
-        case RunStatus::kCapped:    runs_capped.add(); break;
-        case RunStatus::kFaulted:   runs_faulted.add(); break;
-        case RunStatus::kCancelled: runs_cancelled.add(); break;
-        case RunStatus::kDeadline:  runs_deadline.add(); break;
-      }
-      steps_hist.observe(static_cast<double>(out.result.steps));
-    }
-    if (metrics_out && emit_telemetry) {
-      // Completion order across workers is nondeterministic, so records are
-      // keyed by replica id; a retried replica emits one record per attempt
-      // and readers keep the last.
-      JsonObject line;
-      line.field("type", "run")
-          .field("replica", static_cast<std::uint64_t>(replica))
-          .field("status", to_string(out.result.status))
-          .field("steps", out.result.steps)
-          .field("effective_steps", out.effective_steps)
-          .raw_field("metrics", metrics.to_json());
-      metrics_out->emit(line.str());
+    if (emit_telemetry) {
+      account_run(replica, out.result, out.effective_steps, &metrics, 1);
     }
     return out;
-  };
-
-  // Telemetry for one batch-engine lane: the same counters / histogram /
-  // "run" record as run_one's tail, minus the per-replica RunMetrics
-  // trajectory (the batch engine reports group-level metrics only); the
-  // record carries the lane width so readers can tell batched runs apart.
-  const auto account_batch_lane = [&](std::size_t replica,
-                                      const RunResult& result,
-                                      std::uint64_t effective_steps,
-                                      unsigned lanes) {
-    if (telemetry) {
-      switch (result.status) {
-        case RunStatus::kCompleted: runs_completed.add(); break;
-        case RunStatus::kCapped:    runs_capped.add(); break;
-        case RunStatus::kFaulted:   runs_faulted.add(); break;
-        case RunStatus::kCancelled: runs_cancelled.add(); break;
-        case RunStatus::kDeadline:  runs_deadline.add(); break;
-      }
-      steps_hist.observe(static_cast<double>(result.steps));
-    }
-    if (metrics_out) {
-      JsonObject line;
-      line.field("type", "run")
-          .field("replica", static_cast<std::uint64_t>(replica))
-          .field("status", to_string(result.status))
-          .field("steps", result.steps)
-          .field("effective_steps", effective_steps)
-          .field("batch_lanes", static_cast<std::uint64_t>(lanes));
-      metrics_out->emit(line.str());
-    }
   };
 
   const MonteCarloOptions mc{.master_seed = master_seed,
@@ -678,8 +663,8 @@ int cmd_run(const Args& args) {
       }
       std::vector<std::optional<std::string>> verdicts(width);
       for (unsigned lane = 0; lane < width; ++lane) {
-        account_batch_lane(lanes[lane].replica, lane_results[lane],
-                           lane_effective[lane], width);
+        account_run(lanes[lane].replica, lane_results[lane],
+                    lane_effective[lane], nullptr, width);
         if (lane_results[lane].status == RunStatus::kCancelled ||
             lane_results[lane].status == RunStatus::kDeadline) {
           continue;  // nullopt: the supervisor reads the lease token's reason
@@ -736,7 +721,7 @@ int cmd_run(const Args& args) {
           continue;
         }
         JumpRunResult& lane = *batch.results[replica];
-        account_batch_lane(replica, lane, lane.effective_steps, batch_lanes);
+        account_run(replica, lane, lane.effective_steps, nullptr, batch_lanes);
         batch_steps += lane.steps;
         batch_effective += lane.effective_steps;
         ReplicaRun out;
@@ -752,7 +737,7 @@ int cmd_run(const Args& args) {
         if (!batch.results[replica]) {
           continue;
         }
-        account_batch_lane(replica, *batch.results[replica], 0, batch_lanes);
+        account_run(replica, *batch.results[replica], 0, nullptr, batch_lanes);
         batch_steps += batch.results[replica]->steps;
         ReplicaRun out;
         out.result = std::move(*batch.results[replica]);
