@@ -540,6 +540,8 @@ class FleetRun {
   // attempt token with kDeadline, draining at a step boundary.  A worker
   // that keeps beating but never drains never reached a cancellation point,
   // so after the dead_after grace the crash barrier is the only kill left.
+  // The ladder also covers an attempt already told to drain by SIGTERM: the
+  // scheduler still issues its deadline kill after an operator cancel.
   void enforce_deadlines(const std::vector<ReplicaScheduler::Kill>& kills,
                          Clock::time_point now) {
     for (const ReplicaScheduler::Kill& kill : kills) {
@@ -663,9 +665,6 @@ class FleetRun {
             drain_reader(*owners[i], Clock::now());
           }
         }
-        // Reassign the workers those results freed in this same pass: no
-        // poll wait ever sits between a result and the next assignment.
-        assign_work(Clock::now());
       } else {
         std::this_thread::sleep_for(kFleetPoll);
       }

@@ -31,7 +31,9 @@
 // (its handler fires the attempt's CancelToken with kDeadline, draining at a
 // step boundary); a worker that keeps beating but never drains is SIGKILLed
 // after a dead_after grace.  Operator cancel is SIGTERM (kUser), leaving
-// replicas unfinished for resume, exactly like thread mode.
+// replicas unfinished for resume, exactly like thread mode; the deadline
+// ladder still runs after it, so a worker that ignores the drain cannot
+// hold the campaign open.
 //
 // Every policy decision -- budget, backoff, taxonomy and the crash
 // reclassification above, quarantine, deadlines, the breaker's width cap --

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <new>
 #include <stdexcept>
-#include <system_error>
 #include <utility>
-
-#include "obs/jsonl.hpp"
 
 namespace divlib {
 
@@ -57,92 +53,6 @@ constexpr EventBook kEventBook[] = {
 };
 
 }  // namespace
-
-const char* to_string(FailureClass failure) {
-  switch (failure) {
-    case FailureClass::kTransient:
-      return "transient";
-    case FailureClass::kResource:
-      return "resource";
-    case FailureClass::kDeterministic:
-      return "deterministic";
-  }
-  return "unknown";
-}
-
-FailureClass parse_failure_class(std::string_view name) {
-  for (const FailureClass failure :
-       {FailureClass::kTransient, FailureClass::kResource,
-        FailureClass::kDeterministic}) {
-    if (name == to_string(failure)) {
-      return failure;
-    }
-  }
-  throw std::invalid_argument("unknown failure class '" + std::string(name) +
-                              "'");
-}
-
-FailureClass classify_failure(const std::exception& error) {
-  // Order matters only for documentation: the three bases are disjoint.
-  // system_error subsumes std::ios_base::failure (C++11 and later), so all
-  // I/O failures land in kResource without naming iostreams here.
-  if (dynamic_cast<const std::bad_alloc*>(&error) != nullptr ||
-      dynamic_cast<const std::system_error*>(&error) != nullptr) {
-    return FailureClass::kResource;
-  }
-  if (dynamic_cast<const std::logic_error*>(&error) != nullptr) {
-    return FailureClass::kDeterministic;
-  }
-  return FailureClass::kTransient;
-}
-
-const char* to_string(SupervisionEvent::Kind kind) {
-  switch (kind) {
-    case SupervisionEvent::Kind::kRetry:
-      return "retry";
-    case SupervisionEvent::Kind::kFailFast:
-      return "fail-fast";
-    case SupervisionEvent::Kind::kDeadlineKill:
-      return "deadline-kill";
-    case SupervisionEvent::Kind::kSpeculativeLaunch:
-      return "speculative-launch";
-    case SupervisionEvent::Kind::kSpeculativeWin:
-      return "speculative-win";
-    case SupervisionEvent::Kind::kQuarantine:
-      return "quarantine";
-    case SupervisionEvent::Kind::kWorkerSpawn:
-      return "worker-spawn";
-    case SupervisionEvent::Kind::kWorkerAlive:
-      return "worker-alive";
-    case SupervisionEvent::Kind::kWorkerSuspect:
-      return "worker-suspect";
-    case SupervisionEvent::Kind::kWorkerDead:
-      return "worker-dead";
-    case SupervisionEvent::Kind::kWorkerDismiss:
-      return "worker-dismiss";
-    case SupervisionEvent::Kind::kDeadlineAdapt:
-      return "deadline-adapt";
-    case SupervisionEvent::Kind::kBreakerOpen:
-      return "breaker-open";
-    case SupervisionEvent::Kind::kBreakerClose:
-      return "breaker-close";
-  }
-  return "unknown";
-}
-
-std::string SupervisionEvent::to_json() const {
-  JsonObject object;
-  object.field("kind", to_string(kind))
-      .field("replica", static_cast<std::uint64_t>(replica))
-      .field("attempt", static_cast<std::uint64_t>(attempt))
-      .field("failure", to_string(failure))
-      .field("backoff_ms", backoff_ms)
-      .field("detail", detail);
-  if (worker >= 0) {
-    object.field("worker", static_cast<std::uint64_t>(worker));
-  }
-  return object.str();
-}
 
 std::chrono::milliseconds backoff_delay(const SupervisorOptions& options,
                                         std::size_t replica,
@@ -347,8 +257,8 @@ std::vector<ReplicaScheduler::Kill> ReplicaScheduler::succeeded(
   std::vector<Kill> superseded;
   for (Execution& twin : live_) {
     if (twin.slot == done.slot && twin.attempt == done.attempt &&
-        !twin.signalled) {
-      twin.signalled = true;
+        twin.signalled == CancelReason::kNone) {
+      twin.signalled = CancelReason::kSuperseded;
       superseded.push_back({twin.id, CancelReason::kSuperseded});
     }
   }
@@ -498,8 +408,14 @@ std::vector<ReplicaScheduler::Kill> ReplicaScheduler::tick(
   std::vector<Kill> kills;
   if (armed_deadline_.count() > 0) {
     for (Execution& execution : live_) {
-      if (!execution.signalled && now - execution.started >= armed_deadline_) {
-        execution.signalled = true;
+      // An operator drain is cooperative and does not stop the clock: a task
+      // that ignores its token still gets the deadline kill, which the
+      // process executor escalates to SIGKILL.  (A thread's token keeps its
+      // first reason, so there the second kill changes nothing.)
+      const bool killable = execution.signalled == CancelReason::kNone ||
+                            execution.signalled == CancelReason::kUser;
+      if (killable && now - execution.started >= armed_deadline_) {
+        execution.signalled = CancelReason::kDeadline;
         kills.push_back({execution.id, CancelReason::kDeadline});
       }
     }
@@ -538,7 +454,8 @@ void ReplicaScheduler::speculate(Clock::time_point now) {
     Replica& replica = replicas_[execution.slot];
     if (execution.speculative || replica.twin_launched ||
         replica.phase != Phase::kRunning ||
-        replica.current_attempt != execution.attempt || execution.signalled) {
+        replica.current_attempt != execution.attempt ||
+        execution.signalled != CancelReason::kNone) {
       continue;
     }
     const double elapsed =
@@ -574,8 +491,8 @@ std::vector<ReplicaScheduler::Kill> ReplicaScheduler::cancel() {
   }
   std::vector<Kill> kills;
   for (Execution& execution : live_) {
-    if (!execution.signalled) {
-      execution.signalled = true;
+    if (execution.signalled == CancelReason::kNone) {
+      execution.signalled = CancelReason::kUser;
       kills.push_back({execution.id, CancelReason::kUser});
     }
   }

@@ -83,7 +83,9 @@ class ReplicaScheduler {
     bool speculative = false;  // twin of a live (replica, attempt) instance
   };
 
-  // A cancellation the executor must deliver to one live execution.
+  // A cancellation the executor must deliver to one live execution.  One
+  // per execution, except that an operator drain (kUser) may be followed by
+  // a deadline kill (kDeadline) for a task that ignores its token.
   struct Kill {
     ExecutionId execution = 0;
     CancelReason reason = CancelReason::kUser;
@@ -134,12 +136,15 @@ class ReplicaScheduler {
                    std::string detail);
 
   // Breaker cooldown, deadline re-arm and straggler speculation as of
-  // `now`; returns the deadline kills.  A tick can make work claimable with
-  // no verdict (a twin queued, the breaker left Open), so executors with
-  // idle workers re-try claim() after every tick.
+  // `now`; returns the deadline kills, operator-drained executions included.
+  // A tick can make work claimable with no verdict (a twin queued, the
+  // breaker left Open), so executors with idle workers re-try claim() after
+  // every tick.
   std::vector<Kill> tick(Clock::time_point now);
   // Operator cancel: queued work becomes unfinished, nothing retries, and
-  // every live execution must drain (returned with kUser).
+  // every live execution must drain (returned with kUser unless already
+  // signalled).  Deadlines still run, so a task that ignores the drain is
+  // killed like any straggler.
   std::vector<Kill> cancel();
 
   // Claims allowed in flight: the breaker's cap while Open, else width.
@@ -189,7 +194,7 @@ class ReplicaScheduler {
     std::size_t slot = 0;
     unsigned attempt = 0;
     bool speculative = false;
-    bool signalled = false;  // a Kill was already issued for it
+    CancelReason signalled = CancelReason::kNone;  // the last Kill issued
     Clock::time_point started;
   };
 

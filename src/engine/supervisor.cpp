@@ -4,14 +4,17 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
+#include <new>
 #include <optional>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 #include <vector>
 
 #include "engine/fleet.hpp"
 #include "engine/montecarlo.hpp"
 #include "engine/scheduler.hpp"
+#include "obs/jsonl.hpp"
 
 namespace divlib {
 
@@ -25,6 +28,44 @@ using Clock = std::chrono::steady_clock;
 constexpr std::chrono::milliseconds kMonitorPoll{5};
 
 }  // namespace
+
+const char* to_string(FailureClass failure) {
+  switch (failure) {
+    case FailureClass::kTransient:
+      return "transient";
+    case FailureClass::kResource:
+      return "resource";
+    case FailureClass::kDeterministic:
+      return "deterministic";
+  }
+  return "unknown";
+}
+
+FailureClass parse_failure_class(std::string_view name) {
+  for (const FailureClass failure :
+       {FailureClass::kTransient, FailureClass::kResource,
+        FailureClass::kDeterministic}) {
+    if (name == to_string(failure)) {
+      return failure;
+    }
+  }
+  throw std::invalid_argument("unknown failure class '" + std::string(name) +
+                              "'");
+}
+
+FailureClass classify_failure(const std::exception& error) {
+  // Order matters only for documentation: the three bases are disjoint.
+  // system_error subsumes std::ios_base::failure (C++11 and later), so all
+  // I/O failures land in kResource without naming iostreams here.
+  if (dynamic_cast<const std::bad_alloc*>(&error) != nullptr ||
+      dynamic_cast<const std::system_error*>(&error) != nullptr) {
+    return FailureClass::kResource;
+  }
+  if (dynamic_cast<const std::logic_error*>(&error) != nullptr) {
+    return FailureClass::kDeterministic;
+  }
+  return FailureClass::kTransient;
+}
 
 const char* to_string(Isolation isolation) {
   switch (isolation) {
@@ -44,6 +85,54 @@ Isolation parse_isolation(std::string_view name) {
   }
   throw std::invalid_argument("unknown isolation mode '" + std::string(name) +
                               "' (expected 'thread' or 'process')");
+}
+
+const char* to_string(SupervisionEvent::Kind kind) {
+  switch (kind) {
+    case SupervisionEvent::Kind::kRetry:
+      return "retry";
+    case SupervisionEvent::Kind::kFailFast:
+      return "fail-fast";
+    case SupervisionEvent::Kind::kDeadlineKill:
+      return "deadline-kill";
+    case SupervisionEvent::Kind::kSpeculativeLaunch:
+      return "speculative-launch";
+    case SupervisionEvent::Kind::kSpeculativeWin:
+      return "speculative-win";
+    case SupervisionEvent::Kind::kQuarantine:
+      return "quarantine";
+    case SupervisionEvent::Kind::kWorkerSpawn:
+      return "worker-spawn";
+    case SupervisionEvent::Kind::kWorkerAlive:
+      return "worker-alive";
+    case SupervisionEvent::Kind::kWorkerSuspect:
+      return "worker-suspect";
+    case SupervisionEvent::Kind::kWorkerDead:
+      return "worker-dead";
+    case SupervisionEvent::Kind::kWorkerDismiss:
+      return "worker-dismiss";
+    case SupervisionEvent::Kind::kDeadlineAdapt:
+      return "deadline-adapt";
+    case SupervisionEvent::Kind::kBreakerOpen:
+      return "breaker-open";
+    case SupervisionEvent::Kind::kBreakerClose:
+      return "breaker-close";
+  }
+  return "unknown";
+}
+
+std::string SupervisionEvent::to_json() const {
+  JsonObject object;
+  object.field("kind", to_string(kind))
+      .field("replica", static_cast<std::uint64_t>(replica))
+      .field("attempt", static_cast<std::uint64_t>(attempt))
+      .field("failure", to_string(failure))
+      .field("backoff_ms", backoff_ms)
+      .field("detail", detail);
+  if (worker >= 0) {
+    object.field("worker", static_cast<std::uint64_t>(worker));
+  }
+  return object.str();
 }
 
 namespace {

@@ -30,7 +30,8 @@ class FailpointFixture : public ::testing::Test {
     dir_ = fs::temp_directory_path() /
            ("divlib_failpoint_" +
             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
+            "_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()
                       ->current_test_info()
                       ->name());
     fs::create_directories(dir_);

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -554,6 +556,42 @@ TEST(FleetTest, OperatorCancelLeavesQueuedWorkUnfinished) {
   EXPECT_TRUE(report.quarantined.empty());
 }
 
+TEST(FleetTest, OperatorCancelStillKillsAWorkerThatIgnoresItsToken) {
+  constexpr std::uint64_t kMaster = 1212;
+  SupervisorOptions options = fleet_options(kMaster, 1);
+  options.deadline = 100ms;
+  options.fleet.dead_after = 300ms;  // SIGKILL grace after the SIGUSR1
+  CancelToken cancel;
+  options.cancel = &cancel;
+  // The first beat proves the worker is running its attempt; the cancel
+  // lands then, well before the deadline.
+  options.on_event = [&cancel](const SupervisionEvent& event) {
+    if (event.kind == SupervisionEvent::Kind::kWorkerAlive) {
+      cancel.request(CancelReason::kUser);
+    }
+  };
+  Collector got(1);
+  const auto start = std::chrono::steady_clock::now();
+  const SupervisorReport report = run_supervised_set(
+      iota_ids(1),
+      [](std::size_t replica, Rng& rng,
+         const CancelToken&) -> std::optional<std::string> {
+        // Ignores both the SIGTERM drain and the SIGUSR1 deadline.
+        std::this_thread::sleep_for(30s);
+        return rng_payload(replica, rng);
+      },
+      got.sink(), options);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+
+  // Deadline (100ms) + grace (300ms), not the task's 30s.
+  EXPECT_LT(elapsed, 5s);
+  EXPECT_TRUE(report.cancelled);
+  EXPECT_EQ(report.succeeded, 0u);
+  EXPECT_EQ(report.unfinished, 1u);
+  EXPECT_TRUE(report.quarantined.empty());
+  EXPECT_FALSE(got.payloads[0].has_value());
+}
+
 // ---------------------------------------------------------------------------
 // Campaign-level integration: the crash barrier and the quarantine journal.
 
@@ -563,7 +601,8 @@ class FleetCampaignTest : public ::testing::Test {
     dir_ = fs::temp_directory_path() /
            ("divlib_fleet_test_" +
             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
+            "_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()
                       ->current_test_info()
                       ->name());
     fs::remove_all(dir_);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -20,7 +22,8 @@ class JournalTest : public ::testing::Test {
     dir_ = fs::temp_directory_path() /
            ("divlib_journal_test_" +
             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
+            "_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()
                       ->current_test_info()
                       ->name());
     fs::create_directories(dir_);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -213,7 +215,8 @@ class QueueServiceTest : public ::testing::Test {
     dir_ = fs::temp_directory_path() /
            ("divlib_queue_" +
             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
+            "_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()
                       ->current_test_info()
                       ->name());
     fs::remove_all(dir_);

@@ -2,9 +2,10 @@
 // machine.  A fake executor drives seeded random event schedules on a fake
 // clock -- claims (with lock-step mates and unclaims), successes, every
 // failure class, drains with every CancelReason the scheduler can issue,
-// worker crashes, ticks, breaker spikes and operator cancel -- and checks the
-// policy's invariants after every step and every round.  Each failure names
-// its round's seed; the fuzzer is deterministic, so that seed replays it.
+// worker crashes, ticks, breaker spikes, operator cancel and tasks that
+// ignore it -- and checks the policy's invariants after every step and every
+// round.  Each failure names its round's seed; the fuzzer is deterministic,
+// so that seed replays it.
 #include "engine/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -38,7 +39,9 @@ const Clock::time_point kT0 = Clock::time_point{} + std::chrono::hours(1);
 struct Live {
   Launch launch;
   std::size_t worker = 0;
-  CancelReason signalled = CancelReason::kNone;
+  Clock::time_point started;
+  CancelReason signalled = CancelReason::kNone;  // its token: first kill wins
+  bool deadline_killed = false;                  // a kDeadline kill arrived
 };
 
 // Per-replica claim history kept by the fake executor.
@@ -54,6 +57,7 @@ struct RoundResult {
   std::vector<std::string> events;  // every event's JSON, in order
   SupervisorReport report;
   std::map<std::string, std::uint64_t> counters;
+  std::size_t drained_then_killed = 0;  // kDeadline kills after a kUser one
 };
 
 class FuzzedRound {
@@ -134,6 +138,7 @@ class FuzzedRound {
     for (const InstrumentSnapshot& snap : metrics_.snapshot()) {
       result.counters[snap.name] = snap.count;
     }
+    result.drained_then_killed = drained_then_killed_;
     check_round(result);
     scheduler_ = nullptr;
     return result;
@@ -217,12 +222,13 @@ class FuzzedRound {
     }
   }
 
-  // A random live execution; with `signalled`, only one the scheduler asked
-  // to stop (a real task drains only when its token fired).
+  // A random live execution; with `signalled`, only one whose token fired
+  // (a real task drains only then).  Hung executions are never picked.
   Live* pick(bool signalled) {
     std::vector<Live*> candidates;
     for (auto& [id, live] : live_) {
-      if (!signalled || live.signalled != CancelReason::kNone) {
+      if (!hung(live) &&
+          (!signalled || live.signalled != CancelReason::kNone)) {
         candidates.push_back(&live);
       }
     }
@@ -230,6 +236,14 @@ class FuzzedRound {
       return nullptr;
     }
     return candidates[rng_.uniform_below(candidates.size())];
+  }
+
+  // In process-style rounds with a deadline, a task the operator told to
+  // drain hangs instead, like a worker that ignores SIGTERM but still beats:
+  // only the deadline kill ends it.
+  bool hung(const Live& live) const {
+    return !speculation_ && options_.deadline.count() > 0 &&
+           live.signalled == CancelReason::kUser && !live.deadline_killed;
   }
 
   bool claim() {
@@ -298,7 +312,7 @@ class FuzzedRound {
       EXPECT_LE(history.distinct, std::max(1u, options_.max_attempts))
           << "replica " << launch.replica << " ran past its attempt budget";
     }
-    live_[launch.execution] = {launch, worker, CancelReason::kNone};
+    live_[launch.execution] = {launch, worker, now_};
     workers_[worker].insert(launch.execution);
   }
 
@@ -360,22 +374,51 @@ class FuzzedRound {
   }
 
   void drain(Live& live) {
-    const CancelReason reason = live.signalled;
+    CancelReason reason = live.signalled;
+    if (!speculation_ && live.deadline_killed && rng_.uniform_below(2) == 0) {
+      // The task ignored its token; the process executor's SIGKILL
+      // escalation reports the deadline, whatever the token says.
+      reason = CancelReason::kDeadline;
+    }
     const Launch launch = retire(live.launch.execution);
     failure_verdict(launch, false, [&] {
       scheduler_->drained(launch.execution, now_, reason);
     });
   }
 
-  void tick() { deliver(scheduler_->tick(now_)); }
+  void tick() {
+    deliver(scheduler_->tick(now_));
+    // A fixed deadline kills every attempt that outlives it, one the
+    // operator already told to drain included: a task that ignores its
+    // token must still meet the SIGKILL escalation.
+    if (options_.deadline.count() > 0 && !options_.deadline_auto) {
+      for (const auto& [id, live] : live_) {
+        if (now_ - live.started >= options_.deadline &&
+            live.signalled != CancelReason::kSuperseded) {
+          EXPECT_TRUE(live.deadline_killed)
+              << "replica " << live.launch.replica << " attempt "
+              << live.launch.attempt << " outlived its deadline unkilled";
+        }
+      }
+    }
+  }
 
   void deliver(const std::vector<Kill>& kills) {
     for (const Kill& kill : kills) {
       const auto it = live_.find(kill.execution);
       ASSERT_NE(it, live_.end()) << "kill for an execution not live";
-      EXPECT_EQ(it->second.signalled, CancelReason::kNone)
-          << "execution signalled twice";
-      it->second.signalled = kill.reason;
+      Live& live = it->second;
+      // One kill per execution, except a deadline after an operator drain.
+      if (live.signalled != CancelReason::kNone) {
+        EXPECT_TRUE(live.signalled == CancelReason::kUser &&
+                    kill.reason == CancelReason::kDeadline &&
+                    !live.deadline_killed)
+            << "execution signalled twice";
+        ++drained_then_killed_;
+      } else {
+        live.signalled = kill.reason;
+      }
+      live.deadline_killed |= kill.reason == CancelReason::kDeadline;
     }
   }
 
@@ -464,18 +507,22 @@ class FuzzedRound {
   bool speculation_ = true;
   bool groups_ = false;
   bool cancelled_ = false;
+  std::size_t drained_then_killed_ = 0;
   Clock::time_point now_ = kT0;
   ReplicaScheduler* scheduler_ = nullptr;
 };
 
 TEST(SchedulerPropertyTest, FuzzedSchedulesHoldEveryPolicyInvariant) {
   SupervisorReport total;
+  std::size_t drained_then_killed = 0;
   for (std::uint64_t seed = 1; seed <= 400; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const SupervisorReport report = FuzzedRound(seed).run().report;
+    const RoundResult round = FuzzedRound(seed).run();
     if (::testing::Test::HasFailure()) {
       return;  // one seed's report is enough to debug from
     }
+    const SupervisorReport& report = round.report;
+    drained_then_killed += round.drained_then_killed;
     total.retries += report.retries;
     total.fail_fasts += report.fail_fasts;
     total.deadline_kills += report.deadline_kills;
@@ -501,6 +548,7 @@ TEST(SchedulerPropertyTest, FuzzedSchedulesHoldEveryPolicyInvariant) {
   EXPECT_GT(total.unfinished, 0u);
   EXPECT_GT(total.succeeded, 0u);
   EXPECT_GT(total.replicas, 0u) << "no quarantine in any round";
+  EXPECT_GT(drained_then_killed, 0u) << "no deadline kill after a cancel";
 }
 
 TEST(SchedulerPropertyTest, SameSeedReplaysTheSameEventSequence) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -456,7 +458,8 @@ class SupervisedCampaignTest : public ::testing::Test {
     dir_ = fs::temp_directory_path() /
            ("divlib_supervised_campaign_test_" +
             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
+            "_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()
                       ->current_test_info()
                       ->name());
     fs::remove_all(dir_);
