@@ -179,11 +179,14 @@ BENCHMARK(BM_DivEdgeJumpRunMetricsOn)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
 // Supervisor overhead ablation: the same 32-replica DIV batch through the
-// plain isolated driver vs run_supervised_set with its policies armed but
-// never firing (hour-scale deadline, speculation threshold far beyond any
-// real attempt).  Measures the full supervision tax -- lease tokens, the
-// 5ms monitor poll, the ready-queue, median bookkeeping -- which must stay
-// within run-to-run noise of the unsupervised driver.
+// scheduler's thread executor twice -- with supervision off
+// (BM_SupervisorOffBatch: run_replica_set_isolated_erased, the isolated
+// drivers' adapter over run_supervised_set under supervision_off) and with
+// supervision on (its policies armed but never firing: hour-scale deadline,
+// speculation threshold far beyond any real attempt).  Both pay the lease
+// tokens, the 5ms monitor poll and the ready-queue, so the gap is the
+// policy tax alone -- deadline scans, median and estimator bookkeeping --
+// which must stay within run-to-run noise.
 constexpr std::size_t kSupervisorBatchReplicas = 32;
 
 std::uint64_t replica_consensus_steps(const Graph& g, VertexId n, Rng& rng,

@@ -80,6 +80,10 @@ std::uint64_t Args::get_u64(const std::string& key, std::uint64_t fallback) cons
     return fallback;
   }
   try {
+    // stoull accepts a sign and wraps "-1" to 2^64 - 1; refuse it instead.
+    if (text.find('-') != std::string::npos) {
+      throw std::invalid_argument("negative");
+    }
     return std::stoull(text);
   } catch (const std::exception&) {
     throw std::invalid_argument("Args: --" + key +

@@ -28,6 +28,7 @@ class Args {
 
   std::string get(const std::string& key, const std::string& fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  // Refuses a negative value ("-1") instead of wrapping it to 2^64 - 1.
   std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const;
   // Like get_u64 but rejects 0 with std::invalid_argument -- for options
   // where zero is a silent footgun (--checkpoint-every, strides, cadences).

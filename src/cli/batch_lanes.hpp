@@ -5,19 +5,19 @@
 // to be clamped with max(1, static_cast<unsigned>(raw)), which silently
 // wrapped values above UINT_MAX (--batch-lanes 4294967297 ran with 1 lane)
 // and silently promoted an explicit 0 to 1.  Both are caller mistakes, so
-// validate_batch_lanes refuses them loudly instead; the accepted range is
-// [1, kMaxBatchLanes] (engine/montecarlo.hpp), matching the guard
-// run_supervised_set applies to SupervisorOptions::batch_lanes.
+// validate_batch_lanes refuses them loudly instead (through narrow_flag,
+// cli/flag_range.hpp); the accepted range is [1, kMaxBatchLanes]
+// (engine/supervisor.hpp), matching the guard run_supervised_set applies
+// to SupervisorOptions::batch_lanes.
 //
 // The refusal strings for the scalar-only feature combinations live here as
 // constants so test_cli can assert the exact text users see.
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
-#include <string>
 
-#include "engine/montecarlo.hpp"
+#include "cli/flag_range.hpp"
+#include "engine/supervisor.hpp"
 
 namespace divlib {
 
@@ -39,12 +39,7 @@ inline constexpr const char* kBatchLanesTraceRefusal =
 // above kMaxBatchLanes throw std::invalid_argument with the offending value
 // in the message.  Returns the value as the unsigned the engines take.
 inline unsigned validate_batch_lanes(std::uint64_t raw) {
-  if (raw == 0 || raw > kMaxBatchLanes) {
-    throw std::invalid_argument(
-        "--batch-lanes must be in [1, " + std::to_string(kMaxBatchLanes) +
-        "], got " + std::to_string(raw));
-  }
-  return static_cast<unsigned>(raw);
+  return narrow_flag("--batch-lanes", raw, 1u, kMaxBatchLanes);
 }
 
 }  // namespace divlib

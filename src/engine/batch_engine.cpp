@@ -2,15 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <deque>
-#include <exception>
-#include <limits>
-#include <mutex>
 #include <stdexcept>
-#include <string>
-#include <thread>
 
 #include "core/discordance_tracker.hpp"
 #include "core/div_process.hpp"
@@ -814,140 +808,6 @@ std::vector<JumpRunResult> run_batch_jump(
     options.metrics->wall_seconds_jump = wall;
   }
   return results;
-}
-
-namespace {
-
-// Shared chunk-claiming driver behind both batched Monte-Carlo entry
-// points: groups of options.batch_lanes lanes, attempt-0 seeding per slot,
-// lowest-group error propagation.  `engine` runs one assigned plane to
-// terminal per-lane results (run_batch or run_batch_jump).
-template <typename Result, typename Engine>
-IsolatedBatch<Result> run_replicas_batched_impl(
-    const Graph& graph, SelectionScheme scheme, std::size_t replicas,
-    const BatchInit& init, const MonteCarloOptions& options,
-    const char* caller, Engine&& engine) {
-  if (!init) {
-    throw std::invalid_argument(std::string(caller) +
-                                ": an init callback is required");
-  }
-  validate_for_selection(graph, scheme);
-  IsolatedBatch<Result> batch;
-  batch.results.resize(replicas);
-  batch.report.replicas = replicas;
-  if (replicas == 0) {
-    batch.report.cancelled =
-        options.cancel != nullptr && options.cancel->requested();
-    return batch;
-  }
-  const unsigned lanes = std::max(1u, options.batch_lanes);
-  const std::size_t groups = (replicas + lanes - 1) / lanes;
-
-  std::atomic<std::size_t> next_group{0};
-  std::atomic<std::uint64_t> attempted{0};
-  // Plain DIV never throws, but the init callback may (bad configuration);
-  // mirror run_replicas_erased: stop claiming, surface the lowest group's
-  // exception in the calling thread.
-  std::atomic<bool> stop{false};
-  std::mutex error_mu;
-  std::size_t error_group = std::numeric_limits<std::size_t>::max();
-  std::exception_ptr error;
-
-  const auto worker = [&] {
-    for (;;) {
-      if (stop.load(std::memory_order_relaxed)) {
-        return;
-      }
-      if (options.cancel != nullptr && options.cancel->requested()) {
-        return;  // stop claiming; in-flight groups drain via run_options
-      }
-      const std::size_t group =
-          next_group.fetch_add(1, std::memory_order_relaxed);
-      if (group >= groups) {
-        return;
-      }
-      try {
-        const std::size_t lo = group * lanes;
-        const std::size_t hi = std::min(lo + lanes, replicas);
-        const auto width = static_cast<unsigned>(hi - lo);
-        OpinionPlane plane(graph, width);
-        std::vector<Rng> rngs;
-        rngs.reserve(width);
-        for (unsigned lane = 0; lane < width; ++lane) {
-          // Attempt-0 stream == substream_seed: bit-compatible with both
-          // scalar drivers' first attempts.
-          rngs.emplace_back(
-              Rng::retry_seed(options.master_seed, lo + lane, 0));
-          plane.assign_lane(lane, init(lo + lane, rngs[lane]));
-        }
-        std::vector<Result> results = engine(plane, rngs);
-        for (unsigned lane = 0; lane < width; ++lane) {
-          batch.results[lo + lane] = std::move(results[lane]);
-        }
-        attempted.fetch_add(width, std::memory_order_relaxed);
-        if (options.progress != nullptr) {
-          options.progress->completed.fetch_add(width,
-                                                std::memory_order_relaxed);
-        }
-      } catch (...) {
-        const std::lock_guard<std::mutex> guard(error_mu);
-        if (group < error_group) {
-          error_group = group;
-          error = std::current_exception();
-        }
-        stop.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-
-  unsigned workers = resolve_thread_count(options);
-  workers = static_cast<unsigned>(std::min<std::size_t>(workers, groups));
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i) {
-      pool.emplace_back(worker);
-    }
-    for (std::thread& thread : pool) {
-      thread.join();
-    }
-  }
-  if (error) {
-    std::rethrow_exception(error);
-  }
-  batch.report.attempted =
-      static_cast<std::size_t>(attempted.load(std::memory_order_relaxed));
-  batch.report.cancelled =
-      options.cancel != nullptr && options.cancel->requested();
-  return batch;
-}
-
-}  // namespace
-
-IsolatedBatch<RunResult> run_div_replicas_batched(
-    const Graph& graph, SelectionScheme scheme, std::size_t replicas,
-    const BatchInit& init, const RunOptions& run_options,
-    const MonteCarloOptions& options) {
-  return run_replicas_batched_impl<RunResult>(
-      graph, scheme, replicas, init, options, "run_div_replicas_batched",
-      [&](OpinionPlane& plane, std::vector<Rng>& rngs) {
-        return run_batch(graph, scheme, plane, rngs, run_options);
-      });
-}
-
-IsolatedBatch<JumpRunResult> run_div_replicas_batched_jump(
-    const Graph& graph, SelectionScheme scheme, std::size_t replicas,
-    const BatchInit& init, const RunOptions& run_options,
-    const MonteCarloOptions& options) {
-  return run_replicas_batched_impl<JumpRunResult>(
-      graph, scheme, replicas, init, options,
-      "run_div_replicas_batched_jump",
-      [&](OpinionPlane& plane, std::vector<Rng>& rngs) {
-        return run_batch_jump(graph, scheme, plane, rngs, run_options);
-      });
 }
 
 }  // namespace divlib

@@ -34,9 +34,14 @@
 // the scalar engines' virtual dispatch, which is exactly the overhead this
 // path removes.  Callers (divsim, the supervisor) fall back to run() /
 // run_jump() for those.
+//
+// This file owns no threads and no replica pool.  Replica sets reach the
+// lane engines through one driver: run_supervised_set's thread executor
+// (engine/supervisor) claims lock-step groups of ready attempts and hands
+// them to SupervisorOptions::batch_task, which builds the plane, seeds each
+// lane from BatchLane::seed and calls run_batch / run_batch_jump.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -45,7 +50,6 @@
 #include "core/selection.hpp"
 #include "engine/engine.hpp"
 #include "engine/jump_engine.hpp"
-#include "engine/montecarlo.hpp"
 #include "graph/graph.hpp"
 #include "rng/rng.hpp"
 
@@ -67,30 +71,6 @@ std::vector<RunResult> run_batch(
     std::span<Rng> rngs, const RunOptions& options,
     std::span<const CancelToken* const> lane_cancels = {});
 
-// Per-replica initial configuration: must draw from `rng` exactly what the
-// scalar caller would before its run (divsim and the experiment harnesses
-// draw uniform_random_opinions(n, lo, hi, rng) first, then step) so the
-// lane's whole stream lines up with the scalar replica's.
-using BatchInit = std::function<std::vector<Opinion>(std::size_t replica,
-                                                     Rng& rng)>;
-
-// Batched Monte-Carlo driver: chunks [0, replicas) into groups of
-// options.batch_lanes, runs each group through run_batch on a worker pool
-// (options.num_threads), and returns one RunResult per replica.  Replica r
-// is seeded Rng(Rng::retry_seed(master_seed, r, 0)) -- the isolated scalar
-// driver's attempt-0 stream -- so every slot is bit-identical to the scalar
-// drivers' first attempt.  Cancellation (options.cancel) stops group
-// claiming; pass the same token through run_options.cancel to drain in-
-// flight groups at a step boundary (their lanes report kCancelled and still
-// fill their slots).  Unclaimed replicas stay nullopt.  The report counts
-// attempted lanes and reads `cancelled` from the token; errors stay empty
-// (plain DIV does not throw -- faulty processes belong to the scalar
-// isolated driver).
-IsolatedBatch<RunResult> run_div_replicas_batched(
-    const Graph& graph, SelectionScheme scheme, std::size_t replicas,
-    const BatchInit& init, const RunOptions& run_options,
-    const MonteCarloOptions& options);
-
 // Lock-step multi-lane JUMP-CHAIN execution: every lane runs the scalar
 // hybrid run_jump() state machine -- geometric lazy-step skipping against a
 // per-lane BasicDiscordanceTracker<PlaneLaneView>, with the independent
@@ -111,14 +91,5 @@ std::vector<JumpRunResult> run_batch_jump(
     const Graph& graph, SelectionScheme scheme, OpinionPlane& plane,
     std::span<Rng> rngs, const RunOptions& options,
     std::span<const CancelToken* const> lane_cancels = {});
-
-// Batched jump-chain Monte-Carlo driver: run_div_replicas_batched with
-// run_batch_jump doing the group work.  Slot r is bit-identical to a scalar
-// run_jump() seeded Rng(Rng::retry_seed(master_seed, r, 0)) after the same
-// init draw.
-IsolatedBatch<JumpRunResult> run_div_replicas_batched_jump(
-    const Graph& graph, SelectionScheme scheme, std::size_t replicas,
-    const BatchInit& init, const RunOptions& run_options,
-    const MonteCarloOptions& options);
 
 }  // namespace divlib

@@ -19,10 +19,17 @@
 // bit-identical to an uninterrupted run -- interruption is invisible in the
 // data.
 //
+// Both drivers run their replica set on run_supervised_set's thread
+// executor (engine/supervisor): run_campaign through the isolated adapter
+// under supervision_off (engine/montecarlo), run_supervised_campaign under
+// the caller's policy.  They differ only in what they journal.
+//
 // Cancellation composes: when MonteCarloOptions::cancel fires, workers stop
 // claiming replicas and in-flight ones drain (pass the same token through
 // RunOptions::cancel so they drain at a step boundary); a drained replica
-// whose task returns nullopt is NOT journaled and re-runs on resume.
+// whose task returns nullopt is NOT journaled and re-runs on resume, and so
+// does one whose attempt fails after the token fired (no retry runs during
+// shutdown).
 // A SUPERVISED campaign (run_supervised_campaign) adds the policy layer from
 // engine/supervisor.hpp on top of the same directory format: poison replicas
 // that exhaust their attempt budget are written as quarantine records
@@ -92,8 +99,9 @@ struct CampaignResult {
 // Runs replicas [0, replicas), journaling each finished replica's payload.
 // `task` returns the payload to persist, or nullopt to mark the replica
 // unfinished (the convention for a cancelled drain).  Task exceptions are
-// handled by the isolated driver's retry machinery and, when persistent,
-// end up in report.errors with no journal record.  Throws
+// retried on the retry_seed streams up to options.mc.max_attempts (the
+// supervision-off policy) and, when persistent, end up in report.errors
+// with no journal record.  Throws
 // std::runtime_error on directory/journal failures or a meta mismatch.
 CampaignResult run_campaign(
     std::size_t replicas,

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <exception>
 #include <mutex>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <thread>
 
 namespace divlib {
@@ -20,26 +23,6 @@ unsigned resolve_thread_count(unsigned requested) {
 unsigned resolve_thread_count(const MonteCarloOptions& options) {
   return resolve_thread_count(options.num_threads);
 }
-
-namespace {
-
-// Runs worker_loop on `workers` threads (or inline when workers == 1).
-void dispatch(unsigned workers, const std::function<void()>& worker_loop) {
-  if (workers == 1) {
-    worker_loop();
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned i = 0; i < workers; ++i) {
-    pool.emplace_back(worker_loop);
-  }
-  for (auto& thread : pool) {
-    thread.join();
-  }
-}
-
-}  // namespace
 
 void run_replicas_erased(std::size_t replicas,
                          const std::function<void(std::size_t, Rng&)>& task,
@@ -91,98 +74,61 @@ void run_replicas_erased(std::size_t replicas,
     }
   };
 
-  dispatch(workers, worker_loop);
+  if (workers == 1) {
+    worker_loop();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    for (unsigned i = 0; i < workers; ++i) {
+      pool.emplace_back(worker_loop);
+    }
+    for (auto& thread : pool) {
+      thread.join();
+    }
+  }
 
   if (lowest_error) {
     std::rethrow_exception(lowest_error);
   }
 }
 
+SupervisorOptions supervision_off(const MonteCarloOptions& options) {
+  SupervisorOptions off;
+  off.master_seed = options.master_seed;
+  off.num_threads = options.num_threads;
+  off.max_attempts = options.max_attempts;
+  off.cancel = options.cancel;
+  off.progress = options.progress;
+  off.backoff_base = std::chrono::milliseconds{0};
+  off.classify = [](const std::exception&) { return FailureClass::kTransient; };
+  return off;
+}
+
+BatchReport to_batch_report(const SupervisorReport& report) {
+  BatchReport batch;
+  batch.replicas = report.replicas;
+  batch.attempted = report.succeeded + report.quarantined.size();
+  batch.retries = report.retries;
+  batch.errors.reserve(report.quarantined.size());
+  for (const QuarantineRecord& record : report.quarantined) {
+    batch.errors.push_back({record.replica, record.attempts, record.message});
+  }
+  batch.cancelled = report.cancelled;
+  return batch;
+}
+
 BatchReport run_replica_set_isolated_erased(
     std::span<const std::size_t> replica_ids,
     const std::function<void(std::size_t, Rng&)>& task,
     const MonteCarloOptions& options) {
-  BatchReport report;
-  report.replicas = replica_ids.size();
-  if (replica_ids.empty()) {
-    return report;
-  }
-  const unsigned requested = resolve_thread_count(options);
-  const auto workers =
-      static_cast<unsigned>(std::min<std::size_t>(requested, replica_ids.size()));
-  const unsigned max_attempts = std::max(1u, options.max_attempts);
-
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> attempted{0};
-  std::atomic<std::uint64_t> retries{0};
-  std::vector<ReplicaError> errors;
-  std::mutex errors_mutex;
-
-  const auto worker_loop = [&]() {
-    while (true) {
-      // Cooperative drain: stop claiming work once the token fires.  Claimed
-      // replicas always run to a verdict, so every id is either fully
-      // attempted or untouched -- the granularity a resume can reason about.
-      if (options.cancel != nullptr && options.cancel->requested()) {
-        return;
-      }
-      const std::size_t slot = next.fetch_add(1, std::memory_order_relaxed);
-      if (slot >= replica_ids.size()) {
-        return;
-      }
-      const std::size_t replica = replica_ids[slot];
-      std::string last_message = "unknown exception";
-      bool succeeded = false;
-      unsigned consumed = 0;
-      for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-        if (attempt > 0) {
-          retries.fetch_add(1, std::memory_order_relaxed);
-          if (options.progress != nullptr) {
-            options.progress->retried.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        ++consumed;
-        try {
-          Rng rng(Rng::retry_seed(options.master_seed, replica, attempt));
-          task(replica, rng);
-          succeeded = true;
-          break;
-        } catch (const std::exception& error) {
-          last_message = error.what();
-        } catch (...) {
-          last_message = "unknown exception";
-        }
-      }
-      attempted.fetch_add(1, std::memory_order_relaxed);
-      if (options.progress != nullptr) {
-        options.progress->completed.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (!succeeded) {
-        if (options.progress != nullptr) {
-          options.progress->errored.fetch_add(1, std::memory_order_relaxed);
-        }
-        const std::lock_guard<std::mutex> lock(errors_mutex);
-        // `consumed`, not `max_attempts`: they agree here today, but the
-        // report's contract is attempts that actually ran.
-        errors.push_back({replica, consumed, last_message});
-      }
-    }
-  };
-
-  dispatch(workers, worker_loop);
-
-  std::sort(errors.begin(), errors.end(),
-            [](const ReplicaError& a, const ReplicaError& b) {
-              return a.replica < b.replica;
-            });
-  report.attempted = attempted.load();
-  report.retries = retries.load();
-  report.errors = std::move(errors);
-  // Read the token directly: inferring cancellation from attempted <
-  // replicas misreports a token that fires after the last slot is claimed
-  // (every replica still drains, yet the user DID cancel).
-  report.cancelled = options.cancel != nullptr && options.cancel->requested();
-  return report;
+  return to_batch_report(run_supervised_set(
+      replica_ids,
+      [&task](std::size_t replica, Rng& rng,
+              const CancelToken&) -> std::optional<std::string> {
+        task(replica, rng);
+        return std::string();
+      },
+      [](std::size_t, std::string&&) {}, supervision_off(options)));
 }
 
 BatchReport run_replicas_isolated_erased(

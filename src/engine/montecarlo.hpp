@@ -12,7 +12,9 @@
 //     replica is retried up to max_attempts times with fresh deterministic
 //     streams Rng::retry_seed(master_seed, replica, attempt); persistent
 //     failures become structured ReplicaError records and every healthy
-//     replica still returns a result.
+//     replica still returns a result.  These are adapters: the replica set
+//     runs on run_supervised_set's thread executor (engine/supervisor) under
+//     supervision_off() below, and the report is mapped back.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "core/cancel.hpp"
+#include "engine/supervisor.hpp"
 #include "obs/heartbeat.hpp"
 #include "rng/rng.hpp"
 
@@ -39,7 +42,8 @@ struct MonteCarloOptions {
   // Optional cooperative cancellation (isolated drivers only): once the
   // token fires, workers stop claiming new replicas and the batch reports
   // cancelled = true.  Replicas already in flight drain normally -- pass the
-  // same token through RunOptions::cancel to drain those at a step boundary.
+  // same token through RunOptions::cancel to drain those at a step boundary
+  // -- but an attempt that throws after the token fired is not retried.
   const CancelToken* cancel = nullptr;
   // Optional live progress counters (isolated drivers only): the driver
   // bumps completed/retried/errored as replicas reach verdicts, so a
@@ -47,24 +51,7 @@ struct MonteCarloOptions {
   // NOT set `total` or `resumed` -- the caller knows the batch shape.  Null
   // disables the updates entirely.
   BatchProgress* progress = nullptr;
-  // Lock-step lanes per worker claim in the batched drivers
-  // (engine/batch_engine's run_div_replicas_batched and the supervisor's
-  // thread-mode batching).  1 (the default) means scalar execution; larger
-  // values run that many replicas per claim through run_batch over one SoA
-  // OpinionPlane.  Per-replica results are bit-identical either way -- each
-  // lane keeps its own retry_seed(master, replica, 0) stream -- so this is
-  // purely a throughput knob.  Ignored by the scalar drivers above; callers
-  // with faulty/decorated processes or tracing must stay on those.
-  unsigned batch_lanes = 1;
 };
-
-// Upper bound on batch_lanes accepted anywhere a lane count enters the
-// system (divsim's --batch-lanes, SupervisorOptions::batch_lanes).  A lane
-// costs O(n) plane cells plus per-lane scratch; beyond a few thousand lanes
-// the SoA plane stops fitting any cache level and a larger value is almost
-// certainly a typo'd or overflowed input, so it is refused loudly instead
-// of silently thrashing.
-inline constexpr unsigned kMaxBatchLanes = 4096;
 
 // 0 means hardware_concurrency (at least 1); every replica driver and
 // supervision executor sizes its pool through this.
@@ -118,7 +105,10 @@ struct ReplicaError {
 
 struct BatchReport {
   std::size_t replicas = 0;           // replicas the batch was asked to run
-  std::size_t attempted = 0;          // replicas that ran to a verdict
+  // Replicas that ran to a verdict: a result or an error.  A replica whose
+  // attempt fails after options.cancel fired is left unfinished -- no retry
+  // runs during shutdown -- and counts in neither this nor `errors`.
+  std::size_t attempted = 0;
   std::uint64_t retries = 0;          // attempts beyond each replica's first
   std::vector<ReplicaError> errors;   // persistent failures, by replica index
   // True exactly when options.cancel was set and had fired by the time the
@@ -131,9 +121,21 @@ struct BatchReport {
   bool ok() const { return errors.empty(); }
 };
 
+// The supervision-off policy, defined once for every unsupervised replica
+// set (the isolated drivers below, run_campaign, a plain `divsim run`):
+// seeds, threads, attempts, cancel and progress from `options`; no backoff,
+// deadline, breaker, estimator or speculation; and every failure transient,
+// so a throwing replica retries immediately up to max_attempts.
+SupervisorOptions supervision_off(const MonteCarloOptions& options);
+
+// The isolated drivers' view of a supervisor report: attempted is succeeded
+// plus quarantined, and errors are the quarantines.
+BatchReport to_batch_report(const SupervisorReport& report);
+
 // Fault-isolating driver: every replica runs to a verdict; failures never
 // abort the batch.  Deterministic: outcomes depend only on (master_seed,
-// replica, attempt), not on the thread schedule.
+// replica, attempt), not on the thread schedule.  Replicas are claimed in
+// id order.
 BatchReport run_replicas_isolated_erased(
     std::size_t replicas, const std::function<void(std::size_t, Rng&)>& task,
     const MonteCarloOptions& options);

@@ -183,9 +183,14 @@ class ReplicaScheduler {
     bool speculative = false;
   };
 
+  // Min-heap on ready_at; equal times claim in replica-set order, so a
+  // fresh set runs (and a cancel cuts it) in the order the caller listed.
   struct ReadyLater {
     bool operator()(const WorkItem& a, const WorkItem& b) const {
-      return a.ready_at > b.ready_at;  // min-heap on ready_at
+      if (a.ready_at != b.ready_at) {
+        return a.ready_at > b.ready_at;
+      }
+      return a.slot > b.slot;
     }
   };
 

@@ -198,10 +198,23 @@ class SupervisorRun {
     }
   }
 
+  // Hands a fired operator token to the scheduler (once).  Workers call
+  // this before every claim and every verdict, not only the 5ms monitor: a
+  // worker that retakes the mutex straight after a trivial attempt could
+  // otherwise starve the monitor and keep claiming, and a failure recorded
+  // after the token fired must not be retried.
+  void observe_cancel_locked() {
+    if (!scheduler_.cancelled() && options_.cancel != nullptr &&
+        options_.cancel->requested()) {
+      fire_locked(scheduler_.cancel());
+    }
+  }
+
   // Hands one attempt's verdict to the scheduler: a payload, a classified
   // failure, or (neither) a drain whose meaning the token's reason carries.
   void record_locked(ExecutionId execution, std::optional<std::string> payload,
                      const std::optional<AttemptFailure>& failure) {
+    observe_cancel_locked();
     const auto now = Clock::now();
     const CancelReason reason = tokens_.at(execution).reason();
     tokens_.erase(execution);
@@ -216,7 +229,11 @@ class SupervisorRun {
 
   void worker_loop() {
     std::unique_lock<std::mutex> lock(mu_);
-    while (!scheduler_.finished()) {
+    for (;;) {
+      observe_cancel_locked();
+      if (scheduler_.finished()) {
+        return;
+      }
       const auto now = Clock::now();
       const std::optional<ReplicaScheduler::Launch> launch =
           scheduler_.claim(now, busy_);
@@ -314,12 +331,8 @@ class SupervisorRun {
   void monitor_loop() {
     std::unique_lock<std::mutex> lock(mu_);
     while (!scheduler_.idle()) {
-      const auto now = Clock::now();
-      if (!scheduler_.cancelled() && options_.cancel != nullptr &&
-          options_.cancel->requested()) {
-        fire_locked(scheduler_.cancel());
-      }
-      fire_locked(scheduler_.tick(now));
+      observe_cancel_locked();
+      fire_locked(scheduler_.tick(Clock::now()));
       // Idle workers re-try their claim: the tick may have queued a twin
       // or lifted the breaker's width cap.
       work_cv_.notify_all();

@@ -3,10 +3,12 @@
 // The paper's completion-time guarantees are EXPECTATION bounds (eq. 4), so
 // any replicated campaign has a heavy runtime tail by construction -- and
 // adversarial inputs (the exp06 near-path regime) push single replicas
-// toward Theta(n^2) steps.  The plain isolated driver retries immediately,
-// caps steps but not wall-clock, and cannot finish a campaign with 999/1000
-// healthy replicas.  The supervisor adds the four policies a production
-// fleet needs, without touching replica semantics:
+// toward Theta(n^2) steps.  With supervision off (supervision_off in
+// engine/montecarlo, the policy of the isolated drivers and of a plain
+// `divsim run`) a failure retries immediately, steps are capped but not
+// wall-clock, and a campaign with 999/1000 healthy replicas cannot finish.
+// Supervision adds the four policies a production fleet needs, without
+// touching replica semantics:
 //
 //   1. Deadlines.  Each attempt gets a private CancelToken; a monitor thread
 //      fires it with CancelReason::kDeadline once the wall-clock budget
@@ -38,7 +40,10 @@
 //
 // The policies are decided once, by the pure ReplicaScheduler
 // (engine/scheduler), for two executors: the in-process thread pool
-// (engine/supervisor.cpp) and the forked worker fleet (engine/fleet).
+// (engine/supervisor.cpp) and the forked worker fleet (engine/fleet).  Every
+// fault-isolating replica set -- supervised or not, scalar or in lock-step
+// lanes -- runs on one of them; only the abort-on-failure
+// run_replicas_erased keeps a pool of its own.
 #pragma once
 
 #include <chrono>
@@ -159,6 +164,14 @@ struct QuarantineRecord {
   std::string message;  // what() of the last failure
 };
 
+// Upper bound on batch_lanes accepted anywhere a lane count enters the
+// system (divsim's --batch-lanes, SupervisorOptions::batch_lanes).  A lane
+// costs O(n) plane cells plus per-lane scratch; beyond a few thousand lanes
+// the SoA plane stops fitting any cache level and a larger value is almost
+// certainly a typo'd or overflowed input, so it is refused loudly instead
+// of silently thrashing.
+inline constexpr unsigned kMaxBatchLanes = 4096;
+
 // One lane of a lock-step thread-mode group (see
 // SupervisorOptions::batch_task).  `seed` is the lane's full attempt seed,
 // Rng::retry_seed(master_seed, replica, attempt) -- the batch task seeds the
@@ -212,6 +225,9 @@ struct SupervisorOptions {
   double min_success_fraction = 1.0;
   // Operator cancellation (SIGINT): propagated to every in-flight attempt
   // as CancelReason::kUser; queued work is marked unfinished for resume.
+  // Thread workers check it before every claim and every verdict, and no
+  // retry runs after it fired: an attempt that fails then leaves its
+  // replica unfinished, not retried or quarantined.
   const CancelToken* cancel = nullptr;
   // Optional heartbeat counters, same contract as MonteCarloOptions.
   BatchProgress* progress = nullptr;

@@ -8,7 +8,7 @@
 #      campaign finishes from its own checkpoint, and every replica of the
 #      interrupted campaign is bit-identical to an undisturbed baseline.
 #   2. Submit a process-isolated campaign with a hair-trigger breaker, SIGKILL
-#      two fleet workers to trip it Open, and assert via
+#      two busy fleet workers to trip it Open, and assert via
 #      `queue status --json --deep` that the pool demonstrably shrank (a
 #      worker-dismiss event is journaled) and recovery closed the breaker
 #      again -- the journaled evidence of shrink and regrow.
@@ -41,8 +41,12 @@ QDIR="${WORK}/queue"
 # Slow-mixing graph so each replica takes real work and the coordinator can
 # be killed mid-campaign; per-replica results are deterministic in
 # (seed, replica, attempt), so an undisturbed run is the bit-identity oracle.
+# Every replica hits the 2e7-step cap (~0.1-0.4s).  One thread runs them in
+# turn, so after the third journaled replica at least eight remain -- far
+# longer than the kill's jitter below on any host, so the kill always lands
+# mid-campaign (with one thread per core a fast host could finish first).
 CONFIG=(--graph=path:1024 --k=9 --stop=consensus --max-steps=20000000
-        --replicas=12 --seed=7)
+        --replicas=12 --seed=7 --threads=1)
 
 # Unsupervised baseline of the SAME config: the queue's runner forces
 # --supervise, which never changes healthy replica bits.
@@ -80,8 +84,8 @@ fi
 coord_pid=$!
 
 # Wait for campaign 1 to make real progress, then kill at an arbitrary
-# instant (the extra jittered sleep lands the SIGKILL anywhere in an append,
-# a renewal, or a replica boundary).
+# instant (the extra jittered sleep, up to about one replica, lands the
+# SIGKILL anywhere in an append, a renewal, or a replica boundary).
 progress=0
 for _ in $(seq 1 1200); do
   if ! kill -0 "${coord_pid}" 2>/dev/null; then
@@ -100,7 +104,7 @@ if ! kill -0 "${coord_pid}" 2>/dev/null; then
   cat "${WORK}/coord1.out" >&2
   exit 77
 fi
-sleep "0.$((RANDOM % 9))"
+sleep "0.$((RANDOM % 5))"
 kill -KILL "${coord_pid}" 2>/dev/null
 wait "${coord_pid}" 2>/dev/null
 echo "SIGKILLed coordinator after ${progress} journaled replicas" >&2
@@ -179,8 +183,28 @@ workers_of() {
   done
 }
 
+# Workers of `parent` in the middle of an attempt: state R (running or
+# runnable) with at least 50ms of CPU time (utime + stime >= 5 ticks).  An
+# idle worker sleeps on its next assignment, and a fresh one is still
+# starting up; killing either fails no attempt, so the breaker would never
+# see it.
+busy_workers_of() {
+  local pid stat fields
+  for pid in $(workers_of "$1"); do
+    stat="$(cat "/proc/${pid}/stat" 2>/dev/null)" || continue
+    read -r -a fields <<< "${stat##*) }"
+    if [[ "${fields[0]}" == R && $((fields[11] + fields[12])) -ge 5 ]]; then
+      echo "${pid}"
+    fi
+  done
+}
+
+# The close needs a success after the 1s cooldown, so the campaign must
+# outlast it by a wide margin on any host: each replica is a capped 2e7-step
+# run (~0.1-0.4s), and 96 of them at the Open breaker's width of 3 take
+# several seconds past the kills.
 BQDIR="${WORK}/breaker-queue"
-"${DIVSIM}" queue submit --dir "${BQDIR}" "${CONFIG[@]}" --replicas=24 \
+"${DIVSIM}" queue submit --dir "${BQDIR}" "${CONFIG[@]}" --replicas=96 \
     --isolation=process --workers=6 --retries=6 --min-success=0.3 \
     --breaker-failures=2 --breaker-window-ms=20000 \
     --breaker-cooldown-ms=1000 \
@@ -192,15 +216,16 @@ BQDIR="${WORK}/breaker-queue"
 bcoord_pid=$!
 
 # The coordinator runs the campaign in-process, so the fleet workers are its
-# direct children.  Kill two in quick succession: past --breaker-failures=2
-# the breaker opens and the pool must shrink below the 6-worker target.
+# direct children.  Kill two busy ones in quick succession: past
+# --breaker-failures=2 the breaker opens and the pool must shrink below the
+# 6-worker target.
 killed=0
 for _ in $(seq 1 600); do
   if ! kill -0 "${bcoord_pid}" 2>/dev/null; then
     break
   fi
-  mapfile -t workers < <(workers_of "${bcoord_pid}")
-  if [[ "${#workers[@]}" -ge 4 && ${killed} -eq 0 ]]; then
+  mapfile -t workers < <(busy_workers_of "${bcoord_pid}")
+  if [[ "${#workers[@]}" -ge 2 && ${killed} -eq 0 ]]; then
     kill -KILL "${workers[0]}" 2>/dev/null && killed=1
     kill -KILL "${workers[1]}" 2>/dev/null && killed=2
     break

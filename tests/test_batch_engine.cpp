@@ -8,9 +8,12 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/cancel.hpp"
@@ -19,6 +22,7 @@
 #include "core/opinion_plane.hpp"
 #include "engine/engine.hpp"
 #include "engine/initial_config.hpp"
+#include "engine/montecarlo.hpp"
 #include "engine/supervisor.hpp"
 #include "graph/generators.hpp"
 #include "graph/random_graphs.hpp"
@@ -287,6 +291,69 @@ TEST(BatchEngine, PerLaneCancelDrainsOnlyThatLane) {
   EXPECT_EQ(sum, results[1].final_sum);
 }
 
+// Plain DIV replicas [0, replicas) in lock-step groups of `lanes` through
+// the one replica driver: run_supervised_set under supervision_off(mc),
+// whose batch_task runs each claimed group on one plane with run_batch
+// (run_batch_jump when Result is JumpRunResult) after drawing the lane's
+// opinions uniformly in [lo, hi] from its own stream.  A lone claim runs the
+// same engine on a one-lane plane.  Slot r holds replica r's lane result.
+template <typename Result>
+IsolatedBatch<Result> run_lane_groups(const Graph& graph,
+                                      SelectionScheme scheme,
+                                      std::size_t replicas, Opinion lo,
+                                      Opinion hi, unsigned lanes,
+                                      const MonteCarloOptions& mc) {
+  IsolatedBatch<Result> batch;
+  batch.results.resize(replicas);
+  const auto run_group = [&](std::span<const std::size_t> ids,
+                             std::vector<Rng>& rngs,
+                             const std::vector<const CancelToken*>& cancels) {
+    OpinionPlane plane(graph, static_cast<unsigned>(ids.size()));
+    for (unsigned lane = 0; lane < ids.size(); ++lane) {
+      plane.assign_lane(lane, uniform_random_opinions(graph.num_vertices(),
+                                                      lo, hi, rngs[lane]));
+    }
+    std::vector<Result> results;
+    if constexpr (std::is_same_v<Result, JumpRunResult>) {
+      results =
+          run_batch_jump(graph, scheme, plane, rngs, RunOptions{}, cancels);
+    } else {
+      results = run_batch(graph, scheme, plane, rngs, RunOptions{}, cancels);
+    }
+    for (std::size_t lane = 0; lane < ids.size(); ++lane) {
+      batch.results[ids[lane]] = std::move(results[lane]);
+    }
+  };
+  SupervisorOptions options = supervision_off(mc);
+  options.batch_lanes = lanes;
+  options.batch_task = [&](std::span<const BatchLane> group) {
+    std::vector<std::size_t> ids;
+    std::vector<Rng> rngs;
+    std::vector<const CancelToken*> cancels;
+    for (const BatchLane& lane : group) {
+      ids.push_back(lane.replica);
+      rngs.emplace_back(lane.seed);
+      cancels.push_back(lane.cancel);
+    }
+    run_group(ids, rngs, cancels);
+    return std::vector<std::optional<std::string>>(group.size(),
+                                                   std::string());
+  };
+  std::vector<std::size_t> ids(replicas);
+  std::iota(ids.begin(), ids.end(), std::size_t{0});
+  const SupervisorReport report = run_supervised_set(
+      ids,
+      [&](std::size_t replica, Rng& rng,
+          const CancelToken& cancel) -> std::optional<std::string> {
+        std::vector<Rng> rngs{rng};
+        run_group(std::span<const std::size_t>(&replica, 1), rngs, {&cancel});
+        return std::string();
+      },
+      [](std::size_t, std::string&&) {}, options);
+  batch.report = to_batch_report(report);
+  return batch;
+}
+
 TEST(BatchEngine, WinnerDistributionMatchesScalarEngine) {
   Rng graph_rng(0x23a);
   const Graph graph = make_connected_random_regular(32, 4, graph_rng);
@@ -313,14 +380,9 @@ TEST(BatchEngine, WinnerDistributionMatchesScalarEngine) {
     // Batched sample on an independent seed family.
     MonteCarloOptions mc;
     mc.master_seed = 0xcafe;
-    mc.batch_lanes = 16;
     mc.num_threads = 2;
-    const auto batch = run_div_replicas_batched(
-        graph, scheme, kReplicas,
-        [&graph](std::size_t, Rng& rng) {
-          return uniform_random_opinions(graph.num_vertices(), kLo, kHi, rng);
-        },
-        RunOptions{}, mc);
+    const auto batch = run_lane_groups<RunResult>(graph, scheme, kReplicas,
+                                                  kLo, kHi, /*lanes=*/16, mc);
     ASSERT_TRUE(batch.report.ok());
     std::vector<std::uint64_t> batch_winners(kHi - kLo + 1, 0);
     std::vector<double> batch_steps;
@@ -343,7 +405,7 @@ TEST(BatchEngine, WinnerDistributionMatchesScalarEngine) {
   }
 }
 
-// The batched driver fills every slot with the scalar isolated driver's
+// Lock-step groups fill every slot with the scalar isolated driver's
 // attempt-0 result, at any lane width / replica count alignment.
 TEST(BatchDriver, SlotsMatchScalarAttemptZero) {
   Rng graph_rng(0x31);
@@ -363,14 +425,9 @@ TEST(BatchDriver, SlotsMatchScalarAttemptZero) {
 
   MonteCarloOptions mc;
   mc.master_seed = kMaster;
-  mc.batch_lanes = 4;
   mc.num_threads = 3;
-  const auto batch = run_div_replicas_batched(
-      graph, SelectionScheme::kVertex, kReplicas,
-      [&graph](std::size_t, Rng& rng) {
-        return uniform_random_opinions(graph.num_vertices(), 1, 4, rng);
-      },
-      run_options, mc);
+  const auto batch = run_lane_groups<RunResult>(
+      graph, SelectionScheme::kVertex, kReplicas, 1, 4, /*lanes=*/4, mc);
 
   EXPECT_EQ(batch.report.replicas, kReplicas);
   EXPECT_EQ(batch.report.attempted, kReplicas);
@@ -389,14 +446,9 @@ TEST(BatchDriver, PresetCancelClaimsNothing) {
   CancelToken token;
   token.request(CancelReason::kUser);
   MonteCarloOptions mc;
-  mc.batch_lanes = 4;
   mc.cancel = &token;
-  const auto batch = run_div_replicas_batched(
-      graph, SelectionScheme::kEdge, 8,
-      [](std::size_t, Rng& rng) {
-        return uniform_random_opinions(8, 1, 3, rng);
-      },
-      RunOptions{}, mc);
+  const auto batch = run_lane_groups<RunResult>(
+      graph, SelectionScheme::kEdge, 8, 1, 3, /*lanes=*/4, mc);
   EXPECT_TRUE(batch.report.cancelled);
   EXPECT_EQ(batch.report.attempted, 0u);
   for (const auto& result : batch.results) {
@@ -719,7 +771,7 @@ TEST(SupervisorBatch, GroupThrowRetriesEveryLane) {
 
 // ---------------------------------------------------------------------------
 // Batched jump-chain engine (run_batch_jump) -- refusals, per-lane cancel,
-// distributional equivalence, and the batched driver's slot contract.  The
+// distributional equivalence, and the lock-step groups' slot contract.  The
 // draw-for-draw bit-identity suite lives in test_jump_engine.cpp
 // (BatchJump.LanesBitIdenticalToScalarJump and friends).
 
@@ -819,14 +871,9 @@ TEST(BatchJump, WinnerDistributionMatchesScalarJumpEngine) {
 
     MonteCarloOptions mc;
     mc.master_seed = 0xcafe;
-    mc.batch_lanes = 16;
     mc.num_threads = 2;
-    const auto batch = run_div_replicas_batched_jump(
-        graph, scheme, kReplicas,
-        [&graph](std::size_t, Rng& rng) {
-          return uniform_random_opinions(graph.num_vertices(), kLo, kHi, rng);
-        },
-        RunOptions{}, mc);
+    const auto batch = run_lane_groups<JumpRunResult>(
+        graph, scheme, kReplicas, kLo, kHi, /*lanes=*/16, mc);
     ASSERT_TRUE(batch.report.ok());
     std::vector<std::uint64_t> batch_winners(kHi - kLo + 1, 0);
     std::vector<double> batch_steps;
@@ -856,9 +903,9 @@ TEST(BatchJump, WinnerDistributionMatchesScalarJumpEngine) {
   }
 }
 
-// The batched jump driver fills every slot with the scalar run_jump
-// attempt-0 result, at a replica count deliberately unaligned to the lane
-// width, across a worker pool.
+// Lock-step jump groups fill every slot with the scalar run_jump attempt-0
+// result, at a replica count deliberately unaligned to the lane width,
+// across a worker pool.
 TEST(BatchDriver, JumpSlotsMatchScalarAttemptZero) {
   Rng graph_rng(0x32);
   const Graph graph = make_connected_random_regular(24, 4, graph_rng);
@@ -877,14 +924,9 @@ TEST(BatchDriver, JumpSlotsMatchScalarAttemptZero) {
 
   MonteCarloOptions mc;
   mc.master_seed = kMaster;
-  mc.batch_lanes = 4;
   mc.num_threads = 3;
-  const auto batch = run_div_replicas_batched_jump(
-      graph, SelectionScheme::kVertex, kReplicas,
-      [&graph](std::size_t, Rng& rng) {
-        return uniform_random_opinions(graph.num_vertices(), 1, 4, rng);
-      },
-      run_options, mc);
+  const auto batch = run_lane_groups<JumpRunResult>(
+      graph, SelectionScheme::kVertex, kReplicas, 1, 4, /*lanes=*/4, mc);
 
   EXPECT_EQ(batch.report.replicas, kReplicas);
   EXPECT_EQ(batch.report.attempted, kReplicas);

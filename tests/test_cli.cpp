@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cli/args.hpp"
 #include "cli/batch_lanes.hpp"
+#include "cli/flag_range.hpp"
 #include "cli/graph_spec.hpp"
 #include "cli/process_spec.hpp"
 #include "graph/generators.hpp"
@@ -171,6 +176,69 @@ TEST(BatchLanesCli, RefusalTextNamesTheScalarFallback) {
   EXPECT_STREQ(kBatchLanesTraceRefusal,
                "--batch-lanes does not support --trace (per-step tracing is "
                "a scalar-engine feature)");
+}
+
+// Regression: --k, --retries, --threads and --workers were narrowed with a
+// bare static_cast, so --isolation process --workers 4294967298 (or
+// --threads 4294967298 with --workers 0) forked 2 workers, --k 4294967299
+// ran with opinions 1..3, and --k 0 failed every replica with
+// "uniform_random_opinions: lo > hi".  Each value is now checked before it
+// is narrowed, and the refusal names the flag and the value typed.
+std::string refusal(const std::function<void()>& parse) {
+  try {
+    parse();
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "accepted";
+}
+
+TEST(FlagRange, RefusesWrappingCounts) {
+  const Args args(std::vector<std::string>{
+      "--workers", "4294967298", "--threads", "4294967298", "--retries",
+      "4294967295"});
+  EXPECT_EQ(refusal([&] { unsigned_flag(args, "workers"); }),
+            "--workers must be in [0, 4294967295], got 4294967298");
+  EXPECT_EQ(refusal([&] { unsigned_flag(args, "threads"); }),
+            "--threads must be in [0, 4294967295], got 4294967298");
+  // max_attempts = retries + 1 would wrap to zero attempts.
+  EXPECT_EQ(refusal([&] {
+              unsigned_flag(args, "retries",
+                            std::numeric_limits<unsigned>::max() - 1);
+            }),
+            "--retries must be in [0, 4294967294], got 4294967295");
+}
+
+TEST(FlagRange, RefusesOutOfRangeOpinionCounts) {
+  for (const auto& [typed, message] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"4294967299", "--k must be in [1, 2147483647], got 4294967299"},
+           {"2147483648", "--k must be in [1, 2147483647], got 2147483648"},
+           {"0", "--k must be in [1, 2147483647], got 0"},
+           {"-3", "--k must be in [1, 2147483647], got -3"}}) {
+    const Args args(std::vector<std::string>{"--k", typed});
+    EXPECT_EQ(refusal([&] { k_flag(args); }), message) << typed;
+  }
+}
+
+TEST(FlagRange, AcceptsTheBoundariesAndDefaults) {
+  const Args bounds(std::vector<std::string>{
+      "--k", "2147483647", "--workers", "4294967295", "--threads", "0"});
+  EXPECT_EQ(k_flag(bounds), std::numeric_limits<Opinion>::max());
+  EXPECT_EQ(unsigned_flag(bounds, "workers"),
+            std::numeric_limits<unsigned>::max());
+  EXPECT_EQ(unsigned_flag(bounds, "threads"), 0u);
+  const Args none(std::vector<std::string>{});
+  EXPECT_EQ(k_flag(none), 5);
+  EXPECT_EQ(unsigned_flag(none, "retries"), 0u);
+  EXPECT_EQ(k_flag(Args(std::vector<std::string>{"--k", "1"})), 1);
+}
+
+// stoull accepts a sign, so "-1" used to parse as 2^64 - 1.
+TEST(Args, U64GetterRefusesNegativeValues) {
+  const Args args(std::vector<std::string>{"--threads", "-1"});
+  EXPECT_EQ(refusal([&] { args.get_u64("threads", 0); }),
+            "Args: --threads expects a non-negative integer, got '-1'");
 }
 
 }  // namespace

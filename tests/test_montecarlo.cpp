@@ -191,6 +191,37 @@ TEST(MonteCarlo, UnfiredTokenReportsNotCancelled) {
   EXPECT_FALSE(report.cancelled);
 }
 
+// The isolated driver runs on the supervisor's thread executor, which runs
+// no retries once the operator token has fired: a replica whose attempt
+// throws after the cancel is left unfinished -- counted in neither attempted
+// nor errors -- instead of being retried or quarantined.  (The old worker
+// loop retried it to a verdict: attempted 1, one error.)
+TEST(MonteCarlo, AttemptFailingAfterCancelIsLeftUnfinished) {
+  for (const unsigned max_attempts : {1u, 3u}) {
+    CancelToken token;
+    MonteCarloOptions options;
+    options.num_threads = 1;
+    options.max_attempts = max_attempts;
+    options.cancel = &token;
+    std::atomic<int> calls{0};
+    const BatchReport report = run_replicas_isolated_erased(
+        4,
+        [&](std::size_t replica, Rng&) {
+          ++calls;
+          if (replica == 0) {
+            token.request();
+            throw std::runtime_error("fails after the cancel");
+          }
+        },
+        options);
+    EXPECT_EQ(calls.load(), 1) << "max_attempts " << max_attempts;
+    EXPECT_TRUE(report.cancelled);
+    EXPECT_EQ(report.attempted, 0u) << "max_attempts " << max_attempts;
+    EXPECT_TRUE(report.ok()) << "max_attempts " << max_attempts;
+    EXPECT_EQ(report.retries, 0u);
+  }
+}
+
 TEST(MonteCarlo, RetrySeedAttemptZeroMatchesSubstream) {
   EXPECT_EQ(Rng::retry_seed(42, 7, 0), Rng::substream_seed(42, 7));
   const std::uint64_t a0 = Rng::retry_seed(42, 7, 0);

@@ -432,6 +432,36 @@ TEST(SupervisorTest, MidBatchCancelDrainsAndMarksRemainingUnfinished) {
   EXPECT_TRUE(report.quarantined.empty());
 }
 
+// The operator token is checked before every claim, not only by the 5ms
+// monitor.  A worker retakes the mutex straight after a trivial attempt, so
+// with the monitor alone the one worker below kept claiming after the first
+// replica fired the token: at least 2 of the 64 ran in every round, and
+// sometimes all 64.  Now exactly one runs and the rest end unfinished.
+TEST(SupervisorTest, CancelStopsTheNextClaimWithoutWaitingForTheMonitor) {
+  for (int round = 0; round < 20; ++round) {
+    CancelToken token;
+    SupervisorOptions options;
+    options.num_threads = 1;
+    options.cancel = &token;
+    std::atomic<int> ran{0};
+    Collector got(64);
+    const SupervisorReport report = run_supervised_set(
+        iota_ids(64),
+        [&](std::size_t replica, Rng& rng,
+            const CancelToken&) -> std::optional<std::string> {
+          if (ran.fetch_add(1) == 0) {
+            token.request();
+          }
+          return rng_payload(replica, rng);
+        },
+        got.sink(), options);
+    EXPECT_EQ(ran.load(), 1) << "round " << round;
+    EXPECT_TRUE(report.cancelled);
+    EXPECT_EQ(report.succeeded, 1u) << "round " << round;
+    EXPECT_EQ(report.unfinished, 63u) << "round " << round;
+  }
+}
+
 TEST(SupervisorTest, EventJsonCarriesAllFields) {
   SupervisionEvent event;
   event.kind = SupervisionEvent::Kind::kRetry;

@@ -41,8 +41,9 @@
 //
 // Exit codes (documented in README.md):
 //   0    success -- every requested replica completed
-//   1    error (bad spec, I/O failure, meta mismatch, ...)
-//   2    usage
+//   1    error (bad flag value or spec, refused flag combination, I/O
+//        failure, meta mismatch, ...)
+//   2    usage (no command, or an unknown one); an unknown --flag only warns
 //   3    replica errors, or a supervised run below its success quorum
 //   4    torn journal tail detected by `divsim journal` / `queue status`
 //   5    degraded -- quarantines exist but the --min-success quorum holds;
@@ -54,8 +55,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -64,6 +68,7 @@
 #include "cli/args.hpp"
 #include "cli/batch_lanes.hpp"
 #include "cli/fault_spec.hpp"
+#include "cli/flag_range.hpp"
 #include "cli/graph_spec.hpp"
 #include "cli/process_spec.hpp"
 #include "core/cancel.hpp"
@@ -125,8 +130,9 @@ int usage() {
       "batching:      --batch-lanes N (1..4096) runs N replicas per worker\n"
       "               claim in lock-step over one SoA plane -- either\n"
       "               engine, plain DIV only (--process div, no --fault or\n"
-      "               --trace); per-replica results stay bit-identical to\n"
-      "               the scalar engines\n"
+      "               --trace), thread isolation; a --checkpoint-dir run\n"
+      "               batches only with supervision on.  Per-replica\n"
+      "               results stay bit-identical to the scalar engines\n"
       "durability:    --checkpoint-dir D journals each finished replica\n"
       "               (CRC-framed, fsync'd every --checkpoint-every records);\n"
       "               SIGINT/SIGTERM drain gracefully; --resume skips\n"
@@ -155,9 +161,10 @@ int usage() {
       "               median (past the learned quantile once the estimator\n"
       "               is confident); --min-success F completes a campaign as\n"
       "               'degraded' once that fraction succeeded even if poison\n"
-      "               replicas were quarantined; --supervise forces the\n"
-      "               supervised driver with defaults.  Any of these flags\n"
-      "               switches `run` to the supervisor.\n"
+      "               replicas were quarantined; --supervise arms\n"
+      "               supervision with defaults, as does any of these\n"
+      "               flags.  Without them a failing replica retries at\n"
+      "               once (--retries) with no deadline or breaker.\n"
       "backpressure:  supervised runs trip a circuit breaker after\n"
       "               --breaker-failures transient failures (default 4;\n"
       "               0 disables) inside --breaker-window-ms (default 2000):\n"
@@ -193,7 +200,9 @@ int usage() {
       "               requeues and resumes the campaign bit-identically.\n"
       "               `queue status [--json] [--deep]` inspects; `queue\n"
       "               drain` cancels everything still Queued.\n"
-      "exit codes:    0 ok; 1 error; 2 usage; 3 replica errors or below the\n"
+      "exit codes:    0 ok; 1 error (bad flag value or spec, refused flag\n"
+      "               combination, I/O); 2 usage (no or unknown command);\n"
+      "               3 replica errors or below the\n"
       "               success quorum; 4 torn journal (journal/status);\n"
       "               5 degraded (quorum met despite quarantines);\n"
       "               6 queue admission refused (depth limit reached);\n"
@@ -275,14 +284,16 @@ int cmd_run(const Args& args) {
   Rng graph_rng(master_seed);
   const Graph graph = make_graph_from_spec(args.get("graph", "complete:128"),
                                            graph_rng);
-  const auto k = static_cast<Opinion>(args.get_int("k", 5));
+  const Opinion k = k_flag(args);
   const SelectionScheme scheme = parse_scheme(args.get("scheme", "edge"));
   const std::string process_name = args.get("process", "div");
   const auto replicas = static_cast<std::size_t>(args.get_u64("replicas", 1));
   const std::string stop_text = args.get("stop", "consensus");
   const std::uint64_t trace_stride = args.get_u64("trace", 0);
   const std::string fault_text = args.get("fault", "");
-  const auto retries = static_cast<unsigned>(args.get_u64("retries", 0));
+  // max_attempts is retries + 1, so the top value would wrap to 0 attempts.
+  const unsigned retries = unsigned_flag(
+      args, "retries", std::numeric_limits<unsigned>::max() - 1);
   const FaultSpec fault_spec = parse_fault_spec(fault_text);
   const std::string engine = args.get("engine", "step");
   if (engine != "step" && engine != "jump") {
@@ -300,7 +311,7 @@ int cmd_run(const Args& args) {
   const std::string checkpoint_dir = args.get("checkpoint-dir", "");
   const std::uint64_t checkpoint_every = args.get_positive_u64("checkpoint-every", 1);
   const bool resume = args.flag("resume");
-  const auto threads = static_cast<unsigned>(args.get_u64("threads", 0));
+  const unsigned threads = unsigned_flag(args, "threads");
   if (resume && checkpoint_dir.empty()) {
     throw std::invalid_argument("--resume requires --checkpoint-dir");
   }
@@ -313,9 +324,9 @@ int cmd_run(const Args& args) {
   const bool heartbeat_given = !args.get("heartbeat-ms", "").empty();
   const std::uint64_t heartbeat_ms = args.get_u64("heartbeat-ms", 1000);
 
-  // Supervision knobs.  Passing ANY of them (or --supervise) routes the run
-  // through the supervised driver; otherwise the plain isolated driver runs,
-  // so existing invocations keep their exact behavior and performance.
+  // Supervision knobs.  Passing ANY of them (or --supervise) arms the full
+  // supervision policy; otherwise the run keeps the isolated drivers'
+  // supervision-off policy (supervision_off).  Both run on one executor.
   const bool backoff_given = !args.get("retry-backoff", "").empty();
   // --deadline-ms takes a count OR the literal "auto".  Auto runs with the
   // adaptive estimator armed: attempts are budgeted at the learned
@@ -364,12 +375,17 @@ int cmd_run(const Args& args) {
   // costs one attempt instead of the whole run.  Fleet knobs only apply
   // there; process isolation implies the supervised driver.
   const Isolation isolation = parse_isolation(args.get("isolation", "thread"));
-  const auto fleet_workers = static_cast<unsigned>(args.get_u64("workers", 0));
+  const unsigned fleet_workers = unsigned_flag(args, "workers");
   const std::uint64_t suspect_after_ms = args.get_u64("suspect-after-ms", 500);
   const std::uint64_t dead_after_ms = args.get_u64("dead-after-ms", 2000);
   if (dead_after_ms <= suspect_after_ms) {
     throw std::invalid_argument(
         "--dead-after-ms must exceed --suspect-after-ms");
+  }
+  if (trace_stride > 0 && isolation == Isolation::kProcess) {
+    throw std::invalid_argument(
+        "--trace needs --isolation thread: fleet workers do not send traces "
+        "back to the parent");
   }
   const bool retry_quarantined = args.flag("retry-quarantined");
   if (retry_quarantined && !resume) {
@@ -531,14 +547,23 @@ int cmd_run(const Args& args) {
     }
   };
 
-  // `cancel` is the attempt's drain token: the global SIGINT token for the
-  // plain drivers, a supervisor-owned per-attempt lease under supervision
-  // (so a deadline kill stops one attempt, not the whole batch).
-  // `emit_telemetry` is false inside fleet worker processes: they inherit
-  // the parent's JSONL file descriptor and registry across fork(), and a
-  // child writing either would interleave with (and double) the parent's.
-  const auto run_one = [&](std::size_t replica, Rng& rng,
-                           const CancelToken& cancel, bool emit_telemetry) {
+  // The one task every path runs.  `cancel` is the executor's per-attempt
+  // lease (the global SIGINT token for plain campaigns), so a deadline kill
+  // stops one attempt, not the whole batch.  The executor's drain
+  // convention: nullopt for BOTH a deadline kill and an operator drain; it
+  // reads the lease token's CancelReason to tell them apart.  A successful
+  // attempt persists through the campaign journal's codec, so every path
+  // reports from the same bytes.  Replica 0's trace is captured on the side
+  // (the journal keeps no traces); a speculative twin records the same
+  // bytes.  Fleet workers emit no telemetry: they inherit the parent's JSONL
+  // file descriptor and registry across fork(), and a child writing either
+  // would interleave with (and double) the parent's.
+  const bool emit_telemetry = isolation == Isolation::kThread;
+  std::mutex trace_mutex;
+  std::optional<Trace> replica0_trace;
+  const SupervisedTask task =
+      [&](std::size_t replica, Rng& rng,
+          const CancelToken& cancel) -> std::optional<std::string> {
     OpinionState state(
         graph, uniform_random_opinions(graph.num_vertices(), 1, k, rng));
     auto process = make_process_from_spec(process_name, scheme, graph);
@@ -574,7 +599,15 @@ int cmd_run(const Args& args) {
     if (emit_telemetry) {
       account_run(replica, out.result, out.effective_steps, &metrics, 1);
     }
-    return out;
+    if (out.result.status == RunStatus::kCancelled ||
+        out.result.status == RunStatus::kDeadline) {
+      return std::nullopt;
+    }
+    if (replica == 0 && trace_stride > 0) {
+      const std::lock_guard<std::mutex> lock(trace_mutex);
+      replica0_trace = out.result.trace;
+    }
+    return encode_replica_run(out);
   };
 
   const MonteCarloOptions mc{.master_seed = master_seed,
@@ -583,26 +616,8 @@ int cmd_run(const Args& args) {
                              .cancel = &CancelToken::global(),
                              .progress = telemetry ? &progress : nullptr};
 
-  SupervisorOptions sup;
-  sup.master_seed = master_seed;
-  sup.num_threads = threads;
-  sup.max_attempts = retries + 1;
-  sup.deadline = std::chrono::milliseconds(deadline_ms);
-  sup.backoff_base = std::chrono::milliseconds(backoff_ms);
-  sup.straggler_factor = straggler_factor;
-  sup.min_success_fraction = min_success;
-  sup.cancel = &CancelToken::global();
-  sup.progress = telemetry ? &progress : nullptr;
-  sup.metrics = telemetry ? &registry : nullptr;
-  sup.isolation = isolation;
-  sup.fleet.workers = fleet_workers;
-  sup.fleet.suspect_after = std::chrono::milliseconds(suspect_after_ms);
-  sup.fleet.dead_after = std::chrono::milliseconds(dead_after_ms);
-  if (heartbeat_given && heartbeat_ms > 0 && isolation == Isolation::kProcess) {
-    // The fleet clamps a cadence that would flap the failure detector and
-    // warns on stderr (see clamp_heartbeat_cadence).
-    sup.fleet.heartbeat_interval = std::chrono::milliseconds(heartbeat_ms);
-  }
+  // Supervision overlays its knobs on the supervision-off policy.
+  SupervisorOptions sup = supervision_off(mc);
   // The estimator is armed for every supervised run: with --deadline-ms auto
   // it drives the per-attempt deadline; either way it upgrades straggler
   // speculation from reactive (median of this run) to predictive (learned
@@ -613,24 +628,42 @@ int cmd_run(const Args& args) {
   est_options.min_samples = deadline_min_samples;
   CompletionEstimator estimator(est_options);
   std::unique_ptr<CalibrationLog> calibration;
-  sup.estimator = &estimator;
-  sup.deadline_auto = deadline_auto;
-  sup.breaker_enabled = breaker_failures > 0;
-  sup.breaker.failure_threshold = breaker_failures;
-  sup.breaker.window = std::chrono::milliseconds(breaker_window_ms);
-  sup.breaker.cooldown = std::chrono::milliseconds(breaker_cooldown_ms);
-  if (metrics_out) {
-    sup.on_event = [&](const SupervisionEvent& event) {
-      JsonObject line;
-      line.field("type", "supervision").raw_field("event", event.to_json());
-      metrics_out->emit(line.str());
-    };
+  if (supervise) {
+    sup.classify = nullptr;  // the default failure taxonomy
+    sup.backoff_base = std::chrono::milliseconds(backoff_ms);
+    sup.deadline = std::chrono::milliseconds(deadline_ms);
+    sup.straggler_factor = straggler_factor;
+    sup.min_success_fraction = min_success;
+    sup.metrics = telemetry ? &registry : nullptr;
+    sup.isolation = isolation;
+    sup.fleet.workers = fleet_workers;
+    sup.fleet.suspect_after = std::chrono::milliseconds(suspect_after_ms);
+    sup.fleet.dead_after = std::chrono::milliseconds(dead_after_ms);
+    if (heartbeat_given && heartbeat_ms > 0 &&
+        isolation == Isolation::kProcess) {
+      // The fleet clamps a cadence that would flap the failure detector and
+      // warns on stderr (see clamp_heartbeat_cadence).
+      sup.fleet.heartbeat_interval = std::chrono::milliseconds(heartbeat_ms);
+    }
+    sup.estimator = &estimator;
+    sup.deadline_auto = deadline_auto;
+    sup.breaker_enabled = breaker_failures > 0;
+    sup.breaker.failure_threshold = breaker_failures;
+    sup.breaker.window = std::chrono::milliseconds(breaker_window_ms);
+    sup.breaker.cooldown = std::chrono::milliseconds(breaker_cooldown_ms);
+    if (metrics_out) {
+      sup.on_event = [&](const SupervisionEvent& event) {
+        JsonObject line;
+        line.field("type", "supervision").raw_field("event", event.to_json());
+        metrics_out->emit(line.str());
+      };
+    }
   }
-  // Thread-mode supervised runs dispatch lock-step groups through the batch
-  // engine: each lane keeps its retry_seed stream and its private lease
-  // token, so every payload is byte-identical to the scalar supervised_task's
-  // and deadline kills still drain one lane.  The process fleet and scalar
-  // fallbacks (retry storms, speculative twins) go through supervised_task.
+  // Thread-mode runs dispatch lock-step groups through the batch engine:
+  // each lane keeps its retry_seed stream and its private lease token, so
+  // every payload is byte-identical to the scalar task's and deadline kills
+  // still drain one lane.  The process fleet, plain campaigns and scalar
+  // fallbacks (lone claims, speculative twins) go through `task`.
   if (batch_lanes > 1 && isolation == Isolation::kThread) {
     sup.batch_lanes = batch_lanes;
     sup.batch_task = [&](std::span<const BatchLane> lanes)
@@ -677,117 +710,23 @@ int cmd_run(const Args& args) {
       return verdicts;
     };
   }
-  // The supervisor's drain convention: nullopt for BOTH a deadline kill and
-  // an operator drain; it reads the lease token's CancelReason to tell them
-  // apart.  A successful attempt persists through the same codec the
-  // campaign journal uses, so supervised and plain results stay comparable.
-  const SupervisedTask supervised_task =
-      [&, isolation](std::size_t replica, Rng& rng,
-                     const CancelToken& cancel) -> std::optional<std::string> {
-    const ReplicaRun out =
-        run_one(replica, rng, cancel,
-                /*emit_telemetry=*/isolation == Isolation::kThread);
-    if (out.result.status == RunStatus::kCancelled ||
-        out.result.status == RunStatus::kDeadline) {
-      return std::nullopt;
-    }
-    return encode_replica_run(out);
-  };
-
   std::vector<std::optional<ReplicaRun>> results(replicas);
+  const auto collect = [&results](std::size_t replica, std::string&& payload) {
+    results[replica] = decode_replica_run(payload);
+  };
   BatchReport report;
   SupervisorReport sup_report;
   std::vector<QuarantineRecord> quarantined;
   std::optional<CampaignStatus> campaign_status;
-  Trace replica0_trace;
   bool campaign_cancelled = false;
-  if (checkpoint_dir.empty() && !supervise && batch_lanes > 1) {
-    // Plain batched path: lock-step groups of batch_lanes replicas per
-    // worker claim, every slot bit-identical to the scalar isolated driver's
-    // attempt 0.  Throughput is reported amortized across lanes.
-    MonteCarloOptions batch_mc = mc;
-    batch_mc.batch_lanes = batch_lanes;
-    const BatchInit batch_init = [&](std::size_t, Rng& rng) {
-      return uniform_random_opinions(graph.num_vertices(), 1, k, rng);
-    };
-    const auto batch_start = std::chrono::steady_clock::now();
-    std::uint64_t batch_steps = 0;
-    std::uint64_t batch_effective = 0;
-    if (jump) {
-      auto batch = run_div_replicas_batched_jump(graph, scheme, replicas,
-                                                 batch_init, options, batch_mc);
-      for (std::size_t replica = 0; replica < replicas; ++replica) {
-        if (!batch.results[replica]) {
-          continue;
-        }
-        JumpRunResult& lane = *batch.results[replica];
-        account_run(replica, lane, lane.effective_steps, nullptr, batch_lanes);
-        batch_steps += lane.steps;
-        batch_effective += lane.effective_steps;
-        ReplicaRun out;
-        out.effective_steps = lane.effective_steps;
-        out.result = std::move(lane);
-        results[replica] = std::move(out);
-      }
-      report = std::move(batch.report);
-    } else {
-      auto batch = run_div_replicas_batched(graph, scheme, replicas,
-                                            batch_init, options, batch_mc);
-      for (std::size_t replica = 0; replica < replicas; ++replica) {
-        if (!batch.results[replica]) {
-          continue;
-        }
-        account_run(replica, *batch.results[replica], 0, nullptr, batch_lanes);
-        batch_steps += batch.results[replica]->steps;
-        ReplicaRun out;
-        out.result = std::move(*batch.results[replica]);
-        results[replica] = std::move(out);
-      }
-      report = std::move(batch.report);
-    }
-    const double batch_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      batch_start)
-            .count();
-    const std::size_t groups = (replicas + batch_lanes - 1) / batch_lanes;
-    std::cout << "batch engine: " << batch_lanes << " lanes/group, " << groups
-              << " group(s), " << batch_steps << " scheduled steps in "
-              << format_double(batch_wall, 2) << "s ("
-              << format_double(batch_wall > 0.0
-                                   ? static_cast<double>(batch_steps) /
-                                         batch_wall
-                                   : 0.0,
-                               0)
-              << " steps/s amortized across lanes)\n";
-    if (jump) {
-      std::cout << "batched jump engine: " << batch_effective
-                << " effective steps simulated across claimed lanes\n";
-    }
-  } else if (checkpoint_dir.empty() && !supervise) {
-    auto batch = run_replicas_isolated<ReplicaRun>(
-        replicas,
-        [&](std::size_t replica, Rng& rng) {
-          return run_one(replica, rng, CancelToken::global(),
-                         /*emit_telemetry=*/true);
-        },
-        mc);
-    if (!batch.results.empty() && batch.results.front()) {
-      replica0_trace = batch.results.front()->result.trace;
-    }
-    results = std::move(batch.results);
-    report = std::move(batch.report);
-  } else if (checkpoint_dir.empty()) {
+  if (checkpoint_dir.empty()) {
     std::vector<std::size_t> ids(replicas);
-    for (std::size_t replica = 0; replica < replicas; ++replica) {
-      ids[replica] = replica;
-    }
-    sup_report = run_supervised_set(
-        ids, supervised_task,
-        [&](std::size_t replica, std::string&& payload) {
-          results[replica] = decode_replica_run(payload);
-        },
-        sup);
+    std::iota(ids.begin(), ids.end(), std::size_t{0});
+    sup_report = run_supervised_set(ids, task, collect, sup);
     quarantined = sup_report.quarantined;
+    if (!supervise) {
+      report = to_batch_report(sup_report);
+    }
   } else {
     // The meta fingerprint pins every knob that shapes per-replica results;
     // resuming under a different configuration is refused.  Supervision
@@ -835,7 +774,7 @@ int cmd_run(const Args& args) {
         }
       }
       const SupervisedCampaignResult outcome =
-          run_supervised_campaign(replicas, supervised_task, campaign, sup);
+          run_supervised_campaign(replicas, task, campaign, sup);
       for (std::size_t replica = 0; replica < replicas; ++replica) {
         if (outcome.payloads[replica]) {
           results[replica] = decode_replica_run(*outcome.payloads[replica]);
@@ -853,13 +792,8 @@ int cmd_run(const Args& args) {
     } else {
       const CampaignResult outcome = run_campaign(
           replicas,
-          [&](std::size_t replica, Rng& rng) -> std::optional<std::string> {
-            const ReplicaRun out = run_one(replica, rng, CancelToken::global(),
-                                           /*emit_telemetry=*/true);
-            if (out.result.status == RunStatus::kCancelled) {
-              return std::nullopt;  // unfinished: re-runs on resume
-            }
-            return encode_replica_run(out);
+          [&](std::size_t replica, Rng& rng) {
+            return task(replica, rng, CancelToken::global());
           },
           campaign);
       for (std::size_t replica = 0; replica < replicas; ++replica) {
@@ -1038,21 +972,21 @@ int cmd_run(const Args& args) {
                 << sup_report.worker_dismissals
                 << " breaker dismissal(s)\n";
     }
-    if (sup_report.batch_groups > 0) {
-      std::cout << "lock-step batching: " << sup_report.batch_groups
-                << " group(s), " << sup_report.batched_attempts
-                << " attempt(s) batched (avg "
-                << format_double(
-                       static_cast<double>(sup_report.batched_attempts) /
-                           static_cast<double>(sup_report.batch_groups),
-                       1)
-                << " lanes/group)\n";
-    }
     for (const QuarantineRecord& record : quarantined) {
       std::cout << "  quarantined replica " << record.replica << " ("
                 << to_string(record.failure) << ", " << record.attempts
                 << " attempt(s)): " << record.message << "\n";
     }
+  }
+  if (sup_report.batch_groups > 0) {
+    std::cout << "lock-step batching: " << sup_report.batch_groups
+              << " group(s), " << sup_report.batched_attempts
+              << " attempt(s) batched (avg "
+              << format_double(
+                     static_cast<double>(sup_report.batched_attempts) /
+                         static_cast<double>(sup_report.batch_groups),
+                     1)
+              << " lanes/group)\n";
   }
   if (!report.ok()) {
     std::cout << "replica errors (" << report.errors.size() << ", after "
@@ -1062,12 +996,15 @@ int cmd_run(const Args& args) {
                 << " attempt(s): " << error.message << "\n";
     }
   }
-  if (trace_stride > 0 && !replica0_trace.empty()) {
+  if (replica0_trace && !replica0_trace->empty()) {
     std::cout << "trace of replica 0 (step, range, S):\n";
-    for (const TraceSample& sample : replica0_trace.samples()) {
+    for (const TraceSample& sample : replica0_trace->samples()) {
       std::cout << "  " << sample.step << "  [" << sample.min_active << ","
                 << sample.max_active << "]  " << sample.sum << "\n";
     }
+  } else if (trace_stride > 0 && !results.empty() && results.front()) {
+    std::cout << "trace of replica 0: not recorded -- it was resumed from "
+                 "the journal, which keeps no traces\n";
   }
   if (campaign_cancelled || CancelToken::global().requested()) {
     if (!checkpoint_dir.empty()) {
@@ -1556,7 +1493,7 @@ int cmd_couple(const Args& args) {
   // pull voting and reports the invariant plus the elimination event.
   Rng rng(args.get_u64("seed", 1));
   const Graph graph = make_graph_from_spec(args.get("graph", "complete:64"), rng);
-  const auto k = static_cast<Opinion>(args.get_int("k", 5));
+  const Opinion k = k_flag(args);
   const SelectionScheme scheme = parse_scheme(args.get("scheme", "edge"));
   const bool track_max = args.flag("max");
   warn_unused(args);
@@ -1605,7 +1542,7 @@ int cmd_sweep(const Args& args) {
   const std::string family = args.get("family", "complete");
   const auto d = args.get_u64("d", 16);
   const double p = args.get_double("p", 0.1);
-  const auto k = static_cast<Opinion>(args.get_int("k", 5));
+  const Opinion k = k_flag(args);
   const SelectionScheme scheme = parse_scheme(args.get("scheme", "edge"));
   const std::string process_name = args.get("process", "div");
   const auto replicas = static_cast<std::size_t>(args.get_u64("replicas", 50));
@@ -1710,7 +1647,7 @@ int cmd_exact(const Args& args) {
 int cmd_trace(const Args& args) {
   Rng rng(args.get_u64("seed", 1));
   const Graph graph = make_graph_from_spec(args.get("graph", "complete:128"), rng);
-  const auto k = static_cast<Opinion>(args.get_int("k", 5));
+  const Opinion k = k_flag(args);
   const SelectionScheme scheme = parse_scheme(args.get("scheme", "edge"));
   const std::string process_name = args.get("process", "div");
   const std::uint64_t stride =
