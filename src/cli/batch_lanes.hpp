@@ -10,8 +10,9 @@
 // (engine/supervisor.hpp), matching the guard run_supervised_set applies
 // to SupervisorOptions::batch_lanes.
 //
-// The refusal strings for the scalar-only feature combinations live here as
-// constants so test_cli can assert the exact text users see.
+// The refusal strings for the scalar-only feature combinations (and the
+// jump engine's process refusal) live here as constants so test_cli can
+// assert the exact text users see.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +35,14 @@ inline constexpr const char* kBatchLanesFaultRefusal =
 inline constexpr const char* kBatchLanesTraceRefusal =
     "--batch-lanes does not support --trace (per-step tracing is a "
     "scalar-engine feature)";
+
+// --engine jump re-derives the next effective step from DIV's discordance
+// structure, so any other process is refused at parse time rather than
+// faulting every replica of a run that then reports success.
+inline constexpr const char* kJumpProcessRefusal =
+    "--engine=jump only supports --process div (the jump chain skips lazy "
+    "steps of the DIV update rule); use the step engine for other "
+    "processes";
 
 // Validates a raw --batch-lanes value BEFORE any narrowing: 0 and anything
 // above kMaxBatchLanes throw std::invalid_argument with the offending value

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <deque>
 #include <stdexcept>
+#include <string>
 
 #include "core/discordance_tracker.hpp"
 #include "core/div_process.hpp"
@@ -12,27 +13,63 @@
 
 namespace divlib {
 
-std::vector<RunResult> run_batch(
-    const Graph& graph, SelectionScheme scheme, OpinionPlane& plane,
-    std::span<Rng> rngs, const RunOptions& options,
-    std::span<const CancelToken* const> lane_cancels) {
-  const unsigned lanes = plane.num_lanes();
-  if (rngs.size() != lanes) {
-    throw std::invalid_argument("run_batch: one rng per lane is required");
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+// Argument checks shared by both lane engines; `engine` names the caller in
+// the messages.
+void validate_lane_args(const char* engine, const Graph& graph,
+                        SelectionScheme scheme, unsigned lanes,
+                        std::size_t num_rngs, const RunOptions& options,
+                        std::size_t num_cancels, std::size_t num_metrics) {
+  const std::string name(engine);
+  if (num_rngs != lanes) {
+    throw std::invalid_argument(name + ": one rng per lane is required");
   }
-  if (!lane_cancels.empty() && lane_cancels.size() != lanes) {
+  if (num_cancels != 0 && num_cancels != lanes) {
     throw std::invalid_argument(
-        "run_batch: lane_cancels must be empty or one token slot per lane");
+        name + ": lane_cancels must be empty or one token slot per lane");
+  }
+  if (num_metrics != 0 && num_metrics != lanes) {
+    throw std::invalid_argument(
+        name + ": lane_metrics must be empty or one sink slot per lane");
   }
   if (options.trace_stride != 0) {
     throw std::invalid_argument(
-        "run_batch records no traces; use the scalar engines for tracing");
+        name + " records no traces; use the scalar engines for tracing");
+  }
+  if (options.metrics != nullptr) {
+    throw std::invalid_argument(
+        name + " records telemetry per lane; pass lane_metrics instead of "
+               "RunOptions::metrics");
   }
   validate_for_selection(graph, scheme);
-  const auto wall_start = std::chrono::steady_clock::now();
-  if (options.metrics != nullptr) {
-    // Like the naive scalar engine: one all-scheduled segment.
-    options.metrics->record_mode_switch(0, /*jump_mode=*/false, 0.0, 0);
+}
+
+}  // namespace
+
+std::vector<RunResult> run_batch(
+    const Graph& graph, SelectionScheme scheme, OpinionPlane& plane,
+    std::span<Rng> rngs, const RunOptions& options,
+    std::span<const CancelToken* const> lane_cancels,
+    std::span<RunMetrics* const> lane_metrics) {
+  const unsigned lanes = plane.num_lanes();
+  validate_lane_args("run_batch", graph, scheme, lanes, rngs.size(), options,
+                     lane_cancels.size(), lane_metrics.size());
+  const auto wall_start = Clock::now();
+  const auto sink_for = [&](unsigned lane) -> RunMetrics* {
+    return lane_metrics.empty() ? nullptr : lane_metrics[lane];
+  };
+  for (unsigned lane = 0; lane < lanes; ++lane) {
+    if (RunMetrics* metrics = sink_for(lane)) {
+      // Like the naive scalar engine: one all-scheduled segment.
+      metrics->record_mode_switch(0, /*jump_mode=*/false, 0.0, 0);
+    }
   }
 
   const VertexId n = graph.num_vertices();
@@ -42,7 +79,6 @@ std::vector<RunResult> run_batch(
   const Opinion stop_delta = options.stop == StopKind::kConsensus ? 0 : 1;
 
   std::vector<RunResult> results(lanes);
-  std::uint64_t total_steps = 0;
 
   const auto token_for = [&](unsigned lane) -> const CancelToken* {
     if (!lane_cancels.empty() && lane_cancels[lane] != nullptr) {
@@ -63,6 +99,12 @@ std::vector<RunResult> run_batch(
     result.final_z = plane.z_total(lane);
     if (plane.is_consensus(lane)) {
       result.winner = plane.min_active(lane);
+    }
+    if (RunMetrics* metrics = sink_for(lane)) {
+      const double wall = seconds_since(wall_start);
+      metrics->scheduled_steps = steps;
+      metrics->wall_seconds_total = wall;
+      metrics->wall_seconds_naive = wall;
     }
   };
 
@@ -290,7 +332,6 @@ std::vector<RunResult> run_batch(
     const auto settle = [&](std::size_t i, std::uint64_t applied) {
       const unsigned lane = active[i];
       lane_steps[i] += applied;
-      total_steps += applied;
       if (plane.spread(lane) <= stop_delta) {
         if (applied < block) {
           rewind_to(i, applied);
@@ -337,16 +378,6 @@ std::vector<RunResult> run_batch(
     }
     active.resize(live);
   }
-
-  if (options.metrics != nullptr) {
-    const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - wall_start)
-                            .count();
-    options.metrics->scheduled_steps = total_steps;
-    options.metrics->batch_lanes = lanes;
-    options.metrics->wall_seconds_total = wall;
-    options.metrics->wall_seconds_naive = wall;
-  }
   return results;
 }
 
@@ -361,47 +392,78 @@ struct JumpLaneCtx {
   BasicDiscordanceTracker<PlaneLaneView> tracker;
   Rng* rng;
   const CancelToken* token;
+  RunMetrics* metrics;     // the lane's telemetry sink, or null
   bool jump_mode = true;   // the scalar loop also starts in jump mode
   bool armed = false;      // jump mode only: next effective time drawn
   std::uint64_t due = 0;   // scheduled clock of the next effective step
+  std::uint64_t skipped = 0;  // lazy steps the armed draw jumps over
   std::uint64_t window_steps = 0;      // naive mode: steps in this window
   std::uint64_t window_effective = 0;  // naive mode: changed steps in window
   std::uint64_t effective_steps = 0;
   std::uint64_t mode_switches = 0;
   bool done = false;
+  Clock::time_point segment_start;  // current mode segment (metrics only)
 
   JumpLaneCtx(const OpinionPlane& plane, unsigned lane_id,
-              SelectionScheme scheme, Rng* rng_in, const CancelToken* token_in)
+              SelectionScheme scheme, Rng* rng_in, const CancelToken* token_in,
+              RunMetrics* metrics_in, Clock::time_point start)
       : lane(lane_id),
         view(plane, lane_id),
         tracker(view, scheme),
         rng(rng_in),
-        token(token_in) {}
+        token(token_in),
+        metrics(metrics_in),
+        segment_start(start) {}
 };
+
+// Books the wall time since `segment_start` to the bucket of the mode that
+// segment ran in and starts the next segment now.
+Clock::time_point close_segment(RunMetrics& metrics, bool was_jump,
+                                Clock::time_point& segment_start) {
+  const auto now = Clock::now();
+  (was_jump ? metrics.wall_seconds_jump : metrics.wall_seconds_naive) +=
+      std::chrono::duration<double>(now - segment_start).count();
+  segment_start = now;
+  return now;
+}
+
+// The scalar loop's end-of-run telemetry: closes the open mode segment and
+// stamps the lane's totals.
+void finish_jump_metrics(RunMetrics& metrics, bool jump_mode,
+                         Clock::time_point segment_start,
+                         Clock::time_point wall_start, std::uint64_t steps,
+                         std::uint64_t effective, std::uint64_t rebuilds) {
+  const auto now = close_segment(metrics, jump_mode, segment_start);
+  metrics.wall_seconds_total =
+      std::chrono::duration<double>(now - wall_start).count();
+  metrics.scheduled_steps = steps;
+  metrics.effective_steps = effective;
+  metrics.tracker_rebuilds = rebuilds;
+}
+
+// Records a mode entry at `step` with the tracker's (fresh) activity and
+// closes the segment that just ended.
+void record_lane_switch(JumpLaneCtx& ctx, std::uint64_t step, bool jump_mode) {
+  ctx.metrics->record_mode_switch(step, jump_mode,
+                                  ctx.tracker.active_probability(),
+                                  ctx.tracker.total_discordant_pairs());
+  close_segment(*ctx.metrics, /*was_jump=*/!jump_mode, ctx.segment_start);
+}
 
 }  // namespace
 
 std::vector<JumpRunResult> run_batch_jump(
     const Graph& graph, SelectionScheme scheme, OpinionPlane& plane,
     std::span<Rng> rngs, const RunOptions& options,
-    std::span<const CancelToken* const> lane_cancels) {
+    std::span<const CancelToken* const> lane_cancels,
+    std::span<RunMetrics* const> lane_metrics) {
   const unsigned lanes = plane.num_lanes();
-  if (rngs.size() != lanes) {
-    throw std::invalid_argument(
-        "run_batch_jump: one rng per lane is required");
-  }
-  if (!lane_cancels.empty() && lane_cancels.size() != lanes) {
-    throw std::invalid_argument(
-        "run_batch_jump: lane_cancels must be empty or one token slot per "
-        "lane");
-  }
-  if (options.trace_stride != 0) {
-    throw std::invalid_argument(
-        "run_batch_jump records no traces; use the scalar engines for "
-        "tracing");
-  }
-  validate_for_selection(graph, scheme);
-  const auto wall_start = std::chrono::steady_clock::now();
+  validate_lane_args("run_batch_jump", graph, scheme, lanes, rngs.size(),
+                     options, lane_cancels.size(), lane_metrics.size());
+  const auto wall_start = Clock::now();
+  const auto sink_for = [&](unsigned lane) -> RunMetrics* {
+    return lane_metrics.empty() ? nullptr : lane_metrics[lane];
+  };
 
   const VertexId n = graph.num_vertices();
   const std::span<const Edge> edges = graph.edges();
@@ -410,9 +472,6 @@ std::vector<JumpRunResult> run_batch_jump(
   const std::uint64_t max_steps = options.max_steps;
 
   std::vector<JumpRunResult> results(lanes);
-  std::uint64_t total_steps = 0;
-  std::uint64_t total_effective = 0;
-  std::uint64_t total_rebuilds = 0;
 
   const auto token_for = [&](unsigned lane) -> const CancelToken* {
     if (!lane_cancels.empty() && lane_cancels[lane] != nullptr) {
@@ -437,15 +496,40 @@ std::vector<JumpRunResult> run_batch_jump(
     if (plane.is_consensus(lane)) {
       result.winner = plane.min_active(lane);
     }
-    total_steps += steps;
-    total_effective += effective;
   };
   const auto finalize_ctx = [&](JumpLaneCtx& ctx, RunStatus status,
                                 std::uint64_t steps) {
     finalize_slot(ctx.lane, status, steps, ctx.effective_steps,
                   ctx.mode_switches);
-    total_rebuilds += ctx.tracker.rebuilds();
+    if (ctx.metrics != nullptr) {
+      finish_jump_metrics(*ctx.metrics, ctx.jump_mode, ctx.segment_start,
+                          wall_start, steps, ctx.effective_steps,
+                          ctx.tracker.rebuilds());
+    }
     ctx.done = true;
+  };
+  // A lane that never steps gets no context, but the scalar loop builds its
+  // tracker before checking the stop rule and stamps the launch entry with
+  // the tracker's activity; a sink gets that entry from a one-off tracker.
+  const auto finalize_idle = [&](unsigned lane, RunStatus status) {
+    finalize_slot(lane, status, 0, 0, 0);
+    if (RunMetrics* metrics = sink_for(lane)) {
+      const PlaneLaneView view(plane, lane);
+      const BasicDiscordanceTracker<PlaneLaneView> tracker(view, scheme);
+      metrics->record_mode_switch(0, /*jump_mode=*/true,
+                                  tracker.active_probability(),
+                                  tracker.total_discordant_pairs());
+      finish_jump_metrics(*metrics, /*jump_mode=*/true, wall_start,
+                          wall_start, 0, 0, 0);
+    }
+  };
+  // Frozen and watchdog exits idle the lane to the cap; the scalar loop
+  // books the whole remaining stretch as skipped lazy steps.
+  const auto record_frozen_tail = [&](JumpLaneCtx& ctx, std::uint64_t clock) {
+    if (ctx.metrics != nullptr) {
+      ctx.metrics->frozen_tail_steps += max_steps - clock;
+      ctx.metrics->lazy_steps_skipped += max_steps - clock;
+    }
   };
 
   // Lane contexts need stable addresses (the tracker points at the sibling
@@ -455,17 +539,23 @@ std::vector<JumpRunResult> run_batch_jump(
   live.reserve(lanes);
   // Scalar ordering: a lane satisfied before its first step completes with
   // zero steps; an unsatisfied lane under a zero budget is capped at zero.
-  // (The scalar loop builds its tracker before checking, but an unconsulted
-  // tracker is unobservable, so satisfied lanes skip construction here.)
+  // (The scalar loop builds its tracker before checking; only a telemetry
+  // sink can observe it, so such lanes build one only for their sink.)
   for (unsigned lane = 0; lane < lanes; ++lane) {
     if (plane.spread(lane) <= stop_delta) {
-      finalize_slot(lane, RunStatus::kCompleted, 0, 0, 0);
+      finalize_idle(lane, RunStatus::kCompleted);
     } else if (max_steps == 0) {
-      finalize_slot(lane, RunStatus::kCapped, 0, 0, 0);
+      finalize_idle(lane, RunStatus::kCapped);
     } else {
-      ctx_store.emplace_back(plane, lane, scheme, &rngs[lane],
-                             token_for(lane));
-      live.push_back(&ctx_store.back());
+      JumpLaneCtx& ctx =
+          ctx_store.emplace_back(plane, lane, scheme, &rngs[lane],
+                                 token_for(lane), sink_for(lane), wall_start);
+      if (ctx.metrics != nullptr) {
+        ctx.metrics->record_mode_switch(0, /*jump_mode=*/true,
+                                        ctx.tracker.active_probability(),
+                                        ctx.tracker.total_discordant_pairs());
+      }
+      live.push_back(&ctx);
     }
   }
   const auto prune = [&] {
@@ -555,6 +645,7 @@ std::vector<JumpRunResult> run_batch_jump(
         if (ctx.tracker.frozen()) {
           // Every pair agrees but the stop rule does not hold: the scalar
           // loop idles to the cap.
+          record_frozen_tail(ctx, clock);
           finalize_ctx(ctx, RunStatus::kCapped, max_steps);
           capped = true;
           continue;
@@ -563,11 +654,13 @@ std::vector<JumpRunResult> run_batch_jump(
             ctx.rng->geometric(ctx.tracker.active_probability());
         if (skipped >= max_steps - clock) {
           // Watchdog: the next effective step falls beyond the budget.
+          record_frozen_tail(ctx, clock);
           finalize_ctx(ctx, RunStatus::kCapped, max_steps);
           capped = true;
           continue;
         }
         ctx.due = clock + skipped + 1;
+        ctx.skipped = skipped;
         ctx.armed = true;
       }
       if (capped) {
@@ -749,6 +842,15 @@ std::vector<JumpRunResult> run_batch_jump(
                       own, plane.opinion(ctx.lane, pair.observed)));
         ctx.tracker.apply_move(pair.updater, own);
         ++ctx.effective_steps;
+        if (ctx.metrics != nullptr) {
+          ctx.metrics->lazy_steps_skipped += ctx.skipped;
+          if (ctx.metrics->activity_stride > 0 &&
+              ctx.effective_steps % ctx.metrics->activity_stride == 0) {
+            ctx.metrics->record_activity(
+                clock, ctx.tracker.active_probability(),
+                ctx.tracker.total_discordant_pairs());
+          }
+        }
         const bool satisfied = plane.spread(ctx.lane) <= stop_delta;
         if (satisfied) {
           finalize_ctx(ctx, RunStatus::kCompleted, clock);
@@ -756,11 +858,15 @@ std::vector<JumpRunResult> run_batch_jump(
           continue;
         }
         if (ctx.tracker.active_probability() > kJumpExitActiveProbability) {
-          // Dense phase: drop to naive scheduled steps, tracker left stale.
+          // Dense phase: drop to naive scheduled steps, tracker left stale
+          // (still fresh here, so a switch entry carries exact activity).
           ctx.jump_mode = false;
           ++ctx.mode_switches;
           ctx.window_steps = 0;
           ctx.window_effective = 0;
+          if (ctx.metrics != nullptr) {
+            record_lane_switch(ctx, clock, /*jump_mode=*/false);
+          }
         }
         if (clock == max_steps) {
           // The scalar loop condition fails before another draw; the mode
@@ -777,6 +883,9 @@ std::vector<JumpRunResult> run_batch_jump(
             ctx.jump_mode = true;
             ctx.armed = false;
             ++ctx.mode_switches;
+            if (ctx.metrics != nullptr) {
+              record_lane_switch(ctx, clock, /*jump_mode=*/true);
+            }
           }
           ctx.window_steps = 0;
           ctx.window_effective = 0;
@@ -790,22 +899,6 @@ std::vector<JumpRunResult> run_batch_jump(
     if (retired_any) {
       prune();
     }
-  }
-
-  if (options.metrics != nullptr) {
-    const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - wall_start)
-                            .count();
-    // Group-level telemetry, as run_batch: per-lane mode trajectories are
-    // the scalar engine's job, so the whole wall clock lands in the jump
-    // bucket and the switch log records only the start mode.
-    options.metrics->record_mode_switch(0, /*jump_mode=*/true, 0.0, 0);
-    options.metrics->scheduled_steps = total_steps;
-    options.metrics->effective_steps = total_effective;
-    options.metrics->tracker_rebuilds = total_rebuilds;
-    options.metrics->batch_lanes = lanes;
-    options.metrics->wall_seconds_total = wall;
-    options.metrics->wall_seconds_jump = wall;
   }
   return results;
 }

@@ -32,14 +32,21 @@
 // Tracing is not supported (RunOptions::trace_stride must be 0) and the
 // process is always plain DIV: faulty or otherwise decorated processes need
 // the scalar engines' virtual dispatch, which is exactly the overhead this
-// path removes.  Callers (divsim, the supervisor) fall back to run() /
-// run_jump() for those.
+// path removes.  divsim runs every untraced plain-DIV attempt here, as a
+// one-lane plane when it runs alone; run() / run_jump() serve tracing,
+// decorated and non-DIV processes, and stay the bit-identity oracles.
+//
+// Telemetry is per lane: `lane_metrics`, like `lane_cancels`, carries one
+// optional RunMetrics sink per lane, and each sink receives exactly what the
+// scalar engine writes for that seed (see run_batch / run_batch_jump below).
+// The group-level RunOptions::metrics sink is refused.
 //
 // This file owns no threads and no replica pool.  Replica sets reach the
-// lane engines through one driver: run_supervised_set's thread executor
-// (engine/supervisor) claims lock-step groups of ready attempts and hands
-// them to SupervisorOptions::batch_task, which builds the plane, seeds each
-// lane from BatchLane::seed and calls run_batch / run_batch_jump.
+// lane engines through one driver, run_supervised_set (engine/supervisor):
+// its thread executor claims lock-step groups of ready attempts for
+// SupervisorOptions::batch_task, and every lone attempt -- on either
+// executor -- goes through the SupervisedTask, which divsim runs on a
+// one-lane plane.
 #pragma once
 
 #include <span>
@@ -62,14 +69,17 @@ namespace divlib {
 // next cancellation poll -- tokens are checked before the first step and
 // then every few step blocks, not per step (the supervisor's per-attempt
 // deadline leases tolerate that coarseness) -- while options.cancel,
-// consulted for lanes without a private token, drains the whole batch.  options.trace_stride must be 0.  options.metrics, when
-// set, receives GROUP-level telemetry: scheduled_steps totals every lane's
-// steps and batch_lanes records the width (per-lane trajectories are the
-// scalar engines' job).
+// consulted for lanes without a private token, drains the whole batch.
+// options.trace_stride must be 0 and options.metrics null.  `lane_metrics`,
+// when non-empty, carries one sink per lane (entries may be null); lane i's
+// sink receives what run() writes for the same seed: one naive timeline
+// entry at step 0 and the lane's scheduled_steps, with wall_* timing the
+// lane from the group's start to its retirement.
 std::vector<RunResult> run_batch(
     const Graph& graph, SelectionScheme scheme, OpinionPlane& plane,
     std::span<Rng> rngs, const RunOptions& options,
-    std::span<const CancelToken* const> lane_cancels = {});
+    std::span<const CancelToken* const> lane_cancels = {},
+    std::span<RunMetrics* const> lane_metrics = {});
 
 // Lock-step multi-lane JUMP-CHAIN execution: every lane runs the scalar
 // hybrid run_jump() state machine -- geometric lazy-step skipping against a
@@ -85,11 +95,16 @@ std::vector<RunResult> run_batch(
 // consumes (geometric, pair draw) in jump mode and select_pair's draws in
 // naive mode in exactly the scalar order, and a lane that stops mid-block
 // rewinds its stream just as run_batch does.  Same restrictions as
-// run_batch: plain DIV only, no tracing; metrics are group-level
-// (effective_steps joins scheduled_steps/batch_lanes).
+// run_batch: plain DIV only, no tracing, no group-level metrics.  Lane i's
+// `lane_metrics` sink receives what run_jump() writes for the same seed --
+// mode timeline with the tracker's activity at each switch, activity
+// samples, scheduled/effective/lazy-skipped/frozen-tail steps and tracker
+// rebuilds -- with wall_* splitting the lane's own mode segments on the
+// group's clock.
 std::vector<JumpRunResult> run_batch_jump(
     const Graph& graph, SelectionScheme scheme, OpinionPlane& plane,
     std::span<Rng> rngs, const RunOptions& options,
-    std::span<const CancelToken* const> lane_cancels = {});
+    std::span<const CancelToken* const> lane_cancels = {},
+    std::span<RunMetrics* const> lane_metrics = {});
 
 }  // namespace divlib

@@ -61,7 +61,6 @@ std::string RunMetrics::to_json() const {
       .field("lazy_steps_skipped", lazy_steps_skipped)
       .field("tracker_rebuilds", tracker_rebuilds)
       .field("frozen_tail_steps", frozen_tail_steps)
-      .field("batch_lanes", batch_lanes)
       .raw_field("mode_timeline", timeline_json)
       .raw_field("activity", activity_json)
       .field("mode_switches_dropped", mode_switches_dropped)

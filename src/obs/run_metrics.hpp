@@ -21,8 +21,10 @@
 // wall_* fields are measured with a monotonic clock and are explicitly
 // NON-reproducible; consumers must not diff them.
 //
-// Opt in by pointing RunOptions::metrics at a RunMetrics; the engines leave
-// a null pointer completely untouched (zero overhead when disabled).
+// Opt in by pointing RunOptions::metrics (scalar engines) or a lane_metrics
+// slot (lane engines, engine/batch_engine) at a RunMetrics; the engines
+// leave a null pointer completely untouched (zero overhead when disabled).
+// A lane's sink holds the same content as a scalar run of that seed.
 #pragma once
 
 #include <cstdint>
@@ -71,11 +73,6 @@ struct RunMetrics {
   std::uint64_t lazy_steps_skipped = 0;  // provably-lazy steps never simulated
   std::uint64_t tracker_rebuilds = 0;  // O(n+m) resyncs on naive->jump entry
   std::uint64_t frozen_tail_steps = 0; // steps burned by a frozen/watchdog exit
-  // Lock-step lanes behind these numbers: 0 for the scalar engines, the
-  // plane width for run_batch (whose scheduled_steps then totals EVERY
-  // lane's steps -- divide wall time into it for the amortized per-replica
-  // step rate the batch engine's telemetry reports).
-  std::uint64_t batch_lanes = 0;
 
   // --- wall-clock split (NON-REPRODUCIBLE: monotonic-clock measurements) ---
   double wall_seconds_total = 0.0;

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <optional>
@@ -937,6 +938,279 @@ TEST(BatchDriver, JumpSlotsMatchScalarAttemptZero) {
     expect_same_jump_result(scalar[replica], *batch.results[replica],
                             "replica " + std::to_string(replica));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Per-lane telemetry: each lane_metrics sink must hold what the scalar engine
+// writes for the same seed -- every non-wall_* field, entry by entry.
+
+void expect_same_metrics(const RunMetrics& scalar, const RunMetrics& lane,
+                         const std::string& where) {
+  EXPECT_EQ(scalar.scheduled_steps, lane.scheduled_steps) << where;
+  EXPECT_EQ(scalar.effective_steps, lane.effective_steps) << where;
+  EXPECT_EQ(scalar.lazy_steps_skipped, lane.lazy_steps_skipped) << where;
+  EXPECT_EQ(scalar.tracker_rebuilds, lane.tracker_rebuilds) << where;
+  EXPECT_EQ(scalar.frozen_tail_steps, lane.frozen_tail_steps) << where;
+  EXPECT_EQ(scalar.mode_switches_dropped, lane.mode_switches_dropped)
+      << where;
+  EXPECT_EQ(scalar.activity_dropped, lane.activity_dropped) << where;
+  ASSERT_EQ(scalar.mode_timeline.size(), lane.mode_timeline.size()) << where;
+  for (std::size_t i = 0; i < scalar.mode_timeline.size(); ++i) {
+    const ModeSwitch& a = scalar.mode_timeline[i];
+    const ModeSwitch& b = lane.mode_timeline[i];
+    const std::string entry = where + " switch " + std::to_string(i);
+    EXPECT_EQ(a.step, b.step) << entry;
+    EXPECT_EQ(a.jump_mode, b.jump_mode) << entry;
+    EXPECT_EQ(a.active_probability, b.active_probability) << entry;
+    EXPECT_EQ(a.discordant_pairs, b.discordant_pairs) << entry;
+  }
+  ASSERT_EQ(scalar.activity.size(), lane.activity.size()) << where;
+  for (std::size_t i = 0; i < scalar.activity.size(); ++i) {
+    const ActivitySample& a = scalar.activity[i];
+    const ActivitySample& b = lane.activity[i];
+    const std::string entry = where + " sample " + std::to_string(i);
+    EXPECT_EQ(a.step, b.step) << entry;
+    EXPECT_EQ(a.active_probability, b.active_probability) << entry;
+    EXPECT_EQ(a.discordant_pairs, b.discordant_pairs) << entry;
+  }
+}
+
+using LaneInit = std::function<std::vector<Opinion>(unsigned, Rng&)>;
+using LaneSinkConfig = std::function<void(unsigned, RunMetrics&)>;
+
+// Runs `lanes` scalar replicas (run, or run_jump when `jump`) with a metrics
+// sink each, then the same seeds through the lane engine in planes of
+// `width` lanes with per-lane sinks, and compares results and metrics lane
+// by lane.  Returns the scalar metrics so callers can check which cases
+// the configuration exercised.
+std::vector<RunMetrics> expect_lane_metrics_match(
+    bool jump, const Graph& graph, SelectionScheme scheme, unsigned lanes,
+    unsigned width, const RunOptions& options, const LaneInit& init,
+    const LaneSinkConfig& configure) {
+  constexpr std::uint64_t kMaster = 0x3e7a;
+  DivProcess process(graph, scheme);
+  std::vector<RunMetrics> scalar(lanes);
+  std::vector<RunResult> scalar_results(lanes);
+  for (unsigned lane = 0; lane < lanes; ++lane) {
+    configure(lane, scalar[lane]);
+    Rng rng(Rng::retry_seed(kMaster, lane, 0));
+    OpinionState state(graph, init(lane, rng));
+    RunOptions scalar_options = options;
+    scalar_options.metrics = &scalar[lane];
+    if (jump) {
+      scalar_results[lane] = run_jump(process, state, rng, scalar_options);
+    } else {
+      scalar_results[lane] = run(process, state, rng, scalar_options);
+    }
+  }
+
+  std::vector<RunMetrics> batch(lanes);
+  for (unsigned first = 0; first < lanes; first += width) {
+    const unsigned group = std::min(width, lanes - first);
+    OpinionPlane plane(graph, group);
+    std::vector<Rng> rngs;
+    std::vector<RunMetrics*> sinks;
+    for (unsigned i = 0; i < group; ++i) {
+      rngs.emplace_back(Rng::retry_seed(kMaster, first + i, 0));
+      plane.assign_lane(i, init(first + i, rngs[i]));
+      configure(first + i, batch[first + i]);
+      sinks.push_back(&batch[first + i]);
+    }
+    std::vector<RunResult> results;
+    if (jump) {
+      const std::vector<JumpRunResult> jump_results =
+          run_batch_jump(graph, scheme, plane, rngs, options, {}, sinks);
+      results.assign(jump_results.begin(), jump_results.end());
+    } else {
+      results = run_batch(graph, scheme, plane, rngs, options, {}, sinks);
+    }
+    for (unsigned i = 0; i < group; ++i) {
+      const unsigned lane = first + i;
+      const std::string where = std::string(to_string(scheme)) + " width " +
+                                std::to_string(width) + " lane " +
+                                std::to_string(lane);
+      expect_same_result(scalar_results[lane], results[i], where);
+      expect_same_metrics(scalar[lane], batch[lane], where);
+    }
+  }
+  return scalar;
+}
+
+std::vector<Opinion> unanimous_but_one(const Graph& graph, unsigned lane) {
+  std::vector<Opinion> opinions(graph.num_vertices(), 2);
+  opinions[lane % graph.num_vertices()] = 3;
+  return opinions;
+}
+
+// run_batch's sinks carry run()'s telemetry: one naive timeline entry at
+// step 0 (dropped into mode_switches_dropped under max_samples == 0) and
+// the lane's scheduled steps, for lanes satisfied at step 0, lanes that
+// complete, and lanes the step cap stops.
+TEST(BatchEngine, PerLaneMetricsMatchScalarRun) {
+  Rng graph_rng(0x51c);
+  const Graph graph = make_connected_random_regular(48, 4, graph_rng);
+  RunOptions options;
+  options.max_steps = 1000;
+  const LaneInit init = [&graph](unsigned lane, Rng& rng) {
+    if (lane == 0) {
+      return std::vector<Opinion>(graph.num_vertices(), 3);
+    }
+    if (lane % 2 == 1) {
+      return unanimous_but_one(graph, lane);
+    }
+    return uniform_random_opinions(graph.num_vertices(), 1, 8, rng);
+  };
+  const LaneSinkConfig configure = [](unsigned lane, RunMetrics& metrics) {
+    if (lane == 3) {
+      metrics.max_samples = 0;
+    }
+  };
+  for (const SelectionScheme scheme :
+       {SelectionScheme::kVertex, SelectionScheme::kEdge}) {
+    for (const unsigned width : {1u, 4u}) {
+      const std::vector<RunMetrics> scalar = expect_lane_metrics_match(
+          /*jump=*/false, graph, scheme, /*lanes=*/8, width, options, init,
+          configure);
+      EXPECT_EQ(scalar[0].scheduled_steps, 0u);
+      EXPECT_EQ(scalar[3].mode_switches_dropped, 1u);
+      std::size_t capped = 0;
+      std::size_t completed = 0;
+      for (const RunMetrics& metrics : scalar) {
+        if (metrics.scheduled_steps == options.max_steps) {
+          ++capped;
+        } else if (metrics.scheduled_steps > 0) {
+          ++completed;
+        }
+      }
+      EXPECT_GT(capped, 0u);
+      EXPECT_GT(completed, 0u);
+    }
+  }
+
+  // A group-level RunOptions::metrics sink and a sink span of the wrong
+  // width are refused.
+  OpinionPlane plane(graph, 2);
+  std::vector<Rng> rngs;
+  for (unsigned lane = 0; lane < 2; ++lane) {
+    rngs.emplace_back(Rng::retry_seed(1, lane, 0));
+    plane.assign_lane(lane, init(lane, rngs[lane]));
+  }
+  RunMetrics metrics;
+  RunOptions group_sink;
+  group_sink.metrics = &metrics;
+  EXPECT_THROW(run_batch(graph, SelectionScheme::kEdge, plane, rngs,
+                         group_sink),
+               std::invalid_argument);
+  RunMetrics* const one_sink[1] = {&metrics};
+  EXPECT_THROW(run_batch(graph, SelectionScheme::kEdge, plane, rngs,
+                         RunOptions{}, {}, one_sink),
+               std::invalid_argument);
+}
+
+// run_batch_jump's sinks carry run_jump()'s telemetry across every exit and
+// mode path: lanes satisfied at step 0 (whose scalar tracker still stamps
+// the launch entry, with non-zero activity under the two-adjacent rule),
+// mixed dense and lazy lanes (mode switches, rebuilds, activity samples on
+// jump-mode steps where the cumulative effective count, naive changes
+// included, hits the stride), tiny max_samples (the *_dropped counters),
+// frozen-capped lanes on a disconnected graph and watchdog-capped lanes
+// under a tight budget (both booking the remaining stretch as frozen-tail
+// and lazy-skipped steps).
+TEST(BatchJump, PerLaneMetricsMatchScalarJump) {
+  // Two 24-cliques joined by one edge: clique-internal dense phases
+  // alternate with lazy stretches where only the bridge disagrees, so lanes
+  // switch modes and resync their trackers many times.
+  const Graph graph = make_barbell(24);
+  const Graph split(4, {{0, 1}, {2, 3}});
+  const VertexId n = graph.num_vertices();
+  const LaneInit mixed = [n](unsigned lane, Rng& rng) {
+    std::vector<Opinion> opinions(n, 1);
+    if (lane == 0) {
+      // Satisfied at step 0 under the two-adjacent rule, yet discordant.
+      for (VertexId v = 0; v < n; v += 2) {
+        opinions[v] = 2;
+      }
+      return opinions;
+    }
+    if (lane % 2 == 1) {
+      // Lazy: each clique unanimous, the cliques far apart.
+      std::fill(opinions.begin() + n / 2, opinions.end(), 8);
+      return opinions;
+    }
+    return uniform_random_opinions(n, 1, 8, rng);
+  };
+  const LaneSinkConfig sampled = [](unsigned lane, RunMetrics& metrics) {
+    metrics.activity_stride = 8;
+    if (lane == 3) {
+      metrics.max_samples = 2;
+    }
+  };
+
+  RunOptions consensus;
+  RunOptions two_adjacent;
+  two_adjacent.stop = StopKind::kTwoAdjacent;
+  RunOptions tight;
+  tight.max_steps = 20;
+  RunOptions capped;
+  capped.max_steps = 100000;
+
+  // Totals that show the configurations reached the paths named above.
+  std::uint64_t watchdog_tails = 0;
+  std::uint64_t frozen_tails = 0;
+  std::uint64_t rebuilds = 0;
+  std::uint64_t dropped = 0;
+  std::size_t samples = 0;
+  double launch_activity = 0.0;
+  const auto tally = [&](const std::vector<RunMetrics>& lanes_metrics) {
+    for (const RunMetrics& metrics : lanes_metrics) {
+      rebuilds += metrics.tracker_rebuilds;
+      dropped += metrics.activity_dropped;
+      samples += metrics.activity.size();
+    }
+  };
+  const LaneInit split_init = [](unsigned lane, Rng&) {
+    return lane % 2 == 0 ? std::vector<Opinion>{1, 1, 2, 2}
+                         : std::vector<Opinion>{1, 2, 2, 1};
+  };
+  for (const SelectionScheme scheme :
+       {SelectionScheme::kVertex, SelectionScheme::kEdge}) {
+    for (const unsigned width : {1u, 4u}) {
+      tally(expect_lane_metrics_match(/*jump=*/true, graph, scheme, 8, width,
+                                      consensus, mixed, sampled));
+      const std::vector<RunMetrics> adjacent = expect_lane_metrics_match(
+          /*jump=*/true, graph, scheme, 4, width, two_adjacent, mixed,
+          sampled);
+      tally(adjacent);
+      launch_activity += adjacent[0].mode_timeline.at(0).active_probability;
+      for (const RunMetrics& metrics :
+           expect_lane_metrics_match(/*jump=*/true, graph, scheme, 8, width,
+                                     tight, mixed, sampled)) {
+        watchdog_tails += metrics.frozen_tail_steps;
+      }
+      for (const RunMetrics& metrics :
+           expect_lane_metrics_match(/*jump=*/true, split, scheme, 4, width,
+                                     capped, split_init, sampled)) {
+        frozen_tails += metrics.frozen_tail_steps;
+      }
+    }
+  }
+  EXPECT_GT(watchdog_tails, 0u);
+  EXPECT_GT(frozen_tails, 0u);
+  EXPECT_GT(rebuilds, 0u);
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(samples, 0u);
+  EXPECT_GT(launch_activity, 0.0);
+
+  OpinionPlane plane(graph, 1);
+  std::vector<Rng> rngs;
+  rngs.emplace_back(1);
+  plane.assign_lane(0, mixed(1, rngs[0]));
+  RunMetrics metrics;
+  RunOptions group_sink;
+  group_sink.metrics = &metrics;
+  EXPECT_THROW(run_batch_jump(graph, SelectionScheme::kEdge, plane, rngs,
+                              group_sink),
+               std::invalid_argument);
 }
 
 // SupervisorOptions::batch_lanes gets the same loud range guard the CLI

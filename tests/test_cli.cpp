@@ -178,6 +178,15 @@ TEST(BatchLanesCli, RefusalTextNamesTheScalarFallback) {
                "a scalar-engine feature)");
 }
 
+// --engine jump with a non-DIV process is refused at parse time (it used to
+// fault every replica and exit 0).
+TEST(JumpEngineCli, RefusalTextNamesTheStepEngine) {
+  EXPECT_STREQ(kJumpProcessRefusal,
+               "--engine=jump only supports --process div (the jump chain "
+               "skips lazy steps of the DIV update rule); use the step "
+               "engine for other processes");
+}
+
 // Regression: --k, --retries, --threads and --workers were narrowed with a
 // bare static_cast, so --isolation process --workers 4294967298 (or
 // --threads 4294967298 with --workers 0) forked 2 workers, --k 4294967299

@@ -307,6 +307,9 @@ int cmd_run(const Args& args) {
         "a fault plan (churn schedules tick on the step clock); use the step "
         "engine for fault injection");
   }
+  if (jump && process_name != "div") {
+    throw std::invalid_argument(kJumpProcessRefusal);
+  }
 
   const std::string checkpoint_dir = args.get("checkpoint-dir", "");
   const std::uint64_t checkpoint_every = args.get_positive_u64("checkpoint-every", 1);
@@ -440,11 +443,11 @@ int cmd_run(const Args& args) {
   if (batch_lanes > 1) {
     std::cout << "batch lanes: " << batch_lanes << " (lock-step engine";
     if (!checkpoint_dir.empty() && !supervise) {
-      std::cout << "; note: plain campaigns journal via the scalar driver, "
-                   "add --supervise to batch";
+      std::cout << "; note: plain campaigns run one lane per replica, so the "
+                   "width is not applied; add --supervise to batch";
     } else if (isolation == Isolation::kProcess) {
-      std::cout << "; note: the process fleet hands workers scalar attempts, "
-                   "use --isolation thread to batch";
+      std::cout << "; note: fleet workers run one lane per replica, so the "
+                   "width is not applied; use --isolation thread to batch";
     }
     std::cout << ")\n";
   }
@@ -513,14 +516,14 @@ int cmd_run(const Args& args) {
         std::chrono::milliseconds(heartbeat_ms));
   }
 
-  // Per-replica accounting for scalar runs and batch lanes alike: status
-  // counter, scheduled_steps histogram, and one "run" record keyed by
-  // replica id (a retried replica emits one per attempt; readers keep the
-  // last).  Scalar runs attach their RunMetrics trajectory; batch lanes,
-  // whose engine reports group-level metrics only, attach the lane width.
+  // Per-replica accounting: status counter, scheduled_steps histogram, and
+  // one "run" record keyed by replica id with the attempt's RunMetrics
+  // trajectory (a retried replica emits one per attempt; readers keep the
+  // last).  The lane and scalar engines fill identical metrics for a seed,
+  // so the record does not depend on the path that ran the attempt.
   const auto account_run = [&](std::size_t replica, const RunResult& result,
                                std::uint64_t effective_steps,
-                               const RunMetrics* metrics, unsigned lanes) {
+                               const RunMetrics& metrics) {
     if (telemetry) {
       switch (result.status) {
         case RunStatus::kCompleted: runs_completed.add(); break;
@@ -537,33 +540,96 @@ int cmd_run(const Args& args) {
           .field("replica", static_cast<std::uint64_t>(replica))
           .field("status", to_string(result.status))
           .field("steps", result.steps)
-          .field("effective_steps", effective_steps);
-      if (metrics != nullptr) {
-        line.raw_field("metrics", metrics->to_json());
-      } else {
-        line.field("batch_lanes", static_cast<std::uint64_t>(lanes));
-      }
+          .field("effective_steps", effective_steps)
+          .raw_field("metrics", metrics.to_json());
       metrics_out->emit(line.str());
     }
   };
+  // The executor's drain convention: nullopt for BOTH a deadline kill and
+  // an operator drain (it reads the lease token's CancelReason to tell them
+  // apart).  A finished attempt persists through the campaign journal's
+  // codec, so every path reports from the same bytes.
+  const auto verdict_of =
+      [](const ReplicaRun& out) -> std::optional<std::string> {
+    if (out.result.status == RunStatus::kCancelled ||
+        out.result.status == RunStatus::kDeadline) {
+      return std::nullopt;
+    }
+    return encode_replica_run(out);
+  };
 
-  // The one task every path runs.  `cancel` is the executor's per-attempt
-  // lease (the global SIGINT token for plain campaigns), so a deadline kill
-  // stops one attempt, not the whole batch.  The executor's drain
-  // convention: nullopt for BOTH a deadline kill and an operator drain; it
-  // reads the lease token's CancelReason to tell them apart.  A successful
-  // attempt persists through the campaign journal's codec, so every path
-  // reports from the same bytes.  Replica 0's trace is captured on the side
-  // (the journal keeps no traces); a speculative twin records the same
-  // bytes.  Fleet workers emit no telemetry: they inherit the parent's JSONL
-  // file descriptor and registry across fork(), and a child writing either
-  // would interleave with (and double) the parent's.
+  // Fleet workers emit no telemetry: they inherit the parent's JSONL file
+  // descriptor and registry across fork(), and a child writing either would
+  // interleave with (and double) the parent's.
   const bool emit_telemetry = isolation == Isolation::kThread;
+
+  // The one lane runner.  Every plain-DIV attempt (--process div, no
+  // --fault, no --trace) runs on the lane kernel: alone as a one-lane plane
+  // (the default width, lone claims, speculative twins, plain campaigns,
+  // fleet workers) or as a lock-step group (batch_task).  Lane i draws its
+  // initial opinions from rngs[i] exactly as the scalar engines'
+  // OpinionState would, and the lane engines are bit-identical per seed, so
+  // every payload and every metrics record equals a scalar run's.
+  // `cancels` are the executor's per-attempt lease tokens (the global
+  // SIGINT token for plain campaigns): a deadline kill drains one lane.
+  const bool lane_kernel =
+      process_name == "div" && !fault_spec.any() && trace_stride == 0;
+  const auto run_lanes = [&](std::span<const std::size_t> lane_replicas,
+                             std::span<Rng> rngs,
+                             std::span<const CancelToken* const> cancels) {
+    const auto width = static_cast<unsigned>(rngs.size());
+    OpinionPlane plane(graph, width);
+    for (unsigned lane = 0; lane < width; ++lane) {
+      plane.assign_lane(lane, uniform_random_opinions(graph.num_vertices(), 1,
+                                                      k, rngs[lane]));
+    }
+    std::vector<RunMetrics> metrics(width);
+    std::vector<RunMetrics*> sinks;
+    if (metrics_out && emit_telemetry) {
+      for (RunMetrics& sink : metrics) {
+        sinks.push_back(&sink);
+      }
+    }
+    std::vector<ReplicaRun> runs(width);
+    if (jump) {
+      std::vector<JumpRunResult> results = run_batch_jump(
+          graph, scheme, plane, rngs, options, cancels, sinks);
+      for (unsigned lane = 0; lane < width; ++lane) {
+        runs[lane].effective_steps = results[lane].effective_steps;
+        runs[lane].result = std::move(results[lane]);
+      }
+    } else {
+      std::vector<RunResult> results =
+          run_batch(graph, scheme, plane, rngs, options, cancels, sinks);
+      for (unsigned lane = 0; lane < width; ++lane) {
+        runs[lane].result = std::move(results[lane]);
+      }
+    }
+    std::vector<std::optional<std::string>> verdicts(width);
+    for (unsigned lane = 0; lane < width; ++lane) {
+      if (emit_telemetry) {
+        account_run(lane_replicas[lane], runs[lane].result,
+                    runs[lane].effective_steps, metrics[lane]);
+      }
+      verdicts[lane] = verdict_of(runs[lane]);
+    }
+    return verdicts;
+  };
+
+  // The one task every path runs.  Plain DIV goes to the lane runner; the
+  // scalar engines serve what the lane kernel cannot: fault plans, non-DIV
+  // processes, and --trace (replica 0's trace is captured on the side, as
+  // the journal keeps no traces; a speculative twin records the same
+  // bytes).
   std::mutex trace_mutex;
   std::optional<Trace> replica0_trace;
   const SupervisedTask task =
       [&](std::size_t replica, Rng& rng,
           const CancelToken& cancel) -> std::optional<std::string> {
+    if (lane_kernel) {
+      const CancelToken* const token = &cancel;
+      return std::move(run_lanes({&replica, 1}, {&rng, 1}, {&token, 1})[0]);
+    }
     OpinionState state(
         graph, uniform_random_opinions(graph.num_vertices(), 1, k, rng));
     auto process = make_process_from_spec(process_name, scheme, graph);
@@ -597,17 +663,14 @@ int cmd_run(const Args& args) {
       out.result = run_guarded(*process, state, rng, replica_options);
     }
     if (emit_telemetry) {
-      account_run(replica, out.result, out.effective_steps, &metrics, 1);
+      account_run(replica, out.result, out.effective_steps, metrics);
     }
-    if (out.result.status == RunStatus::kCancelled ||
-        out.result.status == RunStatus::kDeadline) {
-      return std::nullopt;
-    }
-    if (replica == 0 && trace_stride > 0) {
+    std::optional<std::string> payload = verdict_of(out);
+    if (payload && replica == 0 && trace_stride > 0) {
       const std::lock_guard<std::mutex> lock(trace_mutex);
       replica0_trace = out.result.trace;
     }
-    return encode_replica_run(out);
+    return payload;
   };
 
   const MonteCarloOptions mc{.master_seed = master_seed,
@@ -659,55 +722,25 @@ int cmd_run(const Args& args) {
       };
     }
   }
-  // Thread-mode runs dispatch lock-step groups through the batch engine:
-  // each lane keeps its retry_seed stream and its private lease token, so
-  // every payload is byte-identical to the scalar task's and deadline kills
-  // still drain one lane.  The process fleet, plain campaigns and scalar
-  // fallbacks (lone claims, speculative twins) go through `task`.
+  // Thread-mode runs claim lock-step groups of up to --batch-lanes attempts
+  // for the lane runner; each lane keeps its retry_seed stream and its
+  // private lease token.  Lone claims and speculative twins go through
+  // `task`, which runs them as one-lane groups.
   if (batch_lanes > 1 && isolation == Isolation::kThread) {
     sup.batch_lanes = batch_lanes;
-    sup.batch_task = [&](std::span<const BatchLane> lanes)
-        -> std::vector<std::optional<std::string>> {
-      const auto width = static_cast<unsigned>(lanes.size());
-      OpinionPlane plane(graph, width);
+    sup.batch_task = [&](std::span<const BatchLane> lanes) {
+      std::vector<std::size_t> lane_replicas;
       std::vector<Rng> rngs;
       std::vector<const CancelToken*> cancels;
-      rngs.reserve(width);
-      cancels.reserve(width);
-      for (unsigned lane = 0; lane < width; ++lane) {
-        rngs.emplace_back(lanes[lane].seed);
-        plane.assign_lane(lane,
-                          uniform_random_opinions(graph.num_vertices(), 1, k,
-                                                  rngs[lane]));
-        cancels.push_back(lanes[lane].cancel);
+      lane_replicas.reserve(lanes.size());
+      rngs.reserve(lanes.size());
+      cancels.reserve(lanes.size());
+      for (const BatchLane& lane : lanes) {
+        lane_replicas.push_back(lane.replica);
+        rngs.emplace_back(lane.seed);
+        cancels.push_back(lane.cancel);
       }
-      std::vector<RunResult> lane_results;
-      std::vector<std::uint64_t> lane_effective(width, 0);
-      if (jump) {
-        std::vector<JumpRunResult> jump_results =
-            run_batch_jump(graph, scheme, plane, rngs, options, cancels);
-        lane_results.reserve(width);
-        for (unsigned lane = 0; lane < width; ++lane) {
-          lane_effective[lane] = jump_results[lane].effective_steps;
-          lane_results.push_back(std::move(jump_results[lane]));
-        }
-      } else {
-        lane_results = run_batch(graph, scheme, plane, rngs, options, cancels);
-      }
-      std::vector<std::optional<std::string>> verdicts(width);
-      for (unsigned lane = 0; lane < width; ++lane) {
-        account_run(lanes[lane].replica, lane_results[lane],
-                    lane_effective[lane], nullptr, width);
-        if (lane_results[lane].status == RunStatus::kCancelled ||
-            lane_results[lane].status == RunStatus::kDeadline) {
-          continue;  // nullopt: the supervisor reads the lease token's reason
-        }
-        ReplicaRun out;
-        out.result = lane_results[lane];
-        out.effective_steps = lane_effective[lane];
-        verdicts[lane] = encode_replica_run(out);
-      }
-      return verdicts;
+      return run_lanes(lane_replicas, rngs, cancels);
     };
   }
   std::vector<std::optional<ReplicaRun>> results(replicas);
