@@ -83,9 +83,10 @@ std::size_t CalibrationLog::warm(CompletionEstimator& estimator) const {
 
 void CalibrationLog::append(double wall_seconds) {
   if (!std::isfinite(wall_seconds) || wall_seconds <= 0.0) return;
-  std::lock_guard<std::mutex> lock(mu_);
   writer_->append(encode_observation(wall_seconds));
-  writer_->flush();
+  writer_->publish();
 }
+
+void CalibrationLog::flush() { writer_->flush(); }
 
 }  // namespace divlib

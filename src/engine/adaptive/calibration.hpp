@@ -14,12 +14,15 @@
 // replica count) is worse than a cold start, because it would arm deadlines
 // learned for the wrong distribution.  A malformed or torn log degrades the
 // same way; calibration is an optimization, never a correctness input.
+//
+// run_supervised_campaign (engine/campaign) owns the log of its checkpoint
+// directory whenever the caller arms an estimator: it opens the log after
+// the meta check, warms the estimator, and wires its observer to append().
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -41,10 +44,18 @@ class CalibrationLog {
   // re-persisted.
   std::size_t warm(CompletionEstimator& estimator) const;
 
-  // Appends one observation and flushes.  Observations are rare (one per
-  // successful attempt) and load-bearing across restarts, so each one is
-  // fsync'd.  Thread-safe.
+  // Appends one observation and writes it through to the OS at once, so a
+  // reader -- or a resume after this process is killed -- sees it, but does
+  // not fsync: it runs as the estimator's observer, under the executor's
+  // lock.  Thread-safe.
   void append(double wall_seconds);
+
+  // Makes every observation appended before the call durable.  A group
+  // commit (io/journal): concurrent callers share one fsync.  The
+  // supervised campaign calls it after each success, outside the executor's
+  // lock, so a sample is on disk before its worker claims again.
+  // Thread-safe.
+  void flush();
 
   // Observations recovered from disk at open time.
   std::size_t loaded() const { return loaded_.size(); }
@@ -58,7 +69,6 @@ class CalibrationLog {
   std::uint32_t fingerprint_ = 0;
   std::vector<double> loaded_;
   std::unique_ptr<JournalWriter> writer_;
-  std::mutex mu_;
 };
 
 }  // namespace divlib

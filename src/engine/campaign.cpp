@@ -7,7 +7,9 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "engine/adaptive/calibration.hpp"
 #include "io/atomic_file.hpp"
+#include "io/crc32.hpp"
 #include "io/journal.hpp"
 
 namespace divlib {
@@ -315,10 +317,17 @@ SupervisedCampaignResult run_supervised_campaign(
   }
 
   JournalWriter writer(paths.journal);
-  std::mutex journal_mutex;
+  std::mutex journal_mutex;  // the flush cadence and the result slots
   std::uint64_t unflushed = 0;
   const std::uint64_t flush_every =
       std::max<std::uint64_t>(1, options.flush_every);
+  // Group commit: a caller whose flush led the fsync beats the heartbeat,
+  // so there is one "flush" beat per fsync, not one per record.
+  const auto commit = [&] {
+    if (writer.flush() && options.heartbeat != nullptr) {
+      options.heartbeat->beat("flush");
+    }
+  };
 
   if (supervision.progress != nullptr) {
     supervision.progress->total.store(replicas, std::memory_order_relaxed);
@@ -328,10 +337,32 @@ SupervisedCampaignResult run_supervised_campaign(
                                         std::memory_order_relaxed);
   }
 
+  // Persisted calibration: the meta check above keys calibration.journal to
+  // this exact configuration, so a resume re-arms its learned deadline
+  // before the first replica runs.  The observer only writes samples
+  // through (it runs under the executor's lock); on_success makes them
+  // durable, outside it, before the worker claims again.
+  std::optional<CalibrationLog> calibration;
+  CompletionEstimator* const estimator = supervision.estimator;
+  if (estimator != nullptr) {
+    calibration.emplace(options.directory, crc32_of(options.meta));
+    result.warmed = calibration->warm(*estimator);
+    estimator->set_observer(
+        [&calibration](double seconds) { calibration->append(seconds); });
+  }
+  // The estimator outlives this call; its observer must not.
+  const struct ObserverReset {
+    CompletionEstimator* estimator;
+    ~ObserverReset() {
+      if (estimator != nullptr) {
+        estimator->set_observer(nullptr);
+      }
+    }
+  } observer_reset{estimator};
+
   // Wrap the caller's event sink so quarantines hit the journal the moment
   // they are decided (flushed immediately: they are rare and load-bearing).
-  // Events arrive under the supervisor's lock, so the lock order here --
-  // supervisor lock, then journal mutex -- matches on_success below.
+  // Events, like payloads, arrive outside the executor's lock.
   SupervisorOptions supervised = supervision;
   if (!dodge_base.empty()) {
     const std::function<unsigned(std::size_t)> inherited =
@@ -347,13 +378,9 @@ SupervisedCampaignResult run_supervised_campaign(
   }
   supervised.on_event = [&](const SupervisionEvent& event) {
     if (event.kind == SupervisionEvent::Kind::kQuarantine) {
-      const std::lock_guard<std::mutex> lock(journal_mutex);
       writer.append(encode_quarantine_record(
           {event.replica, event.attempt, event.failure, event.detail}));
-      writer.flush();
-      if (options.heartbeat != nullptr) {
-        options.heartbeat->beat("flush");
-      }
+      commit();
     } else if (event.kind == SupervisionEvent::Kind::kDeadlineKill ||
                event.kind == SupervisionEvent::Kind::kDeadlineAdapt ||
                event.kind == SupervisionEvent::Kind::kBreakerOpen ||
@@ -363,35 +390,40 @@ SupervisedCampaignResult run_supervised_campaign(
       // --json` explains every kill.  Rare by construction (adapt events
       // carry a >10% hysteresis, dismissals are bounded by the pool size),
       // so the immediate flush is cheap.
-      const std::lock_guard<std::mutex> lock(journal_mutex);
       writer.append(encode_supervision_record(event));
-      writer.flush();
+      commit();
     }
     if (supervision.on_event) {
       supervision.on_event(event);
     }
   };
 
+  // on_success runs outside the executor's lock and concurrently across
+  // workers: the append and the cadence count are serialized here, the
+  // fsync is not, so workers that flush together share it.
   result.report = run_supervised_set(
       pending, task,
       [&](std::size_t replica, std::string&& payload) {
-        const std::lock_guard<std::mutex> lock(journal_mutex);
-        writer.append(encode_campaign_record(replica, payload));
-        if (++unflushed >= flush_every) {
-          writer.flush();
-          if (options.heartbeat != nullptr) {
-            options.heartbeat->beat("flush");
+        bool due = false;
+        {
+          const std::lock_guard<std::mutex> lock(journal_mutex);
+          writer.append(encode_campaign_record(replica, payload));
+          due = ++unflushed >= flush_every;
+          if (due) {
+            unflushed = 0;
           }
-          unflushed = 0;
+          result.payloads[replica] = std::move(payload);
+          ++result.ran;
         }
-        result.payloads[replica] = std::move(payload);
-        ++result.ran;
+        if (calibration.has_value()) {
+          calibration->flush();
+        }
+        if (due) {
+          commit();
+        }
       },
       supervised);
-  writer.flush();
-  if (options.heartbeat != nullptr) {
-    options.heartbeat->beat("flush");
-  }
+  commit();
 
   for (const QuarantineRecord& record : result.report.quarantined) {
     quarantined[record.replica] = record;

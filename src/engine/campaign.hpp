@@ -11,6 +11,9 @@
 //   <dir>/results.journal   -- append-only CRC-framed log (io/journal.*);
 //                              one record per finished replica:
 //                              "<replica-id> <payload>".
+//   <dir>/calibration.journal -- supervised campaigns with an estimator
+//                              only: completion-time samples keyed by
+//                              crc32(meta) (engine/adaptive/calibration.*).
 //
 // A restart with resume = true recovers the journal (truncating a torn
 // tail), loads the finished replicas, and re-runs ONLY the missing ones.
@@ -67,10 +70,12 @@ struct CampaignOptions {
   std::string meta;
   MonteCarloOptions mc;
   // Optional heartbeat: run_campaign() beats it with reason "flush" after
-  // every journal flush (including the final one), so the telemetry stream
-  // always carries a progress record at least as fresh as the last durable
-  // replica.  When mc.progress is also set, the driver seeds its `total`
-  // and `resumed` counters before any replica runs.  Null disables both.
+  // every journal flush (including the final one), and
+  // run_supervised_campaign() once per journal fsync (concurrent flushes
+  // share one, see below), so the telemetry stream always carries a
+  // progress record at least as fresh as the last durable replica.  When
+  // mc.progress is also set, the driver seeds its `total` and `resumed`
+  // counters before any replica runs.  Null disables both.
   Heartbeat* heartbeat = nullptr;
   // Supervised resumes only: re-admit journal-quarantined replicas with the
   // poison-seed dodge -- each re-admitted replica starts at the attempt
@@ -159,6 +164,9 @@ struct SupervisedCampaignResult {
   // sorted by replica id.  A resume never re-runs these.
   std::vector<QuarantineRecord> quarantined;
   CampaignStatus status = CampaignStatus::kComplete;
+  // Completion samples replayed from calibration.journal into
+  // supervision.estimator before the first replica ran (0 without one).
+  std::size_t warmed = 0;
   SupervisorReport report;  // THIS session's supervision summary
   bool complete() const { return resumed + ran == payloads.size(); }
 };
@@ -166,10 +174,24 @@ struct SupervisedCampaignResult {
 // Supervised analogue of run_campaign(): runs the replicas missing from the
 // journal (skipping quarantined ids) under run_supervised_set.  Seeds,
 // thread count, cancellation, and progress come from `supervision`, NOT
-// from options.mc; directory/meta/flush/heartbeat semantics are identical
-// to run_campaign.  Quarantine records are flushed to the journal the
-// moment they happen, so even a SIGKILLed degraded campaign resumes without
+// from options.mc; directory/meta/flush semantics are those of
+// run_campaign.  Quarantine records are flushed to the journal the moment
+// they happen, so even a SIGKILLed degraded campaign resumes without
 // re-running its poison replicas.
+//
+// The journal is group-committed: on_success runs outside the executor's
+// lock, and the worker whose record reaches flush_every unflushed records
+// flushes without holding any lock across the fsync, so workers that finish
+// together share one fsync.  At flush_every = 1 a worker's record is still
+// durable before that worker claims its next attempt.
+//
+// When supervision.estimator is set, the campaign owns calibration.journal:
+// after the meta check it opens the log keyed by crc32(options.meta), warms
+// the estimator from it (SupervisedCampaignResult::warmed), points the
+// estimator's observer at the log for this call only, and makes each
+// success's sample durable before its worker claims again, at any
+// flush_every.  Throws std::runtime_error on directory/journal failures or
+// a meta mismatch, including a journal failure inside a callback.
 SupervisedCampaignResult run_supervised_campaign(
     std::size_t replicas, const SupervisedTask& task,
     const CampaignOptions& options, const SupervisorOptions& supervision);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <exception>
 #include <map>
 #include <mutex>
 #include <new>
@@ -9,6 +10,7 @@
 #include <stdexcept>
 #include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/fleet.hpp"
@@ -144,6 +146,15 @@ using ExecutionId = ReplicaScheduler::ExecutionId;
 // the scheduler's clock and fires the tokens it names.  Every policy
 // decision -- which attempt, when, and what its verdict means -- comes from
 // the ReplicaScheduler, always called under mu_.
+//
+// The caller's callbacks never run under mu_.  The scheduler hands accepted
+// payloads and events to stashes; the thread whose verdict (or tick) filled
+// them delivers them after dropping the lock and before it claims again --
+// events one at a time in emission order, payloads concurrently across
+// workers, so a journal's group commit can share one fsync among them.  A
+// callback that throws ends the run: claims stop as under an operator
+// cancel, in-flight attempts drain, the pool joins, and the first error is
+// rethrown.
 class SupervisorRun {
  public:
   SupervisorRun(std::span<const std::size_t> replica_ids,
@@ -152,10 +163,15 @@ class SupervisorRun {
                     on_success,
                 const SupervisorOptions& options)
       : task_(task),
+        on_success_(on_success),
         options_(options),
         workers_(static_cast<unsigned>(std::min<std::size_t>(
             resolve_thread_count(options.num_threads), replica_ids.size()))),
-        scheduler_(replica_ids, options, on_success, workers_,
+        stash_payload_([this](std::size_t replica, std::string&& payload) {
+          accepted_.emplace_back(replica, std::move(payload));
+        }),
+        scheduled_(stash_events(options)),
+        scheduler_(replica_ids, scheduled_, stash_payload_, workers_,
                    Isolation::kThread, Clock::now()) {
     if (options_.metrics != nullptr) {
       batch_groups_counter_ =
@@ -184,6 +200,9 @@ class SupervisorRun {
     for (std::thread& thread : pool) {
       thread.join();
     }
+    if (error_) {
+      std::rethrow_exception(error_);
+    }
     SupervisorReport report = scheduler_.finish(
         options_.cancel != nullptr && options_.cancel->requested());
     report.batch_groups = batch_groups_;
@@ -192,6 +211,17 @@ class SupervisorRun {
   }
 
  private:
+  // The scheduler's view of the options: on_event feeds the stash.
+  SupervisorOptions stash_events(const SupervisorOptions& options) {
+    SupervisorOptions scheduled = options;
+    if (options.on_event) {
+      scheduled.on_event = [this](const SupervisionEvent& event) {
+        events_.push_back(event);
+      };
+    }
+    return scheduled;
+  }
+
   void fire_locked(const std::vector<ReplicaScheduler::Kill>& kills) {
     for (const ReplicaScheduler::Kill& kill : kills) {
       tokens_.at(kill.execution).request(kill.reason);
@@ -208,6 +238,19 @@ class SupervisorRun {
         options_.cancel->requested()) {
       fire_locked(scheduler_.cancel());
     }
+  }
+
+  // A callback threw: keep the first error and drain like an operator
+  // cancel, so no new attempt starts and the run can end.
+  void fail_locked(std::exception_ptr error) {
+    if (!error_) {
+      error_ = std::move(error);
+    }
+    if (!scheduler_.cancelled()) {
+      fire_locked(scheduler_.cancel());
+    }
+    work_cv_.notify_all();
+    monitor_cv_.notify_one();
   }
 
   // Hands one attempt's verdict to the scheduler: a payload, a classified
@@ -227,11 +270,48 @@ class SupervisorRun {
     }
   }
 
+  // Runs the caller's callbacks on what the stashes hold, with mu_ released
+  // (entered and left holding it).  Events go first, under event_mu_, which
+  // the thread holds from taking the pending batch until it is delivered:
+  // the stream stays in emission order, and events pending when this thread
+  // looked are delivered -- by it or by whoever took them -- before it
+  // returns.  Then this thread's accepted payloads, concurrently with other
+  // workers' deliveries.
+  void deliver(std::unique_lock<std::mutex>& lock) {
+    std::vector<std::pair<std::size_t, std::string>> accepted;
+    accepted.swap(accepted_);
+    const bool events_pending = !events_.empty();
+    if (accepted.empty() && !events_pending) {
+      return;
+    }
+    lock.unlock();
+    try {
+      if (events_pending) {
+        const std::lock_guard<std::mutex> order(event_mu_);
+        std::vector<SupervisionEvent> events;
+        lock.lock();
+        events.swap(events_);
+        lock.unlock();
+        for (const SupervisionEvent& event : events) {
+          options_.on_event(event);
+        }
+      }
+      for (auto& [replica, payload] : accepted) {
+        on_success_(replica, std::move(payload));
+      }
+    } catch (...) {
+      lock.lock();
+      fail_locked(std::current_exception());
+      return;
+    }
+    lock.lock();
+  }
+
   void worker_loop() {
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
       observe_cancel_locked();
-      if (scheduler_.finished()) {
+      if (scheduler_.finished() || error_) {
         return;
       }
       const auto now = Clock::now();
@@ -266,14 +346,24 @@ class SupervisorRun {
           group.push_back(*mate);
         }
       }
-      if (group.size() > 1) {
-        run_group(lock, group);
-      } else {
-        run_scalar(lock, *launch);
+      try {
+        // A verdict can throw only out of a callback the scheduler calls
+        // inline: the estimator's observer.
+        if (group.size() > 1) {
+          run_group(lock, group);
+        } else {
+          run_scalar(lock, *launch);
+        }
+      } catch (...) {
+        if (!lock.owns_lock()) {
+          lock.lock();
+        }
+        fail_locked(std::current_exception());
       }
       --busy_;
       work_cv_.notify_all();
       monitor_cv_.notify_one();
+      deliver(lock);
     }
   }
 
@@ -330,25 +420,38 @@ class SupervisorRun {
 
   void monitor_loop() {
     std::unique_lock<std::mutex> lock(mu_);
-    while (!scheduler_.idle()) {
+    // After a callback error the pool only drains: stop once no worker
+    // holds an attempt (the scheduler may never see every verdict).
+    while (!scheduler_.idle() && !(error_ && busy_ == 0)) {
       observe_cancel_locked();
       fire_locked(scheduler_.tick(Clock::now()));
       // Idle workers re-try their claim: the tick may have queued a twin
       // or lifted the breaker's width cap.
       work_cv_.notify_all();
+      deliver(lock);
       monitor_cv_.wait_for(lock, kMonitorPoll);
     }
     work_cv_.notify_all();
   }
 
   const SupervisedTask& task_;
+  const std::function<void(std::size_t, std::string&&)>& on_success_;
   const SupervisorOptions& options_;
   const unsigned workers_;
+  // The scheduler's on_success and options (declared before scheduler_,
+  // which keeps references to both).
+  const std::function<void(std::size_t, std::string&&)> stash_payload_;
+  const SupervisorOptions scheduled_;
 
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable monitor_cv_;
   ReplicaScheduler scheduler_;
+  // Stashed callbacks awaiting delivery outside mu_ (guarded by mu_).
+  std::vector<std::pair<std::size_t, std::string>> accepted_;
+  std::vector<SupervisionEvent> events_;
+  std::mutex event_mu_;  // one event delivery at a time, in order
+  std::exception_ptr error_;  // the first callback error
   // Each in-flight attempt's private lease token.  Map nodes never move, so
   // a task polls its token lock-free while other entries come and go.
   std::map<ExecutionId, CancelToken> tokens_;

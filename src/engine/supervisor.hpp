@@ -233,9 +233,11 @@ struct SupervisorOptions {
   BatchProgress* progress = nullptr;
   // Optional registry: supervision decisions bump supervisor_* counters.
   MetricsRegistry* metrics = nullptr;
-  // Optional event sink.  Called with the supervisor's internal lock held,
-  // serialized with on_success -- keep it short and never call back into
-  // the supervisor.
+  // Optional event sink.  Called outside the executor's lock, one call at a
+  // time and in the order the decisions were made, but not serialized with
+  // on_success.  The thread whose verdict raised an event delivers it
+  // before it claims again.  A throw ends the run (see run_supervised_set).
+  // Never call back into the supervisor.
   std::function<void(const SupervisionEvent&)> on_event;
   // Failure taxonomy override; classify_failure when empty.
   std::function<FailureClass(const std::exception&)> classify;
@@ -340,9 +342,16 @@ std::chrono::milliseconds backoff_delay(const SupervisorOptions& options,
 // Runs every replica id in `replica_ids` (any order, no duplicates) to a
 // terminal state -- done, quarantined, or unfinished -- under the policies
 // above.  `on_success` receives each winning payload exactly once per
-// replica, serialized under the supervisor's lock (safe to journal without
-// extra locking).  Worker threads execute attempts; the calling thread runs
-// the deadline/straggler monitor until the batch drains.
+// replica, outside the executor's lock, and possibly concurrently for
+// different replicas: a callback that journals must be thread-safe, and a
+// worker's call returns before that worker claims its next attempt (so a
+// flush inside it is durable before the next attempt starts, and
+// concurrent flushes can share one fsync).  Worker threads execute
+// attempts; the calling thread runs the deadline/straggler monitor until
+// the batch drains.  If on_success, on_event or the estimator's observer
+// throws, no further attempt starts, in-flight ones drain as under an
+// operator cancel, and the first such error is rethrown from here (under
+// Isolation::kProcess it propagates out of the fleet's poll loop).
 SupervisorReport run_supervised_set(
     std::span<const std::size_t> replica_ids, const SupervisedTask& task,
     const std::function<void(std::size_t, std::string&&)>& on_success,

@@ -34,6 +34,17 @@ std::uint32_t get_u32_le(const char* in) {
          (static_cast<std::uint32_t>(bytes[3]) << 24);
 }
 
+// fflush + fsync; false when either fails.
+bool sync_file(std::FILE* file) {
+  bool ok = std::fflush(file) == 0;
+#ifndef _WIN32
+  if (fsync(fileno(file)) != 0) {
+    ok = false;
+  }
+#endif
+  return ok;
+}
+
 }  // namespace
 
 JournalRecovery read_journal(const std::string& path) {
@@ -100,17 +111,15 @@ JournalWriter::JournalWriter(const std::string& path) : path_(path) {
     const bool wrote =
         std::fwrite(kMagic, 1, admitted, file_) == admitted &&
         admitted == kMagicSize;
-    if (!wrote) {
-      std::fflush(file_);
+    // A brand-new journal is only findable after a crash once its directory
+    // entry is durable: sync the magic, then fsync the parent directory,
+    // mirroring atomic_write_file's rename discipline.
+    if (!wrote || !sync_file(file_)) {
       std::fclose(file_);
       file_ = nullptr;
       throw std::runtime_error("JournalWriter: cannot write magic to '" +
                                path + "'");
     }
-    // A brand-new journal is only findable after a crash once its directory
-    // entry is durable: flush the magic, then fsync the parent directory,
-    // mirroring atomic_write_file's rename discipline.
-    flush();
     fsync_directory_of(path);
   }
 }
@@ -123,12 +132,7 @@ JournalWriter::~JournalWriter() {
   // as durability either: evaluate every step (no short-circuit skipping
   // fclose) and surface the failure on stderr.  Callers who need a hard
   // guarantee use close(), which throws like flush() does.
-  bool durable = std::fflush(file_) == 0;
-#ifndef _WIN32
-  if (fsync(fileno(file_)) != 0) {
-    durable = false;
-  }
-#endif
+  bool durable = sync_file(file_) && sync_error_.empty();
   if (std::fclose(file_) != 0) {
     durable = false;
   }
@@ -147,6 +151,7 @@ void JournalWriter::close() {
     return;
   }
   flush();  // throws on fflush/fsync failure, with the file still open
+  const std::lock_guard<std::mutex> lock(mu_);
   std::FILE* file = file_;
   file_ = nullptr;
   if (std::fclose(file) != 0) {
@@ -154,7 +159,13 @@ void JournalWriter::close() {
   }
 }
 
+std::uint64_t JournalWriter::records_written() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return records_written_;
+}
+
 void JournalWriter::append(std::string_view payload) {
+  const std::lock_guard<std::mutex> lock(mu_);
   if (file_ == nullptr) {
     throw std::runtime_error("JournalWriter: append to closed '" + path_ +
                              "'");
@@ -191,19 +202,58 @@ void JournalWriter::append(std::string_view payload) {
   ++records_written_;
 }
 
-void JournalWriter::flush() {
+void JournalWriter::publish() {
+  const std::lock_guard<std::mutex> lock(mu_);
   if (file_ == nullptr) {
-    throw std::runtime_error("JournalWriter: flush of closed '" + path_ +
+    throw std::runtime_error("JournalWriter: publish to closed '" + path_ +
                              "'");
   }
   if (std::fflush(file_) != 0) {
     throw std::runtime_error("JournalWriter: flush of '" + path_ + "' failed");
   }
-#ifndef _WIN32
-  if (fsync(fileno(file_)) != 0) {
-    throw std::runtime_error("JournalWriter: fsync of '" + path_ + "' failed");
+}
+
+bool JournalWriter::flush() {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (file_ == nullptr) {
+    throw std::runtime_error("JournalWriter: flush of closed '" + path_ +
+                             "'");
   }
+  const std::uint64_t wanted = records_written_;
+  bool led = false;
+  while (durable_ < wanted) {
+    if (!sync_error_.empty()) {
+      throw std::runtime_error(sync_error_);
+    }
+    if (syncing_) {
+      // The leader's fsync may cover us; if not, the next leader's will.
+      durable_cv_.wait(lock, [this] { return !syncing_; });
+      continue;
+    }
+    // Lead one commit: the fflush covers every record appended so far; the
+    // fsync runs without the append mutex.
+    syncing_ = true;
+    led = true;
+    const std::uint64_t covered = records_written_;
+    const bool flushed = std::fflush(file_) == 0;
+    bool synced = flushed;
+#ifndef _WIN32
+    const int fd = fileno(file_);
+    lock.unlock();
+    synced = flushed && fsync(fd) == 0;
+    lock.lock();
 #endif
+    syncing_ = false;
+    if (synced) {
+      durable_ = covered;
+    } else {
+      sync_error_ = "JournalWriter: " +
+                    std::string(flushed ? "fsync" : "flush") + " of '" +
+                    path_ + "' failed";
+    }
+    durable_cv_.notify_all();
+  }
+  return led;
 }
 
 }  // namespace divlib

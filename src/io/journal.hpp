@@ -8,6 +8,7 @@
 //     (little-endian), preceded once by the 8-byte file magic "DIVJRNL1";
 //   * records are appended and flushed (fflush + fsync) at a configurable
 //     cadence, so a crash loses at most the records since the last flush;
+//     concurrent flushers share one fsync (group commit, see JournalWriter);
 //   * recovery reads the longest valid prefix and treats anything after the
 //     first short/corrupt frame as a torn tail: recover_journal() truncates
 //     it in place instead of failing, because a torn tail is the *expected*
@@ -17,7 +18,10 @@
 // replica ids and results into them.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <cstdio>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,7 +47,16 @@ JournalRecovery recover_journal(const std::string& path);
 
 // Appender.  Creates the file (with magic) when absent; otherwise appends at
 // the current end -- run recover_journal() first after a crash so the tail
-// is intact.  Not thread-safe; the campaign driver serializes appends.
+// is intact.  Thread-safe: append(), publish() and flush() may be called
+// from many threads at once (close() and the destructor may not race them).
+//
+// flush() is a group commit.  One caller at a time leads: it fflushes under
+// the append mutex, notes how many records that covered, and fsyncs with
+// the mutex released, so appends continue during the disk wait.  Callers
+// that arrive meanwhile wait for the durable watermark; when it covers
+// their records they return without an fsync of their own, otherwise the
+// next leader's fsync covers them.  Concurrent flushers therefore share
+// one fsync instead of queueing for one each.
 class JournalWriter {
  public:
   explicit JournalWriter(const std::string& path);
@@ -58,19 +71,35 @@ class JournalWriter {
   // Frames and appends one payload.  Throws std::runtime_error on I/O error.
   void append(std::string_view payload);
 
-  // fflush + fsync: everything appended so far survives a crash.
-  void flush();
+  // fflush without fsync: every record appended so far reaches the OS, so a
+  // reader -- or a resume after this process is killed -- sees it at once.
+  // Only flush() makes it survive a machine crash.
+  void publish();
+
+  // Everything appended before this call is durable when it returns
+  // (fflush + fsync, shared with concurrent callers as described above).
+  // Returns true when this call ran the fsync, false when another caller's
+  // fsync covered its records or nothing was appended since the last one.
+  // A failed fflush/fsync throws std::runtime_error here and in every later
+  // flush(): after a failed fsync the kernel may report the next one clean
+  // although the data is lost, so the writer never claims durability again.
+  bool flush();
 
   // flush() + fclose with every error surfaced as std::runtime_error.
   // Idempotent; append()/flush() after close() throw.
   void close();
 
-  std::uint64_t records_written() const { return records_written_; }
+  std::uint64_t records_written() const;
 
  private:
+  mutable std::mutex mu_;  // the append mutex: file_ buffer and counters
+  std::condition_variable durable_cv_;
   std::FILE* file_ = nullptr;
   std::string path_;
   std::uint64_t records_written_ = 0;
+  std::uint64_t durable_ = 0;  // records known to be on disk
+  bool syncing_ = false;       // a leader's fsync is in flight
+  std::string sync_error_;     // set by the first failed fflush/fsync
 };
 
 }  // namespace divlib

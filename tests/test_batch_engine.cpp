@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -640,7 +641,9 @@ TEST(SupervisorBatch, GroupsProduceScalarIdenticalPayloads) {
   std::vector<std::size_t> ids(kReplicas);
   for (std::size_t i = 0; i < kReplicas; ++i) ids[i] = i;
 
-  // Scalar reference.
+  // Scalar reference.  on_success may run concurrently for different
+  // replicas, so the maps below are filled under a lock.
+  std::mutex payloads_mu;
   std::map<std::size_t, std::string> scalar_payloads;
   {
     SupervisorOptions options;
@@ -652,6 +655,7 @@ TEST(SupervisorBatch, GroupsProduceScalarIdenticalPayloads) {
           return std::optional<std::string>(payload_for(replica, rng));
         },
         [&](std::size_t replica, std::string&& payload) {
+          const std::lock_guard<std::mutex> lock(payloads_mu);
           scalar_payloads[replica] = std::move(payload);
         },
         options);
@@ -682,6 +686,7 @@ TEST(SupervisorBatch, GroupsProduceScalarIdenticalPayloads) {
         return std::optional<std::string>(payload_for(replica, rng));
       },
       [&](std::size_t replica, std::string&& payload) {
+        const std::lock_guard<std::mutex> lock(payloads_mu);
         batch_payloads[replica] = std::move(payload);
       },
       options);
@@ -751,6 +756,7 @@ TEST(SupervisorBatch, GroupThrowRetriesEveryLane) {
         }
         return verdicts;
       };
+  std::mutex payloads_mu;  // on_success may run concurrently
   std::map<std::size_t, std::string> payloads;
   const SupervisorReport report = run_supervised_set(
       ids,
@@ -758,6 +764,7 @@ TEST(SupervisorBatch, GroupThrowRetriesEveryLane) {
         return std::optional<std::string>(std::to_string(replica));
       },
       [&](std::size_t replica, std::string&& payload) {
+        const std::lock_guard<std::mutex> lock(payloads_mu);
         payloads[replica] = std::move(payload);
       },
       options);

@@ -14,6 +14,7 @@
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "io/atomic_file.hpp"
 #include "io/journal.hpp"
@@ -105,6 +106,49 @@ TEST_F(JournalCrashPointTest, TornAppendAtEveryOffsetRecoversThePrefix) {
     const JournalRecovery reread = read_journal(journal);
     ASSERT_EQ(reread.records.size(), 2u) << "cut " << cut;
     EXPECT_EQ(reread.records[1], payload);
+  }
+}
+
+// The byte-offset sweep across a group-commit boundary: after a flush,
+// four more frames with a flush after the second, cut at every byte.
+// Recovery must return every record whose flush returned, and exactly the
+// whole frames appended before the cut.
+TEST_F(JournalCrashPointTest, TornAppendAfterAFlushKeepsEveryFlushedRecord) {
+  const std::vector<std::string> before = {"flushed 0", "flushed 1"};
+  const std::vector<std::string> after = {"next 2", "next 3 (flushed)",
+                                          "next 4", "next 5"};
+  std::size_t swept = 0;
+  for (const std::string& record : after) {
+    swept += 8 + record.size();  // u32 len + u32 crc + bytes
+  }
+  for (std::size_t cut = 0; cut <= swept; ++cut) {
+    const std::string journal = path("cut" + std::to_string(cut) + ".journal");
+    std::vector<std::string> appended = before;
+    std::size_t flushed = before.size();
+    {
+      JournalWriter writer(journal);
+      for (const std::string& record : before) {
+        writer.append(record);
+      }
+      writer.flush();
+      arm_io_failpoint("journal", cut);
+      try {
+        for (std::size_t i = 0; i < after.size(); ++i) {
+          writer.append(after[i]);
+          appended.push_back(after[i]);
+          if (i == 1) {
+            writer.flush();
+            flushed = appended.size();
+          }
+        }
+      } catch (const std::runtime_error&) {
+      }
+      disarm_io_failpoint();
+    }
+    const JournalRecovery recovery = recover_journal(journal);
+    ASSERT_GE(recovery.records.size(), flushed) << "cut " << cut;
+    EXPECT_EQ(recovery.records, appended) << "cut " << cut;
+    EXPECT_EQ(recovery.valid_bytes, recovery.total_bytes) << "cut " << cut;
   }
 }
 

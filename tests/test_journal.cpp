@@ -4,9 +4,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "io/atomic_file.hpp"
@@ -145,6 +148,60 @@ TEST_F(JournalTest, ForeignFileIsRejectedNotTruncated) {
 TEST_F(JournalTest, MissingFileThrows) {
   EXPECT_THROW(read_journal((dir_ / "absent.journal").string()),
                std::runtime_error);
+}
+
+// The group commit under contention: every thread appends and flushes in
+// a loop, so leaders and followers interleave with appends that land
+// during an fsync.  Every record comes back exactly once, whole.
+TEST_F(JournalTest, ConcurrentAppendsAndFlushesKeepEveryRecord) {
+  constexpr int kThreads = 4;
+  constexpr int kRecords = 200;
+  std::atomic<int> led{0};
+  {
+    JournalWriter writer(path_);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&writer, &led, t] {
+        for (int i = 0; i < kRecords; ++i) {
+          writer.append("t" + std::to_string(t) + "-" + std::to_string(i));
+          led.fetch_add(writer.flush() ? 1 : 0);
+        }
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    EXPECT_EQ(writer.records_written(),
+              static_cast<std::uint64_t>(kThreads * kRecords));
+    EXPECT_FALSE(writer.flush());  // nothing appended since the last fsync
+    writer.close();
+  }
+  EXPECT_GE(led.load(), 1);
+  EXPECT_LE(led.load(), kThreads * kRecords);
+  const JournalRecovery recovery = read_journal(path_);
+  EXPECT_FALSE(recovery.torn());
+  std::vector<std::string> expected;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kRecords; ++i) {
+      expected.push_back("t" + std::to_string(t) + "-" + std::to_string(i));
+    }
+  }
+  std::vector<std::string> got = recovery.records;
+  std::sort(expected.begin(), expected.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, expected);
+}
+
+// publish() is the write-through without the fsync: a reader sees the
+// record at once, while the writer is still open.
+TEST_F(JournalTest, PublishMakesAppendsVisibleBeforeAnyFlush) {
+  JournalWriter writer(path_);
+  writer.append("seen");
+  writer.publish();
+  const JournalRecovery recovery = read_journal(path_);
+  ASSERT_EQ(recovery.records.size(), 1u);
+  EXPECT_EQ(recovery.records[0], "seen");
+  EXPECT_TRUE(writer.flush());  // publish() made nothing durable
 }
 
 TEST(AtomicFile, WriteIsObservedWholeAndOverwrites) {

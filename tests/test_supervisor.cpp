@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <ios>
 #include <mutex>
 #include <numeric>
@@ -14,11 +15,14 @@
 #include <string>
 #include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/cancel.hpp"
+#include "engine/adaptive/calibration.hpp"
 #include "engine/campaign.hpp"
 #include "engine/montecarlo.hpp"
+#include "io/failpoint.hpp"
 #include "io/journal.hpp"
 #include "obs/metrics.hpp"
 
@@ -47,8 +51,8 @@ std::vector<std::size_t> iota_ids(std::size_t n) {
   return ids;
 }
 
-// Collects payloads keyed by replica id; safe because on_success is
-// serialized under the supervisor's lock.
+// Collects payloads keyed by replica id; safe because on_success runs
+// once per replica and each call writes only its own slot.
 struct Collector {
   std::vector<std::optional<std::string>> payloads;
   explicit Collector(std::size_t n) : payloads(n) {}
@@ -462,6 +466,93 @@ TEST(SupervisorTest, CancelStopsTheNextClaimWithoutWaitingForTheMonitor) {
   }
 }
 
+// on_success runs after the worker drops the executor's lock, so two
+// workers' calls overlap: each waits (bounded) for the other to enter.
+// Under the lock the first call would wait out its timeout alone.
+TEST(SupervisorTest, OnSuccessRunsOutsideTheExecutorLock) {
+  SupervisorOptions options;
+  options.num_threads = 2;
+  std::atomic<int> entered{0};
+  std::atomic<int> met{0};
+  Collector got(2);
+  const SupervisorReport report = run_supervised_set(
+      iota_ids(2), healthy_task(),
+      [&](std::size_t replica, std::string&& payload) {
+        entered.fetch_add(1);
+        const auto give_up = std::chrono::steady_clock::now() + 2s;
+        while (entered.load() < 2 &&
+               std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::sleep_for(1ms);
+        }
+        if (entered.load() == 2) {
+          met.fetch_add(1);
+        }
+        got.payloads[replica] = std::move(payload);
+      },
+      options);
+  EXPECT_EQ(report.succeeded, 2u);
+  EXPECT_EQ(met.load(), 2) << "the two on_success calls never overlapped";
+  EXPECT_TRUE(got.payloads[0].has_value());
+  EXPECT_TRUE(got.payloads[1].has_value());
+}
+
+// A callback that throws (a journal that died mid-run, say) ends the run
+// with that error instead of escaping a worker thread: no new attempt
+// starts, the pool joins, and run_supervised_set rethrows it.
+TEST(SupervisorTest, CallbackThrowEndsTheRunWithThatError) {
+  constexpr std::size_t kReplicas = 64;
+  const auto run = [&](const SupervisorOptions& options,
+                       const std::function<void(std::size_t, std::string&&)>&
+                           on_success,
+                       const std::function<bool(std::size_t)>& fails)
+      -> std::pair<std::string, int> {
+    std::atomic<int> ran{0};
+    try {
+      run_supervised_set(
+          iota_ids(kReplicas),
+          [&](std::size_t replica, Rng& rng,
+              const CancelToken&) -> std::optional<std::string> {
+            ran.fetch_add(1);
+            std::this_thread::sleep_for(1ms);
+            if (fails(replica)) {
+              throw std::runtime_error("transient");
+            }
+            return rng_payload(replica, rng);
+          },
+          on_success, options);
+    } catch (const std::runtime_error& error) {
+      return {error.what(), ran.load()};
+    }
+    return {"no error", ran.load()};
+  };
+
+  SupervisorOptions options;
+  options.num_threads = 4;
+  options.max_attempts = 2;
+  options.backoff_base = 0ms;
+  const auto [success_error, success_ran] = run(
+      options,
+      [](std::size_t replica, std::string&&) {
+        if (replica == 3) {
+          throw std::runtime_error("journal is gone");
+        }
+      },
+      [](std::size_t) { return false; });
+  EXPECT_EQ(success_error, "journal is gone");
+  EXPECT_LT(success_ran, static_cast<int>(kReplicas));
+
+  options.on_event = [](const SupervisionEvent& event) {
+    if (event.kind == SupervisionEvent::Kind::kRetry) {
+      throw std::runtime_error("event sink is gone");
+    }
+  };
+  const auto [event_error, event_ran] =
+      run(options, [](std::size_t, std::string&&) {},
+          [](std::size_t replica) { return replica == 2; });
+  EXPECT_EQ(event_error, "event sink is gone");
+  EXPECT_LT(event_ran, static_cast<int>(kReplicas));
+}
+
 TEST(SupervisorTest, EventJsonCarriesAllFields) {
   SupervisionEvent event;
   event.kind = SupervisionEvent::Kind::kRetry;
@@ -700,6 +791,122 @@ TEST_F(SupervisedCampaignTest, CompleteCampaignGradesComplete) {
   EXPECT_TRUE(outcome.complete());
   EXPECT_EQ(outcome.ran, 6u);
   EXPECT_TRUE(outcome.quarantined.empty());
+}
+
+// The --checkpoint-every 1 contract under group commit: a worker's record
+// is in the journal before that worker starts its next attempt.
+TEST_F(SupervisedCampaignTest, EachRecordIsOnDiskBeforeItsWorkerClaimsAgain) {
+  constexpr std::size_t kReplicas = 96;
+  CampaignOptions opts = options();
+  opts.flush_every = 1;
+  SupervisorOptions supervision;
+  supervision.num_threads = 4;
+  const std::string journal = (dir_ / "results.journal").string();
+  std::atomic<int> checked{0};
+  std::atomic<int> missing{0};
+  const SupervisedCampaignResult outcome = run_supervised_campaign(
+      kReplicas,
+      [&](std::size_t replica, Rng& rng,
+          const CancelToken&) -> std::optional<std::string> {
+        // Worker threads are fresh for every run, so this starts empty.
+        thread_local std::optional<std::size_t> last_finished;
+        if (last_finished.has_value()) {
+          bool found = false;
+          for (const std::string& record : read_journal(journal).records) {
+            found = found ||
+                    decode_campaign_record(record).first == *last_finished;
+          }
+          checked.fetch_add(1);
+          missing.fetch_add(found ? 0 : 1);
+        }
+        std::optional<std::string> payload = rng_payload(replica, rng);
+        last_finished = replica;
+        return payload;
+      },
+      opts, supervision);
+  EXPECT_EQ(outcome.status, CampaignStatus::kComplete);
+  EXPECT_GT(checked.load(), 0);
+  EXPECT_EQ(missing.load(), 0)
+      << "a worker claimed again before its last record was journaled";
+}
+
+// A journal that dies mid-run (the "journal" failpoint tears an append)
+// ends the campaign with that error; a resume then completes it exactly as
+// an uninterrupted run would have.
+TEST_F(SupervisedCampaignTest, JournalFailureThrowsAndTheResumeMatches) {
+  constexpr std::size_t kReplicas = 64;
+  SupervisorOptions supervision;
+  supervision.master_seed = 42;
+  supervision.num_threads = 4;
+  const fs::path reference_dir = dir_.string() + ".reference";
+  fs::remove_all(reference_dir);
+  CampaignOptions reference_options = options();
+  reference_options.directory = reference_dir.string();
+  const SupervisedCampaignResult reference = run_supervised_campaign(
+      kReplicas, healthy_task(), reference_options, supervision);
+  fs::remove_all(reference_dir);
+  ASSERT_EQ(reference.status, CampaignStatus::kComplete);
+
+  const struct Disarm {
+    ~Disarm() { disarm_io_failpoint(); }
+  } disarm;
+  // The magic plus about eight records, then a torn frame.
+  arm_io_failpoint("journal", 300);
+  EXPECT_THROW(
+      run_supervised_campaign(kReplicas, healthy_task(), options(),
+                              supervision),
+      std::runtime_error);
+  disarm_io_failpoint();
+
+  const SupervisedCampaignResult resumed = run_supervised_campaign(
+      kReplicas, healthy_task(), options(/*resume=*/true), supervision);
+  EXPECT_EQ(resumed.status, CampaignStatus::kComplete);
+  EXPECT_GT(resumed.resumed, 0u);
+  EXPECT_LT(resumed.resumed, kReplicas);
+  EXPECT_EQ(resumed.resumed + resumed.ran, kReplicas);
+  EXPECT_EQ(resumed.payloads, reference.payloads);
+}
+
+// With an estimator armed the campaign owns calibration.journal: keyed by
+// the meta, written for this call only, and replayed into a resume.
+TEST_F(SupervisedCampaignTest, CalibrationIsKeyedToTheMetaAndWarmsAResume) {
+  constexpr std::size_t kReplicas = 8;
+  const std::string log = (dir_ / CalibrationLog::file_name()).string();
+  const auto slow_task = [](std::size_t replica, Rng& rng,
+                            const CancelToken&) -> std::optional<std::string> {
+    std::this_thread::sleep_for(1ms);  // a positive, recordable wall time
+    return rng_payload(replica, rng);
+  };
+  CompletionEstimator estimator;
+  SupervisorOptions supervision;
+  supervision.num_threads = 2;
+  supervision.estimator = &estimator;
+  const SupervisedCampaignResult first =
+      run_supervised_campaign(kReplicas, slow_task, options(), supervision);
+  EXPECT_EQ(first.status, CampaignStatus::kComplete);
+  EXPECT_EQ(first.warmed, 0u);
+  // A header plus one sample per success; the observer is gone afterwards.
+  EXPECT_EQ(read_journal(log).records.size(), kReplicas + 1);
+  estimator.observe(1.0);
+  EXPECT_EQ(read_journal(log).records.size(), kReplicas + 1);
+
+  // A resume under another configuration is refused before the log is
+  // touched, so the real campaign keeps its samples.
+  CampaignOptions other = options(/*resume=*/true);
+  other.meta = "supervised-campaign 1\nk=4 seed=42\n";
+  CompletionEstimator other_estimator;
+  supervision.estimator = &other_estimator;
+  EXPECT_THROW(
+      run_supervised_campaign(kReplicas, slow_task, other, supervision),
+      std::runtime_error);
+  EXPECT_EQ(read_journal(log).records.size(), kReplicas + 1);
+
+  CompletionEstimator warm_estimator;
+  supervision.estimator = &warm_estimator;
+  const SupervisedCampaignResult resumed = run_supervised_campaign(
+      kReplicas, slow_task, options(/*resume=*/true), supervision);
+  EXPECT_EQ(resumed.warmed, kReplicas);
+  EXPECT_EQ(warm_estimator.samples(), kReplicas);
 }
 
 TEST(SupervisedCampaignRecord, CampaignStatusNames) {

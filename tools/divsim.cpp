@@ -88,7 +88,6 @@
 #include "graph/analysis.hpp"
 #include "graph/graph_io.hpp"
 #include "io/atomic_file.hpp"
-#include "io/crc32.hpp"
 #include "io/journal.hpp"
 #include "io/table.hpp"
 #include "obs/heartbeat.hpp"
@@ -690,7 +689,6 @@ int cmd_run(const Args& args) {
   est_options.safety_factor = deadline_safety;
   est_options.min_samples = deadline_min_samples;
   CompletionEstimator estimator(est_options);
-  std::unique_ptr<CalibrationLog> calibration;
   if (supervise) {
     sup.classify = nullptr;  // the default failure taxonomy
     sup.backoff_base = std::chrono::milliseconds(backoff_ms);
@@ -782,30 +780,6 @@ int cmd_run(const Args& args) {
     campaign.heartbeat = heartbeat.get();
     campaign.retry_quarantined = retry_quarantined;
     if (supervise) {
-      // Persist completion-time calibration next to the journal, keyed to
-      // this exact configuration by the meta fingerprint, so a resumed
-      // campaign re-arms its learned deadline before the first replica runs
-      // instead of re-learning from scratch.  Skipped when the stored meta
-      // conflicts: the campaign layer is about to refuse the directory, and
-      // a mis-invoked resume must not cost the real campaign its learned
-      // samples (CalibrationLog restarts a mismatched log).
-      std::filesystem::create_directories(checkpoint_dir);
-      const std::string meta_path = checkpoint_dir + "/campaign.meta";
-      const bool meta_conflict = std::filesystem::exists(meta_path) &&
-                                 read_file(meta_path) != campaign.meta;
-      if (!meta_conflict) {
-        calibration = std::make_unique<CalibrationLog>(
-            checkpoint_dir, crc32_of(campaign.meta));
-        const std::size_t warmed = calibration->warm(estimator);
-        CalibrationLog* const calib = calibration.get();
-        estimator.set_observer(
-            [calib](double wall_seconds) { calib->append(wall_seconds); });
-        if (warmed > 0) {
-          std::cout << "calibration: " << warmed
-                    << " completion sample(s) recovered from "
-                    << calibration->path() << "\n";
-        }
-      }
       const SupervisedCampaignResult outcome =
           run_supervised_campaign(replicas, task, campaign, sup);
       for (std::size_t replica = 0; replica < replicas; ++replica) {
@@ -817,6 +791,14 @@ int cmd_run(const Args& args) {
       quarantined = outcome.quarantined;
       campaign_status = outcome.status;
       campaign_cancelled = outcome.status == CampaignStatus::kCancelled;
+      if (outcome.warmed > 0) {
+        std::cout << "calibration: " << outcome.warmed
+                  << " completion sample(s) recovered from "
+                  << (std::filesystem::path(checkpoint_dir) /
+                      CalibrationLog::file_name())
+                         .string()
+                  << "\n";
+      }
       std::cout << "campaign: " << checkpoint_dir << " -- " << outcome.resumed
                 << " resumed from journal, " << outcome.ran
                 << " run this session, " << quarantined.size()
