@@ -335,67 +335,54 @@ BENCHMARK(BM_DivBatchRun)
     ->ArgsProduct({{1 << 10, 1 << 14, 1 << 17}, {1, 4, 16}})
     ->Unit(benchmark::kMillisecond);
 
-// Batched jump-chain engine: B lanes through one run_batch_jump sweep vs B
-// sequential scalar run_jump calls, on the run_batch_lanes protocol (same
-// fixed 4n budget, same retry_seed(0xba7c, r, 0) streams, init with the
-// clock paused).  Both sides execute the identical per-lane schedule -- the
-// hybrid state machine is bit-identical lane for lane -- so items/sec
-// (replica-steps per second) isolates the execution strategy: lock-step
-// lanes batch the naive stretches through the deferred-histogram kernels
-// and share the clock across lazy skips, vs one lane at a time.
-void run_batch_jump_lanes(benchmark::State& state, bool batched) {
+// Lane jump-chain engine: run_lane_jump on a one-lane plane vs scalar
+// run_jump, on the run_batch_lanes protocol (same fixed 4n budget, same
+// retry_seed(0xba7c, 0, 0) stream, init with the clock paused).  Both sides
+// execute the identical schedule -- the hybrid state machine is
+// bit-identical -- so items/sec (replica-steps per second) isolates the
+// execution strategy: the lane kernel's inlined plane writes and its naive
+// stretches through the pre-drawn, deferred-histogram block kernel vs the
+// scalar loop's virtual dispatch.  The second argument is the lane count,
+// pinned to 1: lock-step jump groups measured no faster than one lane per
+// replica and were removed.
+void run_lane_jump_bench(benchmark::State& state, bool lane_kernel) {
   const auto n = static_cast<VertexId>(state.range(0));
-  const auto lanes = static_cast<unsigned>(state.range(1));
   const Graph& g = shared_regular_graph(n);
   RunOptions options;
   options.max_steps = static_cast<std::uint64_t>(n) * 4;
   std::uint64_t scheduled = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    std::vector<Rng> rngs;
-    rngs.reserve(lanes);
-    for (unsigned r = 0; r < lanes; ++r) {
-      rngs.emplace_back(Rng::retry_seed(0xba7c, r, 0));
-    }
-    if (batched) {
-      OpinionPlane plane(g, lanes);
-      for (unsigned r = 0; r < lanes; ++r) {
-        plane.assign_lane(r, uniform_random_opinions(n, 1, 8, rngs[r]));
-      }
+    Rng rng(Rng::retry_seed(0xba7c, 0, 0));
+    const std::vector<Opinion> opinions = uniform_random_opinions(n, 1, 8, rng);
+    if (lane_kernel) {
+      OpinionPlane plane(g, 1);
+      plane.assign_lane(0, opinions);
       state.ResumeTiming();
-      for (const JumpRunResult& result : run_batch_jump(
-               g, SelectionScheme::kVertex, plane, std::span<Rng>(rngs),
-               options)) {
-        scheduled += result.steps;
-      }
+      scheduled +=
+          run_lane_jump(g, SelectionScheme::kVertex, plane, rng, options).steps;
     } else {
-      std::vector<OpinionState> states;
-      states.reserve(lanes);
-      for (unsigned r = 0; r < lanes; ++r) {
-        states.emplace_back(g, uniform_random_opinions(n, 1, 8, rngs[r]));
-      }
+      OpinionState opinion_state(g, opinions);
       DivProcess process(g, SelectionScheme::kVertex);
       state.ResumeTiming();
-      for (unsigned r = 0; r < lanes; ++r) {
-        scheduled += run_jump(process, states[r], rngs[r], options).steps;
-      }
+      scheduled += run_jump(process, opinion_state, rng, options).steps;
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(scheduled));
 }
 
 void BM_DivBatchJumpNaiveRun(benchmark::State& state) {
-  run_batch_jump_lanes(state, /*batched=*/false);
+  run_lane_jump_bench(state, /*lane_kernel=*/false);
 }
 BENCHMARK(BM_DivBatchJumpNaiveRun)
-    ->ArgsProduct({{1 << 10, 1 << 14, 1 << 17}, {1, 4, 16}})
+    ->ArgsProduct({{1 << 10, 1 << 14, 1 << 17}, {1}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_DivBatchJumpRun(benchmark::State& state) {
-  run_batch_jump_lanes(state, /*batched=*/true);
+  run_lane_jump_bench(state, /*lane_kernel=*/true);
 }
 BENCHMARK(BM_DivBatchJumpRun)
-    ->ArgsProduct({{1 << 10, 1 << 14, 1 << 17}, {1, 4, 16}})
+    ->ArgsProduct({{1 << 10, 1 << 14, 1 << 17}, {1}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_PullVertexStep(benchmark::State& state) {

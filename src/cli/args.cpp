@@ -1,5 +1,6 @@
 #include "cli/args.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace divlib {
@@ -67,7 +68,12 @@ std::int64_t Args::get_int(const std::string& key, std::int64_t fallback) const 
     return fallback;
   }
   try {
-    return std::stoll(text);
+    std::size_t end = 0;
+    const std::int64_t value = std::stoll(text, &end);
+    if (end != text.size()) {
+      throw std::invalid_argument("trailing characters");
+    }
+    return value;
   } catch (const std::exception&) {
     throw std::invalid_argument("Args: --" + key + " expects an integer, got '" +
                                 text + "'");
@@ -84,7 +90,12 @@ std::uint64_t Args::get_u64(const std::string& key, std::uint64_t fallback) cons
     if (text.find('-') != std::string::npos) {
       throw std::invalid_argument("negative");
     }
-    return std::stoull(text);
+    std::size_t end = 0;
+    const std::uint64_t value = std::stoull(text, &end);
+    if (end != text.size()) {
+      throw std::invalid_argument("trailing characters");
+    }
+    return value;
   } catch (const std::exception&) {
     throw std::invalid_argument("Args: --" + key +
                                 " expects a non-negative integer, got '" + text +
@@ -107,10 +118,15 @@ double Args::get_double(const std::string& key, double fallback) const {
     return fallback;
   }
   try {
-    return std::stod(text);
+    std::size_t end = 0;
+    const double value = std::stod(text, &end);
+    if (end != text.size() || !std::isfinite(value)) {
+      throw std::invalid_argument("trailing characters or not finite");
+    }
+    return value;
   } catch (const std::exception&) {
-    throw std::invalid_argument("Args: --" + key + " expects a number, got '" +
-                                text + "'");
+    throw std::invalid_argument("Args: --" + key +
+                                " expects a finite number, got '" + text + "'");
   }
 }
 

@@ -22,10 +22,10 @@
 
 namespace divlib {
 
-// Refused combinations: the batch engines inline the plain DIV update rule
+// Refused combinations: the lane engines inline the plain DIV update rule
 // and keep no per-step hooks, so decorated processes and tracing stay on
-// the scalar engines.  (--engine jump is NOT refused: jump-chain runs batch
-// through run_batch_jump.)
+// the scalar engines.  (--engine jump is NOT refused: it accepts the width
+// and runs one lane per replica on run_lane_jump.)
 inline constexpr const char* kBatchLanesProcessRefusal =
     "--batch-lanes only supports --process div (the batch engine inlines "
     "the DIV update rule; other processes use the scalar engines)";

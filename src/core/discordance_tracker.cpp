@@ -2,7 +2,7 @@
 
 namespace divlib {
 
-// The scalar OpinionState instantiation lives here; the batched engine's
+// The scalar OpinionState instantiation lives here; the lane jump engine's
 // PlaneLaneView instantiation is implicit in batch_engine.cpp.
 template class BasicDiscordanceTracker<OpinionState>;
 

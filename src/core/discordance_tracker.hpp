@@ -31,16 +31,15 @@
 //
 // The tracker is a template over its read-only state surface so the SAME
 // bookkeeping serves both the scalar engine (State = OpinionState) and the
-// batched jump engine, which runs one tracker per lane over a PlaneLaneView
-// into the shared SoA OpinionPlane.  The surface a State must provide:
-// graph(), num_vertices(), opinion(v), range_lo(), range_hi().  Every
-// member stays bit-identical across instantiations -- the batched engine's
-// per-lane draws reproduce the scalar tracker's exactly.
+// lane jump engine (run_lane_jump), which runs its tracker over a
+// PlaneLaneView into a one-lane OpinionPlane.  The surface a State must
+// provide: graph(), num_vertices(), opinion(v), range_lo(), range_hi().
+// Every member stays bit-identical across instantiations -- the lane
+// engine's draws reproduce the scalar tracker's exactly.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -181,80 +180,6 @@ class BasicDiscordanceTracker {
       }
     }
     throw std::logic_error("DiscordanceTracker: counts are stale");
-  }
-
-  // Bulk variant for batched callers: out[i] is drawn with rngs[i] and is
-  // bit-identical to sample_discordant_pair(*rngs[i]) called alone -- each
-  // lane's stream stays independent and consumes draws in the same order --
-  // while the shared lookups (the edge scheme's compact pair array, the
-  // vertex scheme's updater structure and row prefetches) are hoisted and
-  // pipelined across the batch.  rngs.size() must equal out.size();
-  // requires !frozen().
-  void sample_discordant_pairs(std::span<Rng* const> rngs,
-                               std::span<SelectedPair> out) const {
-    if (rngs.size() != out.size()) {
-      throw std::invalid_argument(
-          "DiscordanceTracker::sample_discordant_pairs: rngs/out size "
-          "mismatch");
-    }
-    if (frozen()) {
-      throw std::logic_error(
-          "DiscordanceTracker: no discordant pairs to sample");
-    }
-    if (scheme_ == SelectionScheme::kEdge) {
-      // One draw per lane against the shared compact pair array; hoisting
-      // the bound and base pointer out of the loop is the whole batch win
-      // here -- the per-lane work is already O(1).
-      const std::uint64_t bound =
-          2 * static_cast<std::uint64_t>(discordant_.size());
-      const Edge* pairs = discordant_uv_.data();
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        const std::uint64_t draw = rngs[i]->uniform_below(bound);
-        const Edge& edge = pairs[draw >> 1];
-        out[i].updater = (draw & 1) ? edge.v : edge.u;
-        out[i].observed = (draw & 1) ? edge.u : edge.v;
-      }
-      return;
-    }
-    // Vertex scheme, two passes.  Each lane's own stream still sees (updater
-    // draw, then rank draw) in that order -- the streams are private, so
-    // issuing every lane's first draw before any lane's second is
-    // bit-identical to interleaving them -- but splitting lets the neighbor
-    // rows the rank scans will walk get prefetched while other lanes'
-    // updater draws are still in flight.
-    const Graph& graph = state_->graph();
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (alias_fresh_) {
-        out[i].updater = static_cast<VertexId>(alias_.sample(*rngs[i]));
-        if (disc_[out[i].updater] == 0) {
-          throw std::logic_error(
-              "DiscordanceTracker: alias table sampled a concordant vertex");
-        }
-      } else {
-        out[i].updater = static_cast<VertexId>(sampler_.sample(*rngs[i]));
-      }
-      __builtin_prefetch(graph.neighbors(out[i].updater).data(), 0);
-    }
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      const VertexId updater = out[i].updater;
-      const Opinion own = state_->opinion(updater);
-      std::uint32_t rank =
-          static_cast<std::uint32_t>(rngs[i]->uniform_below(disc_[updater]));
-      bool resolved = false;
-      for (const VertexId w : graph.neighbors(updater)) {
-        if (state_->opinion(w) != own) {
-          if (rank == 0) {
-            out[i].observed = w;
-            resolved = true;
-            break;
-          }
-          --rank;
-        }
-      }
-      if (!resolved) {
-        throw std::logic_error("DiscordanceTracker: counts are stale");
-      }
-    }
   }
 
   // O(1) static-weight sampling for the vertex scheme: freezes the CURRENT

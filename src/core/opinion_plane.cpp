@@ -53,7 +53,6 @@ void OpinionPlane::assign_lane(unsigned lane,
     promote_to_wide_();
   }
   state.counts.assign(width, 0);
-  state.degree_masses.assign(width, 0);
   state.sum = 0;
   state.degree_weighted_sum = 0;
   const std::size_t off = static_cast<std::size_t>(lane) * n_;
@@ -67,7 +66,6 @@ void OpinionPlane::assign_lane(unsigned lane,
     }
     const auto idx = static_cast<std::size_t>(value - state.range_lo);
     ++state.counts[idx];
-    state.degree_masses[idx] += graph_->degree(v);
     state.sum += value;
     state.degree_weighted_sum +=
         static_cast<std::int64_t>(graph_->degree(v)) * value;
@@ -80,9 +78,7 @@ void OpinionPlane::assign_lane(unsigned lane,
       ++state.num_active;
     }
   }
-  state.assigned = true;
   state.derived_fresh = true;
-  discordance_built_ = false;  // a reassigned lane invalidates the plane
 }
 
 std::vector<Opinion> OpinionPlane::lane_opinions(unsigned lane) const {
@@ -114,7 +110,6 @@ void OpinionPlane::refresh_derived_(unsigned lane) const {
     }
     state.sum += c * (state.range_lo + static_cast<Opinion>(idx));
   }
-  std::fill(state.degree_masses.begin(), state.degree_masses.end(), 0);
   state.degree_weighted_sum = 0;
   const std::size_t off = static_cast<std::size_t>(lane) * n_;
   for (VertexId v = 0; v < n_; ++v) {
@@ -123,29 +118,10 @@ void OpinionPlane::refresh_derived_(unsigned lane) const {
         wide_ ? values32_[off + v]
               : static_cast<Opinion>(state.range_lo +
                                      static_cast<Opinion>(values8_[off + v]));
-    state.degree_masses[static_cast<std::size_t>(value - state.range_lo)] +=
-        deg;
     state.degree_weighted_sum +=
         static_cast<std::int64_t>(deg) * static_cast<std::int64_t>(value);
   }
   state.derived_fresh = true;
-}
-
-std::int64_t OpinionPlane::count(unsigned lane, Opinion value) const {
-  const Lane& state = lanes_[lane];
-  if (value < state.range_lo || value > state.range_hi) {
-    return 0;
-  }
-  return state.counts[static_cast<std::size_t>(value - state.range_lo)];
-}
-
-std::uint64_t OpinionPlane::degree_mass(unsigned lane, Opinion value) const {
-  refresh_derived_(lane);
-  const Lane& state = lanes_[lane];
-  if (value < state.range_lo || value > state.range_hi) {
-    return 0;
-  }
-  return state.degree_masses[static_cast<std::size_t>(value - state.range_lo)];
 }
 
 double OpinionPlane::z_total(unsigned lane) const {
@@ -153,44 +129,6 @@ double OpinionPlane::z_total(unsigned lane) const {
   return static_cast<double>(n_) *
          (static_cast<double>(lanes_[lane].degree_weighted_sum) /
           static_cast<double>(graph_->total_degree()));
-}
-
-void OpinionPlane::rebuild_discordance() {
-  const unsigned lanes = num_lanes();
-  for (const Lane& state : lanes_) {
-    if (!state.assigned) {
-      throw std::logic_error(
-          "OpinionPlane::rebuild_discordance: unassigned lane");
-    }
-  }
-  disc_.assign(static_cast<std::size_t>(n_) * lanes, 0);
-  disc_pairs_.assign(lanes, 0);
-  // One topology walk serves every lane: the edge's endpoint ids are loaded
-  // once, then compared lane by lane.  The disc writes for a vertex land in
-  // `lanes` CONSECUTIVE slots (transposed layout), so the write traffic per
-  // edge is two cache-line-local bursts instead of 2 * lanes scattered
-  // stores.  Discordance is an equality test, which the packing shift
-  // preserves, so the walk runs directly on the raw cells.
-  const auto walk = [&](const auto* cells) {
-    for (const Edge& edge : graph_->edges()) {
-      std::uint32_t* disc_u = &disc_[static_cast<std::size_t>(edge.u) * lanes];
-      std::uint32_t* disc_v = &disc_[static_cast<std::size_t>(edge.v) * lanes];
-      for (unsigned lane = 0; lane < lanes; ++lane) {
-        const std::size_t offset = static_cast<std::size_t>(lane) * n_;
-        if (cells[offset + edge.u] != cells[offset + edge.v]) {
-          ++disc_u[lane];
-          ++disc_v[lane];
-          disc_pairs_[lane] += 2;
-        }
-      }
-    }
-  };
-  if (wide_) {
-    walk(values32_.data());
-  } else {
-    walk(values8_.data());
-  }
-  discordance_built_ = true;
 }
 
 }  // namespace divlib

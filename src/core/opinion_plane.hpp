@@ -24,25 +24,15 @@
 // full-width Opinion cells (promote_to_wide_), so arbitrary ranges still
 // work, just without the packing.
 //
-// Per-lane aggregates -- counts, degree masses, S, the degree-weighted sum,
-// the active range -- are maintained with observably IDENTICAL semantics to
-// OpinionState: any sequence of set()/step_toward() calls leaves lane L
-// answering every accessor exactly as a solo OpinionState would after the
-// same calls.  That equivalence is the foundation of the batch engine's
+// Per-lane aggregates -- counts, S, the degree-weighted sum behind Z, the
+// active range -- are maintained with observably IDENTICAL semantics to
+// OpinionState: any sequence of set() calls and block-kernel steps leaves
+// lane L answering every accessor exactly as a solo OpinionState would after
+// the same moves.  That equivalence is the foundation of the batch engine's
 // lane-determinism contract.  (Derived aggregates are refreshed lazily on
 // read -- see refresh_derived_ -- because none of them feed the stop rule.)
-//
-// The plane also carries a TRANSPOSED discordance-count plane,
-//
-//   disc[v * lanes + lane],
-//
-// rebuilt on demand by ONE walk over the edge list that serves every lane at
-// once (each edge's endpoints are fetched once and compared across all lanes,
-// writing `lanes` contiguous counters) -- the batched analogue of
-// DiscordanceTracker::rebuild_counts().  It is a resync/analysis structure,
-// not hot-loop state: the batch engine rebuilds it at freeze points and
-// telemetry samples, and tests check that it agrees with per-lane scalar
-// trackers at rebuild_counts() resync points.
+// Discordance is not tracked here: the jump engine keeps it per lane in a
+// BasicDiscordanceTracker over a PlaneLaneView (below).
 #pragma once
 
 #include <algorithm>
@@ -99,12 +89,11 @@ class OpinionPlane {
 
   // Reassigns vertex v in one lane.  Observably equivalent to
   // OpinionState::set() (same out_of_range check, same counts and
-  // active-extreme maintenance, and every derived accessor -- sum,
-  // degree-weighted sum, degree masses, num_active -- returns the same
-  // values), but the derived aggregates are NOT updated inline: none of
-  // them feed the stop rule, so only the value histogram and the active
-  // extremes are maintained per write and the rest is recomputed on first
-  // access after a write (see refresh_derived_).
+  // active-extreme maintenance, and every derived accessor -- sum, z_total,
+  // num_active -- returns the same values), but the derived aggregates are
+  // NOT updated inline: none of them feed the stop rule, so only the value
+  // histogram and the active extremes are maintained per write and the rest
+  // is recomputed on first access after a write (see refresh_derived_).
   void set(unsigned lane, VertexId v, Opinion value) {
     Lane& state = lanes_[lane];
     if (value < state.range_lo || value > state.range_hi) {
@@ -118,80 +107,41 @@ class OpinionPlane {
     apply_histogram_(state, old, value);
   }
 
-  // Moves vertex v one unit toward `observed` (a value read from the SAME
-  // lane) and reports whether the state changed.  Exactly equivalent to
-  //
-  //   own != observed && (set(lane, v, own < observed ? own + 1 : own - 1),
-  //                       true)
-  //
-  // but with the checks that cannot fire compiled out (the target value
-  // lies strictly between two in-range opinions, so the out-of-range throw
-  // is dead) and WITHOUT the own==observed early-out branch: whether a
-  // random step changes anything is a coin flip the predictor cannot learn.
-  // An unchanged step flows through the same straight-line code with
-  // value == old: the histogram decrement/increment hit the same bucket and
-  // cancel, the extreme extensions are no-ops, and the empty-bucket probe
-  // cannot fire because bucket `old` still holds vertex v itself.
-  bool step_toward(unsigned lane, VertexId v, Opinion observed) {
-    Lane& state = lanes_[lane];
-    const Opinion old = opinion(lane, v);
-    const Opinion value = old + static_cast<Opinion>(old < observed) -
-                          static_cast<Opinion>(old > observed);
-    store_(lane, v, value);
-    apply_histogram_(state, old, value);
-    return value != old;
-  }
-
   // max_active - min_active: the quantity every stop rule thresholds.
   Opinion spread(unsigned lane) const {
     return lanes_[lane].max_active - lanes_[lane].min_active;
   }
 
   // Applies `count` pull-moves to one lane -- step s moves vertex upd[s]
-  // one unit toward the lane's CURRENT opinion of vertex obs[s] -- and
-  // stops early as soon as max_active - min_active <= stop_delta.  Returns
-  // the number of steps actually applied; the stop rule is re-checkable by
-  // the caller via spread().  Step-for-step equivalent to
+  // one unit toward the lane's CURRENT opinion of vertex obs[s] -- and stops
+  // early as soon as max_active - min_active <= stop_delta.  Step-for-step
+  // equivalent to
   //
-  //   for s: step_toward(lane, upd[s], opinion(lane, obs[s])), stop check
+  //   for s: own = opinion(lane, upd[s]), seen = opinion(lane, obs[s]),
+  //          own != seen && set(lane, upd[s], own < seen ? own + 1 : own - 1),
+  //          stop check
   //
-  // but specialized into a block kernel (see apply_block_): this is the
-  // batch engine's innermost loop.
-  std::uint64_t apply_steps_toward(unsigned lane,
-                                   const VertexId* __restrict upd,
-                                   const VertexId* __restrict obs,
-                                   std::uint64_t count, Opinion stop_delta) {
-    const std::size_t off = static_cast<std::size_t>(lane) * n_;
-    Lane& state = lanes_[lane];
-    if (wide_) {
-      return apply_block_<Opinion>(values32_.data() + off, state,
-                                   state.range_lo, upd, obs, count,
-                                   stop_delta);
-    }
-    return apply_block_<std::uint8_t>(values8_.data() + off, state, 0, upd,
-                                      obs, count, stop_delta);
-  }
-
-  // Counted variant of apply_steps_toward with a DEFERRED histogram: the
-  // result additionally reports how many of the applied steps CHANGED the
-  // updater's opinion (the jump chain's window_effective currency).  The
-  // kernel runs in two passes per sub-block: pass 1 is the bare cell chain
-  // (read old/seen, branchless +-1, store) with the old/new cells logged to
-  // a pair of stack arrays, pass 2 merges the logs into the histogram and
-  // tallies changed steps.  Splitting the passes breaks the loop-carried
-  // dependence between the cell store and the histogram read-modify-write
-  // that apply_block_ serializes on (the RMW chain PR 7 documented as the
-  // batch engine's bottleneck), and the merge pass is a straight-line
-  // gather the compiler can vectorize.  The deferred histogram cannot
-  // detect a mid-block stop, so the kernel leans on a monotonicity
-  // invariant of step_toward: every write lands inside the current active
-  // range, hence min_active is nondecreasing, max_active is nonincreasing,
-  // and the spread is nonincreasing -- the end-of-block spread dips to
-  // stop_delta if and only if some step inside the block crossed it.  When
-  // that (rare, at most once per lane per run) probe fires, the sub-block
-  // is reverted from the logs and replayed through the exact apply_block_
-  // kernel to land on the precise stopping step.  Observable behavior is
-  // bit-identical to apply_steps_toward.
+  // but specialized into a block kernel: this is the lane engines' innermost
+  // loop.  The result reports how many steps were applied (the stop rule is
+  // re-checkable by the caller via spread()) and how many of them CHANGED
+  // the updater's opinion (the jump chain's window_effective currency).
+  // The histogram is DEFERRED: the kernel runs in two passes per sub-block.
+  // Pass 1 is the bare cell chain (read old/seen, branchless +-1, store) with
+  // the old/new cells logged to a pair of stack arrays; pass 2 merges the
+  // logs into the histogram and tallies changed steps.  Splitting the passes
+  // breaks the loop-carried dependence between the cell store and the
+  // histogram read-modify-write that a per-step kernel serializes on (the
+  // batch engine's serial bottleneck, DESIGN.md "Deferred-histogram apply
+  // kernels"), and the merge pass is a straight-line gather the compiler
+  // can vectorize.  The deferred histogram cannot detect a mid-block stop,
+  // so the kernel leans on a monotonicity invariant of the pull-move: every
+  // write lands inside the current active range, hence min_active is
+  // nondecreasing, max_active is nonincreasing, and the spread is
+  // nonincreasing -- the end-of-block spread dips to stop_delta if and only
+  // if some step inside the block crossed it.  When that (rare, at most
+  // once per lane per run) probe fires, the sub-block is reverted from the
+  // logs and replayed through the exact per-step kernel (apply_block_) to
+  // land on the precise stopping step.
   struct AppliedSteps {
     std::uint64_t applied = 0;  // steps executed (== count unless stopped)
     std::uint64_t changed = 0;  // applied steps where the opinion moved
@@ -238,39 +188,8 @@ class OpinionPlane {
         values8_.data() + off_b, state_b, 0, upd_b, obs_b, count, stop_delta);
   }
 
-  // Two-lane variant of apply_steps_toward: interleaves one step of lane A
-  // with one step of lane B and returns how many steps each lane applied.
-  // A lane's step chain is serial -- consecutive steps often hit the same
-  // histogram bucket (convergence concentrates the opinions), so the
-  // read-modify-write on the bucket and the possible reread of a
-  // just-written cell serialize on store-to-load forwarding.  Two lanes are
-  // independent, so pairing them gives the core two such chains to overlap.
-  // When one lane stops mid-block the other's remaining steps run through
-  // the single-lane kernel; the observable effect is exactly two
-  // independent apply_steps_toward calls.  Requires lane_a != lane_b.
-  std::pair<std::uint64_t, std::uint64_t> apply_steps_toward_pair(
-      unsigned lane_a, const VertexId* __restrict upd_a,
-      const VertexId* __restrict obs_a, unsigned lane_b,
-      const VertexId* __restrict upd_b, const VertexId* __restrict obs_b,
-      std::uint64_t count, Opinion stop_delta) {
-    const std::size_t off_a = static_cast<std::size_t>(lane_a) * n_;
-    const std::size_t off_b = static_cast<std::size_t>(lane_b) * n_;
-    Lane& state_a = lanes_[lane_a];
-    Lane& state_b = lanes_[lane_b];
-    if (wide_) {
-      return apply_block_pair_<Opinion>(
-          values32_.data() + off_a, state_a, state_a.range_lo, upd_a, obs_a,
-          values32_.data() + off_b, state_b, state_b.range_lo, upd_b, obs_b,
-          count, stop_delta);
-    }
-    return apply_block_pair_<std::uint8_t>(values8_.data() + off_a, state_a,
-                                           0, upd_a, obs_a,
-                                           values8_.data() + off_b, state_b,
-                                           0, upd_b, obs_b, count, stop_delta);
-  }
-
   // --- per-lane aggregates, mirroring the OpinionState accessors ---
-  // The derived ones (num_active, sum, the degree-weighted family) refresh
+  // The derived ones (num_active, sum, z_total) refresh
   // themselves on first read after a write; they are finalize/analysis
   // surface, not hot-loop state.
   Opinion range_lo(unsigned lane) const { return lanes_[lane].range_lo; }
@@ -284,39 +203,12 @@ class OpinionPlane {
   bool is_consensus(unsigned lane) const {
     return lanes_[lane].min_active == lanes_[lane].max_active;
   }
-  bool is_two_adjacent(unsigned lane) const {
-    return lanes_[lane].max_active - lanes_[lane].min_active <= 1;
-  }
   std::int64_t sum(unsigned lane) const {
     refresh_derived_(lane);
     return lanes_[lane].sum;
   }
-  std::int64_t degree_weighted_sum(unsigned lane) const {
-    refresh_derived_(lane);
-    return lanes_[lane].degree_weighted_sum;
-  }
-  std::int64_t count(unsigned lane, Opinion value) const;
-  std::uint64_t degree_mass(unsigned lane, Opinion value) const;
   // n * sum_v pi_v X_v, as OpinionState::z_total().
   double z_total(unsigned lane) const;
-
-  // --- transposed discordance plane ---
-  // Rebuilds disc[v * lanes + lane] for every lane with one pass over the
-  // edge list: each edge's endpoint ids are read once and compared in all
-  // lanes (the per-row memory traffic is amortized across the batch).
-  // O(m * lanes) compares; call at resync/freeze points, not per step.
-  void rebuild_discordance();
-  bool discordance_built() const { return discordance_built_; }
-  // disc(v) in one lane; requires a prior rebuild_discordance() and counts
-  // only moves applied BEFORE that rebuild.
-  std::uint32_t discordance(unsigned lane, VertexId v) const {
-    return disc_[static_cast<std::size_t>(v) * num_lanes() + lane];
-  }
-  // sum_v disc(v) for one lane = ordered discordant pairs, as
-  // DiscordanceTracker::total_discordant_pairs().
-  std::uint64_t discordant_pairs(unsigned lane) const {
-    return disc_pairs_[lane];
-  }
 
  private:
   struct Lane {
@@ -327,9 +219,7 @@ class OpinionPlane {
     int num_active = 0;
     std::int64_t sum = 0;
     std::int64_t degree_weighted_sum = 0;
-    std::vector<std::int64_t> counts;          // indexed by value - range_lo
-    std::vector<std::uint64_t> degree_masses;  // same indexing
-    bool assigned = false;
+    std::vector<std::int64_t> counts;  // indexed by value - range_lo
     // False after any write; num_active/sum/degree_* are stale until
     // refresh_derived_ recomputes them from the cells and counts.
     bool derived_fresh = false;
@@ -345,9 +235,8 @@ class OpinionPlane {
     }
   }
 
-  // Histogram + active-extreme maintenance shared by set()/step_toward():
-  // everything the stop rule reads stays exact per step, everything else is
-  // deferred.
+  // Histogram + active-extreme maintenance for set(): everything the stop
+  // rule reads stays exact per write, everything else is deferred.
   void apply_histogram_(Lane& state, Opinion old, Opinion value) {
     const auto old_idx = static_cast<std::size_t>(old - state.range_lo);
     const auto new_idx = static_cast<std::size_t>(value - state.range_lo);
@@ -380,8 +269,9 @@ class OpinionPlane {
     }
   }
 
-  // The block kernel behind apply_steps_toward, templated over the cell
-  // type so packed lanes never widen in the loop.  All arithmetic runs in
+  // The exact per-step block kernel a stopping sub-block of the deferred
+  // kernel replays through, templated over the cell type so packed lanes
+  // never widen in the loop.  All arithmetic runs in
   // CELL space: compares and +-1 moves are invariant under the packing
   // shift, the histogram index is cell - off (`off` is range_lo for
   // full-width cells, 0 for packed ones), and the active extremes are
@@ -441,107 +331,6 @@ class OpinionPlane {
     return applied;
   }
 
-  template <typename Cell>
-  std::pair<std::uint64_t, std::uint64_t> apply_block_pair_(
-      Cell* __restrict vals_a, Lane& state_a, Opinion off_a,
-      const VertexId* __restrict upd_a, const VertexId* __restrict obs_a,
-      Cell* __restrict vals_b, Lane& state_b, Opinion off_b,
-      const VertexId* __restrict upd_b, const VertexId* __restrict obs_b,
-      std::uint64_t count, Opinion stop_delta) {
-    std::int64_t* const counts_a = state_a.counts.data();
-    std::int64_t* const counts_b = state_b.counts.data();
-    const Opinion shift_a = state_a.range_lo - off_a;
-    const Opinion shift_b = state_b.range_lo - off_b;
-    Opinion min_a = state_a.min_active - shift_a;
-    Opinion max_a = state_a.max_active - shift_a;
-    Opinion min_b = state_b.min_active - shift_b;
-    Opinion max_b = state_b.max_active - shift_b;
-    state_a.derived_fresh = false;
-    state_b.derived_fresh = false;
-    const auto write_back = [&] {
-      state_a.min_active = min_a + shift_a;
-      state_a.max_active = max_a + shift_a;
-      state_b.min_active = min_b + shift_b;
-      state_b.max_active = max_b + shift_b;
-    };
-    for (std::uint64_t s = 0; s < count; ++s) {
-      const VertexId va = upd_a[s];
-      const VertexId vb = upd_b[s];
-      const auto old_a = static_cast<Opinion>(vals_a[va]);
-      const auto old_b = static_cast<Opinion>(vals_b[vb]);
-      const auto seen_a = static_cast<Opinion>(vals_a[obs_a[s]]);
-      const auto seen_b = static_cast<Opinion>(vals_b[obs_b[s]]);
-      const Opinion new_a = old_a + static_cast<Opinion>(old_a < seen_a) -
-                            static_cast<Opinion>(old_a > seen_a);
-      const Opinion new_b = old_b + static_cast<Opinion>(old_b < seen_b) -
-                            static_cast<Opinion>(old_b > seen_b);
-      vals_a[va] = static_cast<Cell>(new_a);
-      vals_b[vb] = static_cast<Cell>(new_b);
-      const auto old_idx_a = static_cast<std::size_t>(old_a - off_a);
-      const auto old_idx_b = static_cast<std::size_t>(old_b - off_b);
-      --counts_a[old_idx_a];
-      --counts_b[old_idx_b];
-      ++counts_a[static_cast<std::size_t>(new_a - off_a)];
-      ++counts_b[static_cast<std::size_t>(new_b - off_b)];
-      if (new_a < min_a) {
-        min_a = new_a;
-      }
-      if (new_a > max_a) {
-        max_a = new_a;
-      }
-      if (new_b < min_b) {
-        min_b = new_b;
-      }
-      if (new_b > max_b) {
-        max_b = new_b;
-      }
-      if (counts_a[old_idx_a] == 0) [[unlikely]] {
-        if (old_a == min_a) {
-          while (counts_a[static_cast<std::size_t>(min_a - off_a)] == 0) {
-            ++min_a;
-          }
-        }
-        if (old_a == max_a) {
-          while (counts_a[static_cast<std::size_t>(max_a - off_a)] == 0) {
-            --max_a;
-          }
-        }
-      }
-      if (counts_b[old_idx_b] == 0) [[unlikely]] {
-        if (old_b == min_b) {
-          while (counts_b[static_cast<std::size_t>(min_b - off_b)] == 0) {
-            ++min_b;
-          }
-        }
-        if (old_b == max_b) {
-          while (counts_b[static_cast<std::size_t>(max_b - off_b)] == 0) {
-            --max_b;
-          }
-        }
-      }
-      const bool stop_a = max_a - min_a <= stop_delta;
-      const bool stop_b = max_b - min_b <= stop_delta;
-      if (stop_a || stop_b) [[unlikely]] {
-        write_back();
-        if (stop_a && stop_b) {
-          return {s + 1, s + 1};
-        }
-        if (stop_a) {
-          const std::uint64_t tail =
-              apply_block_<Cell>(vals_b, state_b, off_b, upd_b + s + 1,
-                                 obs_b + s + 1, count - s - 1, stop_delta);
-          return {s + 1, s + 1 + tail};
-        }
-        const std::uint64_t tail =
-            apply_block_<Cell>(vals_a, state_a, off_a, upd_a + s + 1,
-                               obs_a + s + 1, count - s - 1, stop_delta);
-        return {s + 1 + tail, s + 1};
-      }
-    }
-    write_back();
-    return {count, count};
-  }
-
   // Sub-block size for the deferred kernels: the old/new logs live on the
   // stack, and the stop probe runs once per sub-block, so the size trades
   // merge-pass batching against post-stop overshoot (work done past the
@@ -592,7 +381,7 @@ class OpinionPlane {
         changed += old_log[s] != new_log[s];
       }
       // Exact end-of-block extremes: the active range only ever shrinks
-      // under step_toward, so probing inward from the pre-block extremes
+      // under pull-moves, so probing inward from the pre-block extremes
       // lands on the true post-block extremes.
       Opinion min_cell = state.min_active - shift;
       Opinion max_cell = state.max_active - shift;
@@ -753,8 +542,8 @@ class OpinionPlane {
   }
 
   // Recomputes the deferred aggregates for one lane: num_active and sum
-  // from the counts histogram (O(k)), the degree-weighted family from one
-  // walk over the lane's cells (O(n)).  Called from the derived accessors;
+  // from the counts histogram (O(k)), the degree-weighted sum from one walk
+  // over the lane's cells (O(n)).  Called from the derived accessors;
   // logically const, hence the mutable lanes_.
   void refresh_derived_(unsigned lane) const;
 
@@ -770,10 +559,6 @@ class OpinionPlane {
   std::vector<Opinion> values32_;
   bool wide_ = false;
   mutable std::vector<Lane> lanes_;
-  // Transposed: disc_[v * lanes + lane]; empty until rebuild_discordance().
-  std::vector<std::uint32_t> disc_;
-  std::vector<std::uint64_t> disc_pairs_;  // per lane
-  bool discordance_built_ = false;
 };
 
 // A single lane of an OpinionPlane presented through the read-only state
@@ -793,7 +578,6 @@ class PlaneLaneView {
   Opinion opinion(VertexId v) const { return plane_->opinion(lane_, v); }
   Opinion range_lo() const { return plane_->range_lo(lane_); }
   Opinion range_hi() const { return plane_->range_hi(lane_); }
-  unsigned lane() const { return lane_; }
 
  private:
   const OpinionPlane* plane_;

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <deque>
 #include <stdexcept>
-#include <string>
 
 #include "core/discordance_tracker.hpp"
 #include "core/div_process.hpp"
@@ -21,34 +19,97 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// Argument checks shared by both lane engines; `engine` names the caller in
-// the messages.
-void validate_lane_args(const char* engine, const Graph& graph,
-                        SelectionScheme scheme, unsigned lanes,
-                        std::size_t num_rngs, const RunOptions& options,
-                        std::size_t num_cancels, std::size_t num_metrics) {
-  const std::string name(engine);
-  if (num_rngs != lanes) {
-    throw std::invalid_argument(name + ": one rng per lane is required");
+// Pre-drawn step blocks.  A lane's rng stream does not depend on the
+// opinion state -- per step the vertex scheme draws uniform_below(n) then
+// uniform_below(degree(updater)) and the edge scheme uniform_below(m) then
+// next(), all functions of the graph and the stream alone -- so a whole
+// block of (updater, observed) pairs can be drawn, and every opinion cell it
+// will touch prefetched, before the first application reads the plane.  By
+// apply time each cell has had a block's worth of independent work to cover
+// its miss.  A lane that stops mid-block (consensus; the step cap lands on a
+// block boundary by construction) rewinds its rng to the block-start
+// snapshot and re-executes exactly the draws of its completed steps
+// (rewind_block), so its final stream position is bit-identical to the
+// scalar engines'.
+constexpr std::uint64_t kBlockSteps = 32;
+
+// Cancellation drains a lane at a block boundary: one acquire load per step
+// is measurable in a loop this tight, so tokens are polled every
+// kCancelBlocks blocks (and always before the first step) -- a few dozen
+// steps of extra drain latency against deadlines that are milliseconds at
+// their tightest.
+constexpr std::uint64_t kCancelBlocks = 8;
+
+// Draws `count` scheduled (updater, observed) pairs from `rng` into upd/obs
+// in select_pair's order, prefetching the cells the apply will read from
+// the lane whose raw cells start at `vals` (stride `cell`).  The caller
+// snapshots rng.state() first if it may need rewind_block.
+void draw_block(const Graph& graph, SelectionScheme scheme, Rng& rng,
+                const char* vals, std::size_t cell, VertexId* __restrict upd,
+                VertexId* __restrict obs, std::uint64_t count) {
+  if (scheme == SelectionScheme::kVertex) {
+    const VertexId n = graph.num_vertices();
+    for (std::uint64_t s = 0; s < count; ++s) {
+      const auto updater = static_cast<VertexId>(rng.uniform_below(n));
+      const auto row = graph.neighbors(updater);
+      const VertexId observed =
+          row[static_cast<std::size_t>(rng.uniform_below(row.size()))];
+      upd[s] = updater;
+      obs[s] = observed;
+      __builtin_prefetch(vals + updater * cell, 1);
+      __builtin_prefetch(vals + observed * cell, 0);
+    }
+    return;
   }
-  if (num_cancels != 0 && num_cancels != lanes) {
-    throw std::invalid_argument(
-        name + ": lane_cancels must be empty or one token slot per lane");
+  const std::span<const Edge> edges = graph.edges();
+  const std::uint64_t num_edges = edges.size();
+  for (std::uint64_t s = 0; s < count; ++s) {
+    const Edge& edge =
+        edges[static_cast<std::size_t>(rng.uniform_below(num_edges))];
+    const bool forward = (rng.next() & 1u) != 0;
+    const VertexId updater = forward ? edge.u : edge.v;
+    const VertexId observed = forward ? edge.v : edge.u;
+    upd[s] = updater;
+    obs[s] = observed;
+    __builtin_prefetch(vals + updater * cell, 1);
+    __builtin_prefetch(vals + observed * cell, 0);
   }
-  if (num_metrics != 0 && num_metrics != lanes) {
-    throw std::invalid_argument(
-        name + ": lane_metrics must be empty or one sink slot per lane");
+}
+
+// Restores `rng` to exactly `consumed` completed steps past the block-start
+// `snapshot`.  Re-executing the draw calls (instead of storing raw words)
+// replays rejection retries of uniform_below identically, so the stream
+// position is exact no matter how many raw words a draw ate.
+void rewind_block(const Graph& graph, SelectionScheme scheme, Rng& rng,
+                  const std::array<std::uint64_t, 4>& snapshot,
+                  std::uint64_t consumed) {
+  rng.set_state(snapshot);
+  for (std::uint64_t s = 0; s < consumed; ++s) {
+    if (scheme == SelectionScheme::kVertex) {
+      const auto updater =
+          static_cast<VertexId>(rng.uniform_below(graph.num_vertices()));
+      rng.uniform_below(graph.neighbors(updater).size());
+    } else {
+      rng.uniform_below(graph.edges().size());
+      rng.next();
+    }
   }
-  if (options.trace_stride != 0) {
-    throw std::invalid_argument(
-        name + " records no traces; use the scalar engines for tracing");
+}
+
+// The scalar engines' finalize(): the lane's aggregate snapshot.
+void fill_result(const OpinionPlane& plane, unsigned lane, RunStatus status,
+                 std::uint64_t steps, RunResult& result) {
+  result.status = status;
+  result.completed = status == RunStatus::kCompleted;
+  result.steps = steps;
+  result.min_active = plane.min_active(lane);
+  result.max_active = plane.max_active(lane);
+  result.num_active = plane.num_active(lane);
+  result.final_sum = plane.sum(lane);
+  result.final_z = plane.z_total(lane);
+  if (plane.is_consensus(lane)) {
+    result.winner = plane.min_active(lane);
   }
-  if (options.metrics != nullptr) {
-    throw std::invalid_argument(
-        name + " records telemetry per lane; pass lane_metrics instead of "
-               "RunOptions::metrics");
-  }
-  validate_for_selection(graph, scheme);
 }
 
 }  // namespace
@@ -59,8 +120,27 @@ std::vector<RunResult> run_batch(
     std::span<const CancelToken* const> lane_cancels,
     std::span<RunMetrics* const> lane_metrics) {
   const unsigned lanes = plane.num_lanes();
-  validate_lane_args("run_batch", graph, scheme, lanes, rngs.size(), options,
-                     lane_cancels.size(), lane_metrics.size());
+  if (rngs.size() != lanes) {
+    throw std::invalid_argument("run_batch: one rng per lane is required");
+  }
+  if (!lane_cancels.empty() && lane_cancels.size() != lanes) {
+    throw std::invalid_argument(
+        "run_batch: lane_cancels must be empty or one token slot per lane");
+  }
+  if (!lane_metrics.empty() && lane_metrics.size() != lanes) {
+    throw std::invalid_argument(
+        "run_batch: lane_metrics must be empty or one sink slot per lane");
+  }
+  if (options.trace_stride != 0) {
+    throw std::invalid_argument(
+        "run_batch records no traces; use the scalar engines for tracing");
+  }
+  if (options.metrics != nullptr) {
+    throw std::invalid_argument(
+        "run_batch records telemetry per lane; pass lane_metrics instead of "
+        "RunOptions::metrics");
+  }
+  validate_for_selection(graph, scheme);
   const auto wall_start = Clock::now();
   const auto sink_for = [&](unsigned lane) -> RunMetrics* {
     return lane_metrics.empty() ? nullptr : lane_metrics[lane];
@@ -73,8 +153,6 @@ std::vector<RunResult> run_batch(
   }
 
   const VertexId n = graph.num_vertices();
-  const std::span<const Edge> edges = graph.edges();
-  const std::uint64_t num_edges = edges.size();
   // is_satisfied(kConsensus) == (max - min <= 0); kTwoAdjacent == (<= 1).
   const Opinion stop_delta = options.stop == StopKind::kConsensus ? 0 : 1;
 
@@ -88,18 +166,7 @@ std::vector<RunResult> run_batch(
   };
   const auto finalize_lane = [&](unsigned lane, RunStatus status,
                                  std::uint64_t steps) {
-    RunResult& result = results[lane];
-    result.status = status;
-    result.completed = status == RunStatus::kCompleted;
-    result.steps = steps;
-    result.min_active = plane.min_active(lane);
-    result.max_active = plane.max_active(lane);
-    result.num_active = plane.num_active(lane);
-    result.final_sum = plane.sum(lane);
-    result.final_z = plane.z_total(lane);
-    if (plane.is_consensus(lane)) {
-      result.winner = plane.min_active(lane);
-    }
+    fill_result(plane, lane, status, steps, results[lane]);
     if (RunMetrics* metrics = sink_for(lane)) {
       const double wall = seconds_since(wall_start);
       metrics->scheduled_steps = steps;
@@ -140,20 +207,6 @@ std::vector<RunResult> run_batch(
     }
   }
 
-  // Pre-drawn step blocks.  A lane's rng stream does not depend on the
-  // opinion state -- per step the vertex scheme draws uniform_below(n) then
-  // uniform_below(degree(updater)) and the edge scheme uniform_below(m)
-  // then next(), all functions of the graph and the stream alone -- so a
-  // whole block of (updater, observed) pairs can be drawn, and every
-  // opinion cell it will touch prefetched, before the first application
-  // reads the plane.  By apply time each cell has had a block's worth of
-  // independent work to cover its miss; the lanes' serial load chains never
-  // gate the sweep.  A lane that stops mid-block (consensus; the step cap
-  // lands on a block boundary by construction) rewinds its rng to the
-  // block-start snapshot and re-executes exactly the draws of its completed
-  // steps, so its final stream position is bit-identical to the scalar
-  // engine's.
-  constexpr std::uint64_t kBlockSteps = 32;
   // Cell stride for prefetch addressing (1 for byte-packed planes).
   const std::size_t cell = plane.cell_bytes();
 
@@ -176,33 +229,6 @@ std::vector<RunResult> run_batch(
   };
   std::vector<unsigned char> retired_flags(lanes, 0);
 
-  // Restores lane i's stream to `exactly `consumed` completed steps past the
-  // block-start snapshot.  Re-executing the draw calls (instead of storing
-  // raw words) replays rejection retries of uniform_below identically, so
-  // the stream position is exact no matter how many raw words a draw ate.
-  const auto rewind_to = [&](std::size_t i, std::uint64_t consumed) {
-    Rng& rng = *lane_rng[i];
-    rng.set_state(block_start[i]);
-    if (scheme == SelectionScheme::kVertex) {
-      for (std::uint64_t s = 0; s < consumed; ++s) {
-        const auto updater =
-            static_cast<VertexId>(rng.uniform_below(n));
-        rng.uniform_below(graph.neighbors(updater).size());
-      }
-    } else {
-      for (std::uint64_t s = 0; s < consumed; ++s) {
-        rng.uniform_below(num_edges);
-        rng.next();
-      }
-    }
-  };
-
-  // Cancellation drains a lane at a block boundary: one acquire load per
-  // lane per step is measurable in a loop this tight, so tokens are polled
-  // every kCancelBlocks blocks (and always before the first step) -- a few
-  // dozen steps of extra drain latency against deadlines that are
-  // milliseconds at their tightest.
-  constexpr std::uint64_t kCancelBlocks = 8;
   std::uint64_t block_index = 0;
 
   while (!active.empty()) {
@@ -237,6 +263,7 @@ std::vector<RunResult> run_batch(
     // step-major interleave was tried and lost: it round-trips the state
     // through memory every draw, and the extra L1 traffic costs more than
     // the chain interleaving buys).
+    std::size_t drawn = 0;
     if (scheme == SelectionScheme::kVertex) {
       // Lane pairs: a single lane's two draws per step form one serial
       // xoshiro dependency chain, so a lone stripe is latency-bound on the
@@ -245,8 +272,8 @@ std::vector<RunResult> run_batch(
       // they live in registers for the whole stripe; a full step-major
       // interleave of ALL lanes was tried and lost -- it round-trips every
       // state through memory each draw).
-      std::size_t i = 0;
-      for (; i + 1 < live; i += 2) {
+      for (; drawn + 1 < live; drawn += 2) {
+        const std::size_t i = drawn;
         Rng ra = *lane_rng[i];
         Rng rb = *lane_rng[i + 1];
         block_start[i] = ra.state();
@@ -273,55 +300,24 @@ std::vector<RunResult> run_batch(
           obs_a_out[s] = obs_a;
           upd_b_out[s] = upd_b;
           obs_b_out[s] = obs_b;
-          __builtin_prefetch(vals_a + upd_a, 1);
-          __builtin_prefetch(vals_a + obs_a, 0);
-          __builtin_prefetch(vals_b + upd_b, 1);
-          __builtin_prefetch(vals_b + obs_b, 0);
+          __builtin_prefetch(vals_a + upd_a * cell, 1);
+          __builtin_prefetch(vals_a + obs_a * cell, 0);
+          __builtin_prefetch(vals_b + upd_b * cell, 1);
+          __builtin_prefetch(vals_b + obs_b * cell, 0);
         }
         *lane_rng[i] = ra;
         *lane_rng[i + 1] = rb;
       }
-      for (; i < live; ++i) {
-        Rng& rng = *lane_rng[i];
-        block_start[i] = rng.state();
-        const char* vals = lane_vals[i];
-        const std::size_t base = i * kBlockSteps;
-        for (std::uint64_t s = 0; s < block; ++s) {
-          const auto updater = static_cast<VertexId>(rng.uniform_below(n));
-          const auto row = graph.neighbors(updater);
-          const VertexId observed = row[static_cast<std::size_t>(
-              rng.uniform_below(row.size()))];
-          upd[base + s] = updater;
-          obs[base + s] = observed;
-          __builtin_prefetch(vals + updater * cell, 1);
-          __builtin_prefetch(vals + observed * cell, 0);
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < live; ++i) {
-        Rng& rng = *lane_rng[i];
-        block_start[i] = rng.state();
-        const char* vals = lane_vals[i];
-        const std::size_t base = i * kBlockSteps;
-        for (std::uint64_t s = 0; s < block; ++s) {
-          const Edge& edge =
-              edges[static_cast<std::size_t>(rng.uniform_below(num_edges))];
-          const bool forward = (rng.next() & 1u) != 0;
-          const VertexId updater = forward ? edge.u : edge.v;
-          const VertexId observed = forward ? edge.v : edge.u;
-          upd[base + s] = updater;
-          obs[base + s] = observed;
-          __builtin_prefetch(vals + updater * cell, 1);
-          __builtin_prefetch(vals + observed * cell, 0);
-        }
-      }
+    }
+    for (; drawn < live; ++drawn) {
+      block_start[drawn] = lane_rng[drawn]->state();
+      draw_block(graph, scheme, *lane_rng[drawn], lane_vals[drawn], cell,
+                 &upd[drawn * kBlockSteps], &obs[drawn * kBlockSteps], block);
     }
 
     // Apply phase: per lane, its block's steps in draw order (in-block
     // rereads of a just-written cell see the write, exactly as the scalar
-    // loop would).  A lane that stops retires via swap-remove; the lane
-    // swapped in from the back has not been applied this block and brings
-    // its scratch stripe and snapshot along.
+    // loop would).
     // The stopping rule is a pure function of the state and the spread only
     // moves on a changed step, so the kernels' unconditional
     // after-every-step check is semantically identical to the scalar loop's
@@ -334,7 +330,7 @@ std::vector<RunResult> run_batch(
       lane_steps[i] += applied;
       if (plane.spread(lane) <= stop_delta) {
         if (applied < block) {
-          rewind_to(i, applied);
+          rewind_block(graph, scheme, *lane_rng[i], block_start[i], applied);
         }
         finalize_lane(lane, RunStatus::kCompleted, lane_steps[i]);
         retired_flags[i] = 1;
@@ -381,526 +377,162 @@ std::vector<RunResult> run_batch(
   return results;
 }
 
-namespace {
-
-// Per-live-lane jump-chain context.  The tracker holds a pointer to the
-// sibling `view` member, so contexts must never move once constructed --
-// they live in a std::deque and the engine's live list holds pointers.
-struct JumpLaneCtx {
-  unsigned lane;
-  PlaneLaneView view;
-  BasicDiscordanceTracker<PlaneLaneView> tracker;
-  Rng* rng;
-  const CancelToken* token;
-  RunMetrics* metrics;     // the lane's telemetry sink, or null
-  bool jump_mode = true;   // the scalar loop also starts in jump mode
-  bool armed = false;      // jump mode only: next effective time drawn
-  std::uint64_t due = 0;   // scheduled clock of the next effective step
-  std::uint64_t skipped = 0;  // lazy steps the armed draw jumps over
-  std::uint64_t window_steps = 0;      // naive mode: steps in this window
-  std::uint64_t window_effective = 0;  // naive mode: changed steps in window
-  std::uint64_t effective_steps = 0;
-  std::uint64_t mode_switches = 0;
-  bool done = false;
-  Clock::time_point segment_start;  // current mode segment (metrics only)
-
-  JumpLaneCtx(const OpinionPlane& plane, unsigned lane_id,
-              SelectionScheme scheme, Rng* rng_in, const CancelToken* token_in,
-              RunMetrics* metrics_in, Clock::time_point start)
-      : lane(lane_id),
-        view(plane, lane_id),
-        tracker(view, scheme),
-        rng(rng_in),
-        token(token_in),
-        metrics(metrics_in),
-        segment_start(start) {}
-};
-
-// Books the wall time since `segment_start` to the bucket of the mode that
-// segment ran in and starts the next segment now.
-Clock::time_point close_segment(RunMetrics& metrics, bool was_jump,
-                                Clock::time_point& segment_start) {
-  const auto now = Clock::now();
-  (was_jump ? metrics.wall_seconds_jump : metrics.wall_seconds_naive) +=
-      std::chrono::duration<double>(now - segment_start).count();
-  segment_start = now;
-  return now;
-}
-
-// The scalar loop's end-of-run telemetry: closes the open mode segment and
-// stamps the lane's totals.
-void finish_jump_metrics(RunMetrics& metrics, bool jump_mode,
-                         Clock::time_point segment_start,
-                         Clock::time_point wall_start, std::uint64_t steps,
-                         std::uint64_t effective, std::uint64_t rebuilds) {
-  const auto now = close_segment(metrics, jump_mode, segment_start);
-  metrics.wall_seconds_total =
-      std::chrono::duration<double>(now - wall_start).count();
-  metrics.scheduled_steps = steps;
-  metrics.effective_steps = effective;
-  metrics.tracker_rebuilds = rebuilds;
-}
-
-// Records a mode entry at `step` with the tracker's (fresh) activity and
-// closes the segment that just ended.
-void record_lane_switch(JumpLaneCtx& ctx, std::uint64_t step, bool jump_mode) {
-  ctx.metrics->record_mode_switch(step, jump_mode,
-                                  ctx.tracker.active_probability(),
-                                  ctx.tracker.total_discordant_pairs());
-  close_segment(*ctx.metrics, /*was_jump=*/!jump_mode, ctx.segment_start);
-}
-
-}  // namespace
-
-std::vector<JumpRunResult> run_batch_jump(
-    const Graph& graph, SelectionScheme scheme, OpinionPlane& plane,
-    std::span<Rng> rngs, const RunOptions& options,
-    std::span<const CancelToken* const> lane_cancels,
-    std::span<RunMetrics* const> lane_metrics) {
-  const unsigned lanes = plane.num_lanes();
-  validate_lane_args("run_batch_jump", graph, scheme, lanes, rngs.size(),
-                     options, lane_cancels.size(), lane_metrics.size());
+JumpRunResult run_lane_jump(const Graph& graph, SelectionScheme scheme,
+                            OpinionPlane& plane, Rng& rng,
+                            const RunOptions& options) {
+  if (plane.num_lanes() != 1) {
+    throw std::invalid_argument(
+        "run_lane_jump: the plane must have exactly one lane");
+  }
+  if (options.trace_stride != 0) {
+    throw std::invalid_argument(
+        "run_lane_jump records no traces; use run_jump for tracing");
+  }
+  validate_for_selection(graph, scheme);
   const auto wall_start = Clock::now();
-  const auto sink_for = [&](unsigned lane) -> RunMetrics* {
-    return lane_metrics.empty() ? nullptr : lane_metrics[lane];
-  };
-
-  const VertexId n = graph.num_vertices();
-  const std::span<const Edge> edges = graph.edges();
-  const std::uint64_t num_edges = edges.size();
+  RunMetrics* const metrics = options.metrics;
   const Opinion stop_delta = options.stop == StopKind::kConsensus ? 0 : 1;
   const std::uint64_t max_steps = options.max_steps;
 
-  std::vector<JumpRunResult> results(lanes);
+  // As in run_jump: the tracker is built (and the launch entry stamped with
+  // its activity) before the first stop check, and the run starts in jump
+  // mode so a start that can never change state is diagnosed at once.
+  const PlaneLaneView view(plane, 0);
+  BasicDiscordanceTracker<PlaneLaneView> tracker(view, scheme);
+  JumpRunResult result;
+  bool jump_mode = true;
+  Clock::time_point segment_start = wall_start;  // metrics only
+  // Books the wall time since segment_start to the mode that segment ran in.
+  const auto close_segment = [&](bool was_jump) {
+    const auto now = Clock::now();
+    (was_jump ? metrics->wall_seconds_jump : metrics->wall_seconds_naive) +=
+        std::chrono::duration<double>(now - segment_start).count();
+    segment_start = now;
+  };
+  if (metrics != nullptr) {
+    metrics->record_mode_switch(0, /*jump_mode=*/true,
+                                tracker.active_probability(),
+                                tracker.total_discordant_pairs());
+  }
+  const auto finish = [&](RunStatus status, std::uint64_t steps) {
+    fill_result(plane, 0, status, steps, result);
+    if (metrics != nullptr) {
+      close_segment(jump_mode);
+      metrics->wall_seconds_total = seconds_since(wall_start);
+      metrics->scheduled_steps = steps;
+      metrics->effective_steps = result.effective_steps;
+      metrics->tracker_rebuilds = tracker.rebuilds();
+    }
+    return result;
+  };
+  if (plane.spread(0) <= stop_delta) {
+    return finish(RunStatus::kCompleted, 0);
+  }
 
-  const auto token_for = [&](unsigned lane) -> const CancelToken* {
-    if (!lane_cancels.empty() && lane_cancels[lane] != nullptr) {
-      return lane_cancels[lane];
-    }
-    return options.cancel;
-  };
-  const auto finalize_slot = [&](unsigned lane, RunStatus status,
-                                 std::uint64_t steps, std::uint64_t effective,
-                                 std::uint64_t switches) {
-    JumpRunResult& result = results[lane];
-    result.status = status;
-    result.completed = status == RunStatus::kCompleted;
-    result.steps = steps;
-    result.effective_steps = effective;
-    result.mode_switches = switches;
-    result.min_active = plane.min_active(lane);
-    result.max_active = plane.max_active(lane);
-    result.num_active = plane.num_active(lane);
-    result.final_sum = plane.sum(lane);
-    result.final_z = plane.z_total(lane);
-    if (plane.is_consensus(lane)) {
-      result.winner = plane.min_active(lane);
-    }
-  };
-  const auto finalize_ctx = [&](JumpLaneCtx& ctx, RunStatus status,
-                                std::uint64_t steps) {
-    finalize_slot(ctx.lane, status, steps, ctx.effective_steps,
-                  ctx.mode_switches);
-    if (ctx.metrics != nullptr) {
-      finish_jump_metrics(*ctx.metrics, ctx.jump_mode, ctx.segment_start,
-                          wall_start, steps, ctx.effective_steps,
-                          ctx.tracker.rebuilds());
-    }
-    ctx.done = true;
-  };
-  // A lane that never steps gets no context, but the scalar loop builds its
-  // tracker before checking the stop rule and stamps the launch entry with
-  // the tracker's activity; a sink gets that entry from a one-off tracker.
-  const auto finalize_idle = [&](unsigned lane, RunStatus status) {
-    finalize_slot(lane, status, 0, 0, 0);
-    if (RunMetrics* metrics = sink_for(lane)) {
-      const PlaneLaneView view(plane, lane);
-      const BasicDiscordanceTracker<PlaneLaneView> tracker(view, scheme);
-      metrics->record_mode_switch(0, /*jump_mode=*/true,
-                                  tracker.active_probability(),
+  std::uint64_t clock = 0;  // scheduled steps, lazy ones included
+  // The mode switch at `clock`; the tracker is fresh at both kinds (still
+  // fresh at a jump exit, just rebuilt at a jump entry), so a timeline entry
+  // carries exact activity.
+  const auto switch_mode = [&](bool to_jump) {
+    jump_mode = to_jump;
+    ++result.mode_switches;
+    if (metrics != nullptr) {
+      metrics->record_mode_switch(clock, to_jump, tracker.active_probability(),
                                   tracker.total_discordant_pairs());
-      finish_jump_metrics(*metrics, /*jump_mode=*/true, wall_start,
-                          wall_start, 0, 0, 0);
+      close_segment(/*was_jump=*/!to_jump);
     }
   };
-  // Frozen and watchdog exits idle the lane to the cap; the scalar loop
-  // books the whole remaining stretch as skipped lazy steps.
-  const auto record_frozen_tail = [&](JumpLaneCtx& ctx, std::uint64_t clock) {
-    if (ctx.metrics != nullptr) {
-      ctx.metrics->frozen_tail_steps += max_steps - clock;
-      ctx.metrics->lazy_steps_skipped += max_steps - clock;
-    }
-  };
-
-  // Lane contexts need stable addresses (the tracker points at the sibling
-  // view member), hence the deque; `live` swap-compacts pointers only.
-  std::deque<JumpLaneCtx> ctx_store;
-  std::vector<JumpLaneCtx*> live;
-  live.reserve(lanes);
-  // Scalar ordering: a lane satisfied before its first step completes with
-  // zero steps; an unsatisfied lane under a zero budget is capped at zero.
-  // (The scalar loop builds its tracker before checking; only a telemetry
-  // sink can observe it, so such lanes build one only for their sink.)
-  for (unsigned lane = 0; lane < lanes; ++lane) {
-    if (plane.spread(lane) <= stop_delta) {
-      finalize_idle(lane, RunStatus::kCompleted);
-    } else if (max_steps == 0) {
-      finalize_idle(lane, RunStatus::kCapped);
-    } else {
-      JumpLaneCtx& ctx =
-          ctx_store.emplace_back(plane, lane, scheme, &rngs[lane],
-                                 token_for(lane), sink_for(lane), wall_start);
-      if (ctx.metrics != nullptr) {
-        ctx.metrics->record_mode_switch(0, /*jump_mode=*/true,
-                                        ctx.tracker.active_probability(),
-                                        ctx.tracker.total_discordant_pairs());
-      }
-      live.push_back(&ctx);
-    }
-  }
-  const auto prune = [&] {
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < live.size(); ++r) {
-      if (!live[r]->done) {
-        live[w++] = live[r];
-      }
-    }
-    live.resize(w);
-  };
-
-  // Naive-mode lanes reuse run_batch's block machinery: pre-drawn lane-major
-  // (updater, observed) stripes, block-start rng snapshots for mid-block
-  // rewinds, and the deferred-histogram counted apply kernels (the changed
-  // tally is exactly the window_effective currency of the hysteresis rule).
-  constexpr std::uint64_t kBlockSteps = 32;
+  std::uint64_t window_steps = 0;      // naive mode: steps in this window
+  std::uint64_t window_effective = 0;  // naive mode: changed steps in window
+  const char* const vals = static_cast<const char*>(plane.lane_raw(0));
   const std::size_t cell = plane.cell_bytes();
-  std::vector<VertexId> upd(static_cast<std::size_t>(lanes) * kBlockSteps);
-  std::vector<VertexId> obs(static_cast<std::size_t>(lanes) * kBlockSteps);
-  std::vector<std::array<std::uint64_t, 4>> block_start(lanes);
-  std::vector<JumpLaneCtx*> naive;
-  std::vector<const char*> naive_vals;
-  naive.reserve(lanes);
-  naive_vals.reserve(lanes);
+  std::array<VertexId, kBlockSteps> upd{};
+  std::array<VertexId, kBlockSteps> obs{};
 
-  // Restores a naive lane's stream to exactly `consumed` completed steps
-  // past its block-start snapshot (see run_batch::rewind_to).
-  const auto rewind_to = [&](JumpLaneCtx& ctx,
-                             const std::array<std::uint64_t, 4>& snap,
-                             std::uint64_t consumed) {
-    Rng& rng = *ctx.rng;
-    rng.set_state(snap);
-    if (scheme == SelectionScheme::kVertex) {
-      for (std::uint64_t s = 0; s < consumed; ++s) {
-        const auto updater = static_cast<VertexId>(rng.uniform_below(n));
-        rng.uniform_below(graph.neighbors(updater).size());
+  // One iteration is one effective step in jump mode or one pre-drawn block
+  // in naive mode; the cancel poll sits between iterations, every
+  // kCancelBlocks of them, as in run_batch.
+  for (std::uint64_t iteration = 0; clock < max_steps; ++iteration) {
+    if (iteration % kCancelBlocks == 0 && options.cancel != nullptr &&
+        options.cancel->requested()) {
+      return finish(drained_status(*options.cancel), clock);
+    }
+    if (jump_mode) {
+      // Frozen: every pair agrees but the stop rule does not hold, so the
+      // scalar loop idles to the cap.  Watchdog: the next effective step
+      // falls beyond the budget.  Either way the remaining stretch is
+      // booked as skipped lazy steps.
+      const bool frozen = tracker.frozen();
+      const std::uint64_t skipped =
+          frozen ? 0 : rng.geometric(tracker.active_probability());
+      if (frozen || skipped >= max_steps - clock) {
+        if (metrics != nullptr) {
+          metrics->frozen_tail_steps += max_steps - clock;
+          metrics->lazy_steps_skipped += max_steps - clock;
+        }
+        return finish(RunStatus::kCapped, max_steps);
+      }
+      clock += skipped + 1;
+      const SelectedPair pair = tracker.sample_discordant_pair(rng);
+      const Opinion own = plane.opinion(0, pair.updater);
+      plane.set(0, pair.updater,
+                DivProcess::updated_opinion(
+                    own, plane.opinion(0, pair.observed)));
+      tracker.apply_move(pair.updater, own);
+      ++result.effective_steps;
+      if (metrics != nullptr) {
+        metrics->lazy_steps_skipped += skipped;
+        if (metrics->activity_stride > 0 &&
+            result.effective_steps % metrics->activity_stride == 0) {
+          metrics->record_activity(clock, tracker.active_probability(),
+                                   tracker.total_discordant_pairs());
+        }
+      }
+      if (plane.spread(0) <= stop_delta) {
+        return finish(RunStatus::kCompleted, clock);
+      }
+      if (tracker.active_probability() > kJumpExitActiveProbability) {
+        // Dense phase: drop to naive scheduled steps, tracker left stale.
+        switch_mode(/*to_jump=*/false);
+        window_steps = 0;
+        window_effective = 0;
       }
     } else {
-      for (std::uint64_t s = 0; s < consumed; ++s) {
-        rng.uniform_below(num_edges);
-        rng.next();
-      }
-    }
-  };
-
-  constexpr std::uint64_t kCancelBlocks = 8;
-  std::uint64_t iteration = 0;
-
-  // The lane-group SCHEDULED clock.  Every live lane agrees on it: jump-mode
-  // lanes sleep until their drawn due time, naive-mode lanes execute every
-  // scheduled step in between.  Each loop iteration advances the clock to
-  // the nearest event horizon and then settles the lanes whose event lands
-  // exactly there, so per lane the sequence of rng draws, mode switches, and
-  // state writes is the scalar run_jump loop's, merely re-ordered across
-  // lanes (which never observe each other).
-  std::uint64_t clock = 0;
-  while (!live.empty()) {
-    // Same drain point as the scalar loop: between scheduled iterations
-    // (polled coarsely, as in run_batch).
-    if (iteration++ % kCancelBlocks == 0) {
-      bool drained = false;
-      for (JumpLaneCtx* ctx : live) {
-        if (ctx->token != nullptr && ctx->token->requested()) {
-          finalize_ctx(*ctx, drained_status(*ctx->token), clock);
-          drained = true;
-        }
-      }
-      if (drained) {
-        prune();
-        if (live.empty()) {
-          break;
-        }
-      }
-    }
-
-    // Arm pass: every jump-mode lane whose next effective time is undrawn
-    // draws it now -- frozen check, then Geometric(p) skip, in the scalar
-    // order.  due == clock + skipped + 1 <= max_steps by the watchdog check.
-    {
-      bool capped = false;
-      for (JumpLaneCtx* ctx_ptr : live) {
-        JumpLaneCtx& ctx = *ctx_ptr;
-        if (!ctx.jump_mode || ctx.armed) {
-          continue;
-        }
-        if (ctx.tracker.frozen()) {
-          // Every pair agrees but the stop rule does not hold: the scalar
-          // loop idles to the cap.
-          record_frozen_tail(ctx, clock);
-          finalize_ctx(ctx, RunStatus::kCapped, max_steps);
-          capped = true;
-          continue;
-        }
-        const std::uint64_t skipped =
-            ctx.rng->geometric(ctx.tracker.active_probability());
-        if (skipped >= max_steps - clock) {
-          // Watchdog: the next effective step falls beyond the budget.
-          record_frozen_tail(ctx, clock);
-          finalize_ctx(ctx, RunStatus::kCapped, max_steps);
-          capped = true;
-          continue;
-        }
-        ctx.due = clock + skipped + 1;
-        ctx.skipped = skipped;
-        ctx.armed = true;
-      }
-      if (capped) {
-        prune();
-        if (live.empty()) {
-          break;
-        }
-      }
-    }
-
-    // Horizon: the nearest scheduled time anything happens -- a jump lane's
-    // due time, a naive lane's window boundary, the draw-block granularity,
-    // or the step cap.  Always > clock: dues are >= clock + 1 and window
-    // boundaries are strictly ahead (window_steps < kNaiveWindow here).
-    std::uint64_t horizon = max_steps;
-    bool any_naive = false;
-    for (const JumpLaneCtx* ctx : live) {
-      if (ctx->jump_mode) {
-        horizon = std::min(horizon, ctx->due);
-      } else {
-        any_naive = true;
-        horizon =
-            std::min(horizon, clock + (kNaiveWindow - ctx->window_steps));
-      }
-    }
-    if (any_naive) {
-      horizon = std::min(horizon, clock + kBlockSteps);
-    }
-    const std::uint64_t block = horizon - clock;
-
-    // Naive advance: draw and apply `block` scheduled steps for every
-    // naive-mode lane (jump-mode lanes sleep through them).
-    if (any_naive) {
-      naive.clear();
-      naive_vals.clear();
-      for (JumpLaneCtx* ctx : live) {
-        if (!ctx->jump_mode) {
-          naive.push_back(ctx);
-          naive_vals.push_back(
-              static_cast<const char*>(plane.lane_raw(ctx->lane)));
-        }
-      }
-      const std::size_t nn = naive.size();
-      // Draw phase: run_batch's lane-major stripes (2-lane rng interleave
-      // for the vertex scheme, cell prefetch for the apply phase).
-      if (scheme == SelectionScheme::kVertex) {
-        std::size_t i = 0;
-        for (; i + 1 < nn; i += 2) {
-          Rng ra = *naive[i]->rng;
-          Rng rb = *naive[i + 1]->rng;
-          block_start[i] = ra.state();
-          block_start[i + 1] = rb.state();
-          const char* vals_a = naive_vals[i];
-          const char* vals_b = naive_vals[i + 1];
-          VertexId* __restrict upd_a_out = &upd[i * kBlockSteps];
-          VertexId* __restrict obs_a_out = &obs[i * kBlockSteps];
-          VertexId* __restrict upd_b_out = &upd[(i + 1) * kBlockSteps];
-          VertexId* __restrict obs_b_out = &obs[(i + 1) * kBlockSteps];
-          for (std::uint64_t s = 0; s < block; ++s) {
-            const auto upd_a = static_cast<VertexId>(ra.uniform_below(n));
-            const auto upd_b = static_cast<VertexId>(rb.uniform_below(n));
-            const auto row_a = graph.neighbors(upd_a);
-            const auto row_b = graph.neighbors(upd_b);
-            const VertexId obs_a = row_a[static_cast<std::size_t>(
-                ra.uniform_below(row_a.size()))];
-            const VertexId obs_b = row_b[static_cast<std::size_t>(
-                rb.uniform_below(row_b.size()))];
-            upd_a_out[s] = upd_a;
-            obs_a_out[s] = obs_a;
-            upd_b_out[s] = upd_b;
-            obs_b_out[s] = obs_b;
-            __builtin_prefetch(vals_a + upd_a * cell, 1);
-            __builtin_prefetch(vals_a + obs_a * cell, 0);
-            __builtin_prefetch(vals_b + upd_b * cell, 1);
-            __builtin_prefetch(vals_b + obs_b * cell, 0);
-          }
-          *naive[i]->rng = ra;
-          *naive[i + 1]->rng = rb;
-        }
-        for (; i < nn; ++i) {
-          Rng& rng = *naive[i]->rng;
-          block_start[i] = rng.state();
-          const char* vals = naive_vals[i];
-          const std::size_t base = i * kBlockSteps;
-          for (std::uint64_t s = 0; s < block; ++s) {
-            const auto updater = static_cast<VertexId>(rng.uniform_below(n));
-            const auto row = graph.neighbors(updater);
-            const VertexId observed = row[static_cast<std::size_t>(
-                rng.uniform_below(row.size()))];
-            upd[base + s] = updater;
-            obs[base + s] = observed;
-            __builtin_prefetch(vals + updater * cell, 1);
-            __builtin_prefetch(vals + observed * cell, 0);
-          }
-        }
-      } else {
-        for (std::size_t i = 0; i < nn; ++i) {
-          Rng& rng = *naive[i]->rng;
-          block_start[i] = rng.state();
-          const char* vals = naive_vals[i];
-          const std::size_t base = i * kBlockSteps;
-          for (std::uint64_t s = 0; s < block; ++s) {
-            const Edge& edge =
-                edges[static_cast<std::size_t>(rng.uniform_below(num_edges))];
-            const bool forward = (rng.next() & 1u) != 0;
-            const VertexId updater = forward ? edge.u : edge.v;
-            const VertexId observed = forward ? edge.v : edge.u;
-            upd[base + s] = updater;
-            obs[base + s] = observed;
-            __builtin_prefetch(vals + updater * cell, 1);
-            __builtin_prefetch(vals + observed * cell, 0);
-          }
-        }
-      }
-      // Apply phase through the counted kernels: `changed` is the scalar
+      // Naive mode: a pre-drawn block that ends at the window boundary or
+      // the cap at the latest.  The counted kernel's `changed` is the scalar
       // loop's per-step `next != own` tally, so the window bookkeeping is
-      // exact.  A lane that reaches the stop spread finishes at clock +
-      // applied, rewinding its stream if it stopped mid-block.
-      bool stopped_any = false;
-      const auto settle = [&](std::size_t i, OpinionPlane::AppliedSteps res) {
-        JumpLaneCtx& ctx = *naive[i];
-        ctx.window_steps += res.applied;
-        ctx.window_effective += res.changed;
-        ctx.effective_steps += res.changed;
-        if (plane.spread(ctx.lane) <= stop_delta) {
-          if (res.applied < block) {
-            rewind_to(ctx, block_start[i], res.applied);
-          }
-          finalize_ctx(ctx, RunStatus::kCompleted, clock + res.applied);
-          stopped_any = true;
+      // exact; a block that reaches the stop spread rewinds the stream to
+      // the stopping step.
+      const std::uint64_t block =
+          std::min({kBlockSteps, kNaiveWindow - window_steps,
+                    max_steps - clock});
+      const std::array<std::uint64_t, 4> snapshot = rng.state();
+      draw_block(graph, scheme, rng, vals, cell, upd.data(), obs.data(),
+                 block);
+      const OpinionPlane::AppliedSteps applied =
+          plane.apply_steps_toward_counted(0, upd.data(), obs.data(), block,
+                                           stop_delta);
+      window_steps += applied.applied;
+      window_effective += applied.changed;
+      result.effective_steps += applied.changed;
+      if (plane.spread(0) <= stop_delta) {
+        if (applied.applied < block) {
+          rewind_block(graph, scheme, rng, snapshot, applied.applied);
         }
-      };
-      std::size_t i = 0;
-      for (; i + 1 < nn; i += 2) {
-        const auto [res_a, res_b] = plane.apply_steps_toward_pair_counted(
-            naive[i]->lane, &upd[i * kBlockSteps], &obs[i * kBlockSteps],
-            naive[i + 1]->lane, &upd[(i + 1) * kBlockSteps],
-            &obs[(i + 1) * kBlockSteps], block, stop_delta);
-        settle(i, res_a);
-        settle(i + 1, res_b);
+        return finish(RunStatus::kCompleted, clock + applied.applied);
       }
-      if (i < nn) {
-        settle(i, plane.apply_steps_toward_counted(
-                      naive[i]->lane, &upd[i * kBlockSteps],
-                      &obs[i * kBlockSteps], block, stop_delta));
+      clock += block;
+      if (window_steps == kNaiveWindow) {
+        if (window_effective <= kJumpEnterEffectiveMax) {
+          tracker.rebuild_counts();
+          switch_mode(/*to_jump=*/true);
+        }
+        window_steps = 0;
+        window_effective = 0;
       }
-      if (stopped_any) {
-        prune();
-      }
-    }
-
-    clock = horizon;
-
-    // Event pass at the new clock: jump lanes whose due time arrived execute
-    // their effective step; naive lanes run their window-boundary hysteresis
-    // and the step-cap check, both of which land exactly here by the horizon
-    // construction.
-    bool retired_any = false;
-    for (JumpLaneCtx* ctx_ptr : live) {
-      JumpLaneCtx& ctx = *ctx_ptr;
-      if (ctx.done) {
-        continue;  // settled mid-advance before a prune-less exit above
-      }
-      if (ctx.jump_mode) {
-        if (!ctx.armed || ctx.due != clock) {
-          continue;
-        }
-        ctx.armed = false;
-        // The effective step, routed through the batched sampler primitive
-        // (a one-lane span): same draws, same conditional law as the scalar
-        // tracker.sample_discordant_pair(rng).
-        Rng* rng_ptr = ctx.rng;
-        SelectedPair pair;
-        ctx.tracker.sample_discordant_pairs(
-            std::span<Rng* const>(&rng_ptr, 1), std::span<SelectedPair>(&pair, 1));
-        const Opinion own = plane.opinion(ctx.lane, pair.updater);
-        plane.set(ctx.lane, pair.updater,
-                  DivProcess::updated_opinion(
-                      own, plane.opinion(ctx.lane, pair.observed)));
-        ctx.tracker.apply_move(pair.updater, own);
-        ++ctx.effective_steps;
-        if (ctx.metrics != nullptr) {
-          ctx.metrics->lazy_steps_skipped += ctx.skipped;
-          if (ctx.metrics->activity_stride > 0 &&
-              ctx.effective_steps % ctx.metrics->activity_stride == 0) {
-            ctx.metrics->record_activity(
-                clock, ctx.tracker.active_probability(),
-                ctx.tracker.total_discordant_pairs());
-          }
-        }
-        const bool satisfied = plane.spread(ctx.lane) <= stop_delta;
-        if (satisfied) {
-          finalize_ctx(ctx, RunStatus::kCompleted, clock);
-          retired_any = true;
-          continue;
-        }
-        if (ctx.tracker.active_probability() > kJumpExitActiveProbability) {
-          // Dense phase: drop to naive scheduled steps, tracker left stale
-          // (still fresh here, so a switch entry carries exact activity).
-          ctx.jump_mode = false;
-          ++ctx.mode_switches;
-          ctx.window_steps = 0;
-          ctx.window_effective = 0;
-          if (ctx.metrics != nullptr) {
-            record_lane_switch(ctx, clock, /*jump_mode=*/false);
-          }
-        }
-        if (clock == max_steps) {
-          // The scalar loop condition fails before another draw; the mode
-          // switch above (if any) is still counted, exactly as there.
-          finalize_ctx(ctx, RunStatus::kCapped, clock);
-          retired_any = true;
-        }
-      } else {
-        if (ctx.window_steps == kNaiveWindow) {
-          // A lane reaching the boundary satisfied finalized in settle(), so
-          // the scalar's !satisfied guard holds implicitly here.
-          if (ctx.window_effective <= kJumpEnterEffectiveMax) {
-            ctx.tracker.rebuild_counts();
-            ctx.jump_mode = true;
-            ctx.armed = false;
-            ++ctx.mode_switches;
-            if (ctx.metrics != nullptr) {
-              record_lane_switch(ctx, clock, /*jump_mode=*/true);
-            }
-          }
-          ctx.window_steps = 0;
-          ctx.window_effective = 0;
-        }
-        if (clock == max_steps) {
-          finalize_ctx(ctx, RunStatus::kCapped, clock);
-          retired_any = true;
-        }
-      }
-    }
-    if (retired_any) {
-      prune();
     }
   }
-  return results;
+  return finish(RunStatus::kCapped, clock);
 }
 
 }  // namespace divlib

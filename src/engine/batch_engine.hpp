@@ -1,4 +1,5 @@
-// Lock-step multi-replica DIV execution over an OpinionPlane.
+// Plain-DIV execution over an OpinionPlane: lock-step lanes for the step
+// engine, one lane for the jump engine.
 //
 // run_batch() advances every lane of a plane through the SCHEDULED discrete
 // incremental voting process -- the same chain the scalar run() executes via
@@ -22,31 +23,33 @@
 //     run_loop.  Steps are drawn and applied in blocks (a lane that reaches
 //     consensus mid-block rewinds its rng to the consuming draw, so the
 //     stream position is still exactly the scalar one);
-//   * aggregates come from OpinionPlane::set, which mirrors
-//     OpinionState::set operation for operation.
+//   * aggregates come from OpinionPlane::set and the plane's block kernels,
+//     which mirror OpinionState::set operation for operation.
 //
 // A lane that stops (consensus / cap / cancel) retires from the sweep while
 // the rest keep stepping, so a batch's wall clock tracks its slowest lane
 // without spending cycles on finished ones.
 //
+// run_lane_jump() is the jump-chain engine on a one-lane plane, under the
+// same contract against run_jump().  It runs one lane because extra lanes
+// did not pay: lock-step jump groups measured within a few percent of one
+// lane per replica in the microbenchmark and slower end to end, so they
+// were removed (DESIGN.md, "Lane jump chain").
+//
 // Tracing is not supported (RunOptions::trace_stride must be 0) and the
 // process is always plain DIV: faulty or otherwise decorated processes need
 // the scalar engines' virtual dispatch, which is exactly the overhead this
 // path removes.  divsim runs every untraced plain-DIV attempt here, as a
-// one-lane plane when it runs alone; run() / run_jump() serve tracing,
-// decorated and non-DIV processes, and stay the bit-identity oracles.
+// one-lane plane when it runs alone and always for --engine jump; run() /
+// run_jump() serve tracing, decorated and non-DIV processes, and stay the
+// bit-identity oracles.
 //
-// Telemetry is per lane: `lane_metrics`, like `lane_cancels`, carries one
-// optional RunMetrics sink per lane, and each sink receives exactly what the
-// scalar engine writes for that seed (see run_batch / run_batch_jump below).
-// The group-level RunOptions::metrics sink is refused.
-//
-// This file owns no threads and no replica pool.  Replica sets reach the
-// lane engines through one driver, run_supervised_set (engine/supervisor):
-// its thread executor claims lock-step groups of ready attempts for
+// This file owns no threads and no replica pool.  Replica sets reach these
+// engines through one driver, run_supervised_set (engine/supervisor): its
+// thread executor claims lock-step groups of ready step-engine attempts for
 // SupervisorOptions::batch_task, and every lone attempt -- on either
-// executor -- goes through the SupervisedTask, which divsim runs on a
-// one-lane plane.
+// executor, and every jump-engine attempt -- goes through the
+// SupervisedTask, which divsim runs on a one-lane plane.
 #pragma once
 
 #include <span>
@@ -81,30 +84,23 @@ std::vector<RunResult> run_batch(
     std::span<const CancelToken* const> lane_cancels = {},
     std::span<RunMetrics* const> lane_metrics = {});
 
-// Lock-step multi-lane JUMP-CHAIN execution: every lane runs the scalar
-// hybrid run_jump() state machine -- geometric lazy-step skipping against a
-// per-lane BasicDiscordanceTracker<PlaneLaneView>, with the independent
-// [1/64, 1/16] hysteresis switches into and out of naive scheduled-step
-// mode -- over the shared SoA plane.  The lane group advances one SCHEDULED
-// clock: a jump-mode lane sleeps until the clock reaches its drawn
-// effective-step time while naive-mode lanes execute every scheduled step
-// through the batched draw/apply kernels, so mixed-mode groups batch the
-// dense lanes and skip for the lazy ones simultaneously.  Per lane the
-// draws, mode switches, step counts, effective_steps, and final state are
-// BIT-IDENTICAL to a scalar run_jump() with the same seed: the per-lane rng
-// consumes (geometric, pair draw) in jump mode and select_pair's draws in
-// naive mode in exactly the scalar order, and a lane that stops mid-block
-// rewinds its stream just as run_batch does.  Same restrictions as
-// run_batch: plain DIV only, no tracing, no group-level metrics.  Lane i's
-// `lane_metrics` sink receives what run_jump() writes for the same seed --
-// mode timeline with the tracker's activity at each switch, activity
-// samples, scheduled/effective/lazy-skipped/frozen-tail steps and tracker
-// rebuilds -- with wall_* splitting the lane's own mode segments on the
-// group's clock.
-std::vector<JumpRunResult> run_batch_jump(
-    const Graph& graph, SelectionScheme scheme, OpinionPlane& plane,
-    std::span<Rng> rngs, const RunOptions& options,
-    std::span<const CancelToken* const> lane_cancels = {},
-    std::span<RunMetrics* const> lane_metrics = {});
+// One-lane JUMP-CHAIN execution: the scalar hybrid run_jump() state machine
+// -- geometric lazy-step skipping against a BasicDiscordanceTracker over a
+// PlaneLaneView, with the [1/64, 1/16] hysteresis switches into and out of
+// naive scheduled-step mode -- on a plane of exactly one lane.  Naive mode
+// runs pre-drawn blocks of at most 32 steps through the plane's counted
+// block kernel, rewinding the stream when the stop rule lands mid-block.
+// The draws, mode switches, step counts, effective_steps and final state are
+// BIT-IDENTICAL to run_jump() with the same seed, and options.metrics (may
+// be null) receives what run_jump() writes: the mode timeline with the
+// tracker's activity at each switch, activity samples, scheduled /
+// effective / lazy-skipped / frozen-tail steps and tracker rebuilds.
+// options.cancel drains the run between scheduled iterations, polled every
+// few iterations as run_batch polls.  Plain DIV only; a plane with other
+// than one lane and options.trace_stride != 0 are refused with
+// std::invalid_argument.
+JumpRunResult run_lane_jump(const Graph& graph, SelectionScheme scheme,
+                            OpinionPlane& plane, Rng& rng,
+                            const RunOptions& options);
 
 }  // namespace divlib

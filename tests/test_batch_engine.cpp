@@ -293,18 +293,21 @@ TEST(BatchEngine, PerLaneCancelDrainsOnlyThatLane) {
   EXPECT_EQ(sum, results[1].final_sum);
 }
 
-// Plain DIV replicas [0, replicas) in lock-step groups of `lanes` through
-// the one replica driver: run_supervised_set under supervision_off(mc),
-// whose batch_task runs each claimed group on one plane with run_batch
-// (run_batch_jump when Result is JumpRunResult) after drawing the lane's
-// opinions uniformly in [lo, hi] from its own stream.  A lone claim runs the
-// same engine on a one-lane plane.  Slot r holds replica r's lane result.
+// Plain DIV replicas [0, replicas) through the one replica driver, the way
+// divsim runs them: run_supervised_set under supervision_off(mc), each
+// replica drawing its opinions uniformly in [lo, hi] from its own stream.
+// The step engine claims lock-step groups of `lanes` for its batch_task and
+// runs each group on one plane with run_batch (a lone claim runs a one-lane
+// plane); the jump engine (Result = JumpRunResult) runs every replica alone
+// through run_lane_jump, so `lanes` must be 1 there.  Slot r holds replica
+// r's result.
 template <typename Result>
 IsolatedBatch<Result> run_lane_groups(const Graph& graph,
                                       SelectionScheme scheme,
                                       std::size_t replicas, Opinion lo,
                                       Opinion hi, unsigned lanes,
                                       const MonteCarloOptions& mc) {
+  constexpr bool kJump = std::is_same_v<Result, JumpRunResult>;
   IsolatedBatch<Result> batch;
   batch.results.resize(replicas);
   const auto run_group = [&](std::span<const std::size_t> ids,
@@ -315,32 +318,38 @@ IsolatedBatch<Result> run_lane_groups(const Graph& graph,
       plane.assign_lane(lane, uniform_random_opinions(graph.num_vertices(),
                                                       lo, hi, rngs[lane]));
     }
-    std::vector<Result> results;
-    if constexpr (std::is_same_v<Result, JumpRunResult>) {
-      results =
-          run_batch_jump(graph, scheme, plane, rngs, RunOptions{}, cancels);
+    if constexpr (kJump) {
+      RunOptions options;
+      options.cancel = cancels[0];
+      batch.results[ids[0]] =
+          run_lane_jump(graph, scheme, plane, rngs[0], options);
     } else {
-      results = run_batch(graph, scheme, plane, rngs, RunOptions{}, cancels);
-    }
-    for (std::size_t lane = 0; lane < ids.size(); ++lane) {
-      batch.results[ids[lane]] = std::move(results[lane]);
+      std::vector<Result> results =
+          run_batch(graph, scheme, plane, rngs, RunOptions{}, cancels);
+      for (std::size_t lane = 0; lane < ids.size(); ++lane) {
+        batch.results[ids[lane]] = std::move(results[lane]);
+      }
     }
   };
   SupervisorOptions options = supervision_off(mc);
-  options.batch_lanes = lanes;
-  options.batch_task = [&](std::span<const BatchLane> group) {
-    std::vector<std::size_t> ids;
-    std::vector<Rng> rngs;
-    std::vector<const CancelToken*> cancels;
-    for (const BatchLane& lane : group) {
-      ids.push_back(lane.replica);
-      rngs.emplace_back(lane.seed);
-      cancels.push_back(lane.cancel);
-    }
-    run_group(ids, rngs, cancels);
-    return std::vector<std::optional<std::string>>(group.size(),
-                                                   std::string());
-  };
+  if constexpr (kJump) {
+    EXPECT_EQ(lanes, 1u) << "the jump engine runs one lane per replica";
+  } else {
+    options.batch_lanes = lanes;
+    options.batch_task = [&](std::span<const BatchLane> group) {
+      std::vector<std::size_t> ids;
+      std::vector<Rng> rngs;
+      std::vector<const CancelToken*> cancels;
+      for (const BatchLane& lane : group) {
+        ids.push_back(lane.replica);
+        rngs.emplace_back(lane.seed);
+        cancels.push_back(lane.cancel);
+      }
+      run_group(ids, rngs, cancels);
+      return std::vector<std::optional<std::string>>(group.size(),
+                                                     std::string());
+    };
+  }
   std::vector<std::size_t> ids(replicas);
   std::iota(ids.begin(), ids.end(), std::size_t{0});
   const SupervisorReport report = run_supervised_set(
@@ -456,119 +465,6 @@ TEST(BatchDriver, PresetCancelClaimsNothing) {
   for (const auto& result : batch.results) {
     EXPECT_FALSE(result.has_value());
   }
-}
-
-// The transposed discordance plane agrees with per-lane scalar trackers at a
-// resync point, for both schemes, after an arbitrary mirrored move history.
-TEST(OpinionPlaneTest, RebuildDiscordanceMatchesScalarTrackers) {
-  Rng graph_rng(0x88);
-  const Graph graph = make_connected_random_regular(40, 4, graph_rng);
-  constexpr unsigned kLanes = 5;
-
-  for (const SelectionScheme scheme :
-       {SelectionScheme::kVertex, SelectionScheme::kEdge}) {
-    OpinionPlane plane(graph, kLanes);
-    std::vector<OpinionState> states;
-    states.reserve(kLanes);
-    Rng init_rng(0x404);
-    for (unsigned lane = 0; lane < kLanes; ++lane) {
-      const std::vector<Opinion> opinions =
-          uniform_random_opinions(graph.num_vertices(), 1, 6, init_rng);
-      plane.assign_lane(lane, opinions);
-      states.emplace_back(graph, opinions);
-    }
-    std::vector<DiscordanceTracker> trackers;
-    trackers.reserve(kLanes);
-    for (unsigned lane = 0; lane < kLanes; ++lane) {
-      trackers.emplace_back(states[lane], scheme);
-    }
-
-    // Mirror a random move history into both representations.
-    Rng move_rng(0x505);
-    for (int move = 0; move < 300; ++move) {
-      const unsigned lane =
-          static_cast<unsigned>(move_rng.uniform_below(kLanes));
-      const VertexId v = static_cast<VertexId>(
-          move_rng.uniform_below(graph.num_vertices()));
-      const Opinion value =
-          static_cast<Opinion>(1 + move_rng.uniform_below(6));
-      const Opinion before = states[lane].opinion(v);
-      states[lane].set(v, value);
-      trackers[lane].apply_move(v, before);
-      plane.set(lane, v, value);
-    }
-
-    plane.rebuild_discordance();
-    ASSERT_TRUE(plane.discordance_built());
-    for (unsigned lane = 0; lane < kLanes; ++lane) {
-      EXPECT_EQ(plane.discordant_pairs(lane),
-                trackers[lane].total_discordant_pairs())
-          << to_string(scheme) << " lane " << lane;
-      for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-        ASSERT_EQ(plane.discordance(lane, v), trackers[lane].discordance(v))
-            << to_string(scheme) << " lane " << lane << " vertex " << v;
-      }
-    }
-  }
-}
-
-// Bulk sampling is draw-for-draw identical to solo sampling: each lane's rng
-// sees (updater, rank) / (pair draw) in its own order, and the streams end
-// in the same position.
-TEST(DiscordanceTrackerBulk, MatchesScalarSamples) {
-  Rng graph_rng(0x91);
-  const Graph graph = make_connected_random_regular(36, 4, graph_rng);
-  Rng init_rng(0x92);
-  const std::vector<Opinion> opinions =
-      uniform_random_opinions(graph.num_vertices(), 1, 5, init_rng);
-  constexpr std::size_t kLanes = 6;
-
-  for (const SelectionScheme scheme :
-       {SelectionScheme::kVertex, SelectionScheme::kEdge}) {
-    OpinionState state(graph, opinions);
-    DiscordanceTracker tracker(state, scheme);
-    ASSERT_FALSE(tracker.frozen());
-
-    std::vector<Rng> solo;
-    std::vector<Rng> bulk;
-    std::vector<Rng*> bulk_ptrs;
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      solo.emplace_back(Rng::retry_seed(0xf00d, lane, 0));
-      bulk.emplace_back(Rng::retry_seed(0xf00d, lane, 0));
-    }
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      bulk_ptrs.push_back(&bulk[lane]);
-    }
-
-    for (int round = 0; round < 20; ++round) {
-      std::vector<SelectedPair> expected(kLanes);
-      for (std::size_t lane = 0; lane < kLanes; ++lane) {
-        expected[lane] = tracker.sample_discordant_pair(solo[lane]);
-      }
-      std::vector<SelectedPair> got(kLanes);
-      tracker.sample_discordant_pairs(bulk_ptrs, got);
-      for (std::size_t lane = 0; lane < kLanes; ++lane) {
-        EXPECT_EQ(expected[lane].updater, got[lane].updater)
-            << to_string(scheme) << " round " << round << " lane " << lane;
-        EXPECT_EQ(expected[lane].observed, got[lane].observed)
-            << to_string(scheme) << " round " << round << " lane " << lane;
-      }
-    }
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      EXPECT_EQ(solo[lane].next(), bulk[lane].next()) << to_string(scheme);
-    }
-  }
-}
-
-TEST(DiscordanceTrackerBulk, RejectsSizeMismatch) {
-  const Graph graph = make_cycle(6);
-  OpinionState state(graph, {1, 2, 1, 2, 1, 2});
-  DiscordanceTracker tracker(state, SelectionScheme::kEdge);
-  Rng rng(1);
-  Rng* rngs[1] = {&rng};
-  std::vector<SelectedPair> out(2);
-  EXPECT_THROW(tracker.sample_discordant_pairs(rngs, out),
-               std::invalid_argument);
 }
 
 // The frozen alias table samples the same conditional law: updaters are
@@ -778,8 +674,8 @@ TEST(SupervisorBatch, GroupThrowRetriesEveryLane) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched jump-chain engine (run_batch_jump) -- refusals, per-lane cancel,
-// distributional equivalence, and the lock-step groups' slot contract.  The
+// One-lane jump-chain engine (run_lane_jump) -- refusals, cancel drain,
+// distributional equivalence, and the replica driver's slot contract.  The
 // draw-for-draw bit-identity suite lives in test_jump_engine.cpp
 // (BatchJump.LanesBitIdenticalToScalarJump and friends).
 
@@ -791,62 +687,64 @@ void expect_same_jump_result(const JumpRunResult& scalar,
   EXPECT_EQ(scalar.mode_switches, lane.mode_switches) << where;
 }
 
+// The one-lane kernel refuses a traced run and a plane that does not have
+// exactly one lane (the one rng cannot match a two-lane plane).
 TEST(BatchJump, RejectsTracingAndMismatchedRngs) {
   const Graph graph = make_cycle(6);
-  OpinionPlane plane(graph, 2);
-  std::vector<Rng> rngs;
-  for (unsigned lane = 0; lane < 2; ++lane) {
-    rngs.emplace_back(Rng::retry_seed(7, lane, 0));
-    plane.assign_lane(lane, uniform_random_opinions(6, 1, 3, rngs[lane]));
-  }
+  Rng rng(Rng::retry_seed(7, 0, 0));
+  OpinionPlane plane(graph, 1);
+  plane.assign_lane(0, uniform_random_opinions(6, 1, 3, rng));
   RunOptions traced;
   traced.trace_stride = 1;
   EXPECT_THROW(
-      run_batch_jump(graph, SelectionScheme::kEdge, plane, rngs, traced),
+      run_lane_jump(graph, SelectionScheme::kEdge, plane, rng, traced),
       std::invalid_argument);
 
-  std::vector<Rng> short_rngs;
-  short_rngs.emplace_back(1);
-  EXPECT_THROW(
-      run_batch_jump(graph, SelectionScheme::kEdge, plane, short_rngs,
-                     RunOptions{}),
-      std::invalid_argument);
-
-  const CancelToken* one_cancel[1] = {nullptr};
-  EXPECT_THROW(
-      run_batch_jump(graph, SelectionScheme::kEdge, plane, rngs, RunOptions{},
-                     one_cancel),
-      std::invalid_argument);
+  OpinionPlane two_lanes(graph, 2);
+  for (unsigned lane = 0; lane < 2; ++lane) {
+    two_lanes.assign_lane(lane, uniform_random_opinions(6, 1, 3, rng));
+  }
+  EXPECT_THROW(run_lane_jump(graph, SelectionScheme::kEdge, two_lanes, rng,
+                             RunOptions{}),
+               std::invalid_argument);
 }
 
-// A fired per-lane token drains exactly that lane at a scheduled-clock poll;
-// its groupmates run to consensus untouched, and the drained lane's
-// aggregates still describe its configuration.
+// A fired options.cancel drains the lane at its first poll, before any
+// step, with the status the token's reason names; the drained lane's
+// aggregates still describe its configuration, and an unfired token lets
+// the run finish.
 TEST(BatchJump, PerLaneCancelDrainsOnlyThatLane) {
   Rng graph_rng(0x78);
   const Graph graph = make_connected_random_regular(32, 4, graph_rng);
-  constexpr unsigned kLanes = 3;
-  OpinionPlane plane(graph, kLanes);
-  std::vector<Rng> rngs;
-  for (unsigned lane = 0; lane < kLanes; ++lane) {
-    rngs.emplace_back(Rng::retry_seed(0xc0df, lane, 0));
-    plane.assign_lane(lane, uniform_random_opinions(graph.num_vertices(), 1,
-                                                    5, rngs[lane]));
+  struct Case {
+    std::optional<CancelReason> fired;
+    RunStatus expected;
+  };
+  for (const Case& drain :
+       {Case{std::nullopt, RunStatus::kCompleted},
+        Case{CancelReason::kUser, RunStatus::kCancelled},
+        Case{CancelReason::kDeadline, RunStatus::kDeadline}}) {
+    Rng rng(Rng::retry_seed(0xc0df, 1, 0));
+    OpinionPlane plane(graph, 1);
+    plane.assign_lane(0, uniform_random_opinions(graph.num_vertices(), 1, 5,
+                                                 rng));
+    CancelToken token;
+    if (drain.fired) {
+      token.request(*drain.fired);
+    }
+    RunOptions options;
+    options.cancel = &token;
+    const JumpRunResult result =
+        run_lane_jump(graph, SelectionScheme::kEdge, plane, rng, options);
+    EXPECT_EQ(result.status, drain.expected);
+    if (drain.fired) {
+      EXPECT_EQ(result.steps, 0u);  // pre-fired: drained before any step
+      EXPECT_EQ(result.effective_steps, 0u);
+    }
+    std::int64_t sum = 0;
+    for (const Opinion x : plane.lane_opinions(0)) sum += x;
+    EXPECT_EQ(sum, result.final_sum);
   }
-  CancelToken mid_token;
-  mid_token.request(CancelReason::kUser);
-  const CancelToken* cancels[kLanes] = {nullptr, &mid_token, nullptr};
-  const std::vector<JumpRunResult> results = run_batch_jump(
-      graph, SelectionScheme::kEdge, plane, rngs, RunOptions{}, cancels);
-
-  EXPECT_EQ(results[0].status, RunStatus::kCompleted);
-  EXPECT_EQ(results[2].status, RunStatus::kCompleted);
-  EXPECT_EQ(results[1].status, RunStatus::kCancelled);
-  EXPECT_EQ(results[1].steps, 0u);  // pre-fired: drained before any step
-  EXPECT_EQ(results[1].effective_steps, 0u);
-  std::int64_t sum = 0;
-  for (const Opinion x : plane.lane_opinions(1)) sum += x;
-  EXPECT_EQ(sum, results[1].final_sum);
 }
 
 // Distributional equivalence on INDEPENDENT seed families (the bit-identity
@@ -881,7 +779,7 @@ TEST(BatchJump, WinnerDistributionMatchesScalarJumpEngine) {
     mc.master_seed = 0xcafe;
     mc.num_threads = 2;
     const auto batch = run_lane_groups<JumpRunResult>(
-        graph, scheme, kReplicas, kLo, kHi, /*lanes=*/16, mc);
+        graph, scheme, kReplicas, kLo, kHi, /*lanes=*/1, mc);
     ASSERT_TRUE(batch.report.ok());
     std::vector<std::uint64_t> batch_winners(kHi - kLo + 1, 0);
     std::vector<double> batch_steps;
@@ -911,13 +809,12 @@ TEST(BatchJump, WinnerDistributionMatchesScalarJumpEngine) {
   }
 }
 
-// Lock-step jump groups fill every slot with the scalar run_jump attempt-0
-// result, at a replica count deliberately unaligned to the lane width,
-// across a worker pool.
+// One-lane jump replicas fill every slot with the scalar run_jump attempt-0
+// result across a worker pool.
 TEST(BatchDriver, JumpSlotsMatchScalarAttemptZero) {
   Rng graph_rng(0x32);
   const Graph graph = make_connected_random_regular(24, 4, graph_rng);
-  constexpr std::size_t kReplicas = 10;  // deliberately not a lane multiple
+  constexpr std::size_t kReplicas = 10;
   constexpr std::uint64_t kMaster = 0xfeee;
   RunOptions run_options;
 
@@ -934,7 +831,7 @@ TEST(BatchDriver, JumpSlotsMatchScalarAttemptZero) {
   mc.master_seed = kMaster;
   mc.num_threads = 3;
   const auto batch = run_lane_groups<JumpRunResult>(
-      graph, SelectionScheme::kVertex, kReplicas, 1, 4, /*lanes=*/4, mc);
+      graph, SelectionScheme::kVertex, kReplicas, 1, 4, /*lanes=*/1, mc);
 
   EXPECT_EQ(batch.report.replicas, kReplicas);
   EXPECT_EQ(batch.report.attempted, kReplicas);
@@ -986,10 +883,11 @@ using LaneInit = std::function<std::vector<Opinion>(unsigned, Rng&)>;
 using LaneSinkConfig = std::function<void(unsigned, RunMetrics&)>;
 
 // Runs `lanes` scalar replicas (run, or run_jump when `jump`) with a metrics
-// sink each, then the same seeds through the lane engine in planes of
-// `width` lanes with per-lane sinks, and compares results and metrics lane
-// by lane.  Returns the scalar metrics so callers can check which cases
-// the configuration exercised.
+// sink each, then the same seeds through the lane engine -- run_batch in
+// planes of `width` lanes with per-lane sinks, or run_lane_jump one lane at
+// a time (`width` must be 1) with options.metrics -- and compares results
+// and metrics lane by lane.  Returns the scalar metrics so callers can check
+// which cases the configuration exercised.
 std::vector<RunMetrics> expect_lane_metrics_match(
     bool jump, const Graph& graph, SelectionScheme scheme, unsigned lanes,
     unsigned width, const RunOptions& options, const LaneInit& init,
@@ -1025,9 +923,11 @@ std::vector<RunMetrics> expect_lane_metrics_match(
     }
     std::vector<RunResult> results;
     if (jump) {
-      const std::vector<JumpRunResult> jump_results =
-          run_batch_jump(graph, scheme, plane, rngs, options, {}, sinks);
-      results.assign(jump_results.begin(), jump_results.end());
+      EXPECT_EQ(group, 1u) << "the jump engine runs one lane";
+      RunOptions lane_options = options;
+      lane_options.metrics = sinks[0];
+      results.push_back(
+          run_lane_jump(graph, scheme, plane, rngs[0], lane_options));
     } else {
       results = run_batch(graph, scheme, plane, rngs, options, {}, sinks);
     }
@@ -1114,15 +1014,15 @@ TEST(BatchEngine, PerLaneMetricsMatchScalarRun) {
                std::invalid_argument);
 }
 
-// run_batch_jump's sinks carry run_jump()'s telemetry across every exit and
-// mode path: lanes satisfied at step 0 (whose scalar tracker still stamps
-// the launch entry, with non-zero activity under the two-adjacent rule),
-// mixed dense and lazy lanes (mode switches, rebuilds, activity samples on
-// jump-mode steps where the cumulative effective count, naive changes
-// included, hits the stride), tiny max_samples (the *_dropped counters),
-// frozen-capped lanes on a disconnected graph and watchdog-capped lanes
-// under a tight budget (both booking the remaining stretch as frozen-tail
-// and lazy-skipped steps).
+// run_lane_jump's options.metrics sink carries run_jump()'s telemetry across
+// every exit and mode path: lanes satisfied at step 0 (whose scalar tracker
+// still stamps the launch entry, with non-zero activity under the
+// two-adjacent rule), a zero budget, mixed dense and lazy lanes on a barbell
+// (mode switches, rebuilds, activity samples on jump-mode steps where the
+// cumulative effective count, naive changes included, hits the stride),
+// tiny max_samples (the *_dropped counters), frozen-capped lanes on a
+// disconnected graph and watchdog-capped lanes under a tight budget (both
+// booking the remaining stretch as frozen-tail and lazy-skipped steps).
 TEST(BatchJump, PerLaneMetricsMatchScalarJump) {
   // Two 24-cliques joined by one edge: clique-internal dense phases
   // alternate with lazy stretches where only the bridge disagrees, so lanes
@@ -1160,6 +1060,8 @@ TEST(BatchJump, PerLaneMetricsMatchScalarJump) {
   tight.max_steps = 20;
   RunOptions capped;
   capped.max_steps = 100000;
+  RunOptions no_budget;
+  no_budget.max_steps = 0;
 
   // Totals that show the configurations reached the paths named above.
   std::uint64_t watchdog_tails = 0;
@@ -1179,26 +1081,31 @@ TEST(BatchJump, PerLaneMetricsMatchScalarJump) {
     return lane % 2 == 0 ? std::vector<Opinion>{1, 1, 2, 2}
                          : std::vector<Opinion>{1, 2, 2, 1};
   };
+  std::uint64_t zero_budget_entries = 0;
   for (const SelectionScheme scheme :
        {SelectionScheme::kVertex, SelectionScheme::kEdge}) {
-    for (const unsigned width : {1u, 4u}) {
-      tally(expect_lane_metrics_match(/*jump=*/true, graph, scheme, 8, width,
-                                      consensus, mixed, sampled));
-      const std::vector<RunMetrics> adjacent = expect_lane_metrics_match(
-          /*jump=*/true, graph, scheme, 4, width, two_adjacent, mixed,
-          sampled);
-      tally(adjacent);
-      launch_activity += adjacent[0].mode_timeline.at(0).active_probability;
-      for (const RunMetrics& metrics :
-           expect_lane_metrics_match(/*jump=*/true, graph, scheme, 8, width,
-                                     tight, mixed, sampled)) {
-        watchdog_tails += metrics.frozen_tail_steps;
-      }
-      for (const RunMetrics& metrics :
-           expect_lane_metrics_match(/*jump=*/true, split, scheme, 4, width,
-                                     capped, split_init, sampled)) {
-        frozen_tails += metrics.frozen_tail_steps;
-      }
+    tally(expect_lane_metrics_match(/*jump=*/true, graph, scheme, 8,
+                                    /*width=*/1, consensus, mixed, sampled));
+    const std::vector<RunMetrics> adjacent = expect_lane_metrics_match(
+        /*jump=*/true, graph, scheme, 4, /*width=*/1, two_adjacent, mixed,
+        sampled);
+    tally(adjacent);
+    launch_activity += adjacent[0].mode_timeline.at(0).active_probability;
+    for (const RunMetrics& metrics :
+         expect_lane_metrics_match(/*jump=*/true, graph, scheme, 8,
+                                   /*width=*/1, tight, mixed, sampled)) {
+      watchdog_tails += metrics.frozen_tail_steps;
+    }
+    for (const RunMetrics& metrics :
+         expect_lane_metrics_match(/*jump=*/true, split, scheme, 4,
+                                   /*width=*/1, capped, split_init, sampled)) {
+      frozen_tails += metrics.frozen_tail_steps;
+    }
+    for (const RunMetrics& metrics :
+         expect_lane_metrics_match(/*jump=*/true, graph, scheme, 4,
+                                   /*width=*/1, no_budget, mixed, sampled)) {
+      EXPECT_EQ(metrics.scheduled_steps, 0u);
+      zero_budget_entries += metrics.mode_timeline.size();
     }
   }
   EXPECT_GT(watchdog_tails, 0u);
@@ -1207,17 +1114,7 @@ TEST(BatchJump, PerLaneMetricsMatchScalarJump) {
   EXPECT_GT(dropped, 0u);
   EXPECT_GT(samples, 0u);
   EXPECT_GT(launch_activity, 0.0);
-
-  OpinionPlane plane(graph, 1);
-  std::vector<Rng> rngs;
-  rngs.emplace_back(1);
-  plane.assign_lane(0, mixed(1, rngs[0]));
-  RunMetrics metrics;
-  RunOptions group_sink;
-  group_sink.metrics = &metrics;
-  EXPECT_THROW(run_batch_jump(graph, SelectionScheme::kEdge, plane, rngs,
-                              group_sink),
-               std::invalid_argument);
+  EXPECT_GT(zero_budget_entries, 0u);
 }
 
 // SupervisorOptions::batch_lanes gets the same loud range guard the CLI

@@ -46,6 +46,29 @@ TEST(Args, RejectsMalformedNumbers) {
   EXPECT_THROW(args.get_int("n", 0), std::invalid_argument);
   EXPECT_THROW(args.get_u64("n", 0), std::invalid_argument);
   EXPECT_THROW(args.get_double("n", 0.0), std::invalid_argument);
+
+  // A token must parse to its end: stoll/stoull/stod stop at the first
+  // character they cannot use, so "1e11" used to run as 1 and "4x" as 4.
+  for (const std::string text : {"4x", "1e11", "0.5abc", "nan", "inf"}) {
+    const Args bad(std::vector<std::string>{"--n", text});
+    EXPECT_THROW(bad.get_int("n", 0), std::invalid_argument) << text;
+    EXPECT_THROW(bad.get_u64("n", 0), std::invalid_argument) << text;
+  }
+  // Non-finite values parse as doubles but are refused; the message names
+  // the flag and the value.
+  for (const std::string text : {"0.5abc", "nan", "inf", "-inf", "1e999"}) {
+    const Args bad(std::vector<std::string>{"--n", text});
+    try {
+      (void)bad.get_double("n", 0.0);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("--n"), std::string::npos) << message;
+      EXPECT_NE(message.find("'" + text + "'"), std::string::npos) << message;
+    }
+  }
+  const Args good(std::vector<std::string>{"--n", "1e3"});
+  EXPECT_DOUBLE_EQ(good.get_double("n", 0.0), 1000.0);
 }
 
 TEST(Args, FlagFollowedByOption) {
@@ -164,7 +187,7 @@ TEST(BatchLanesCli, RefusesZeroOversizedAndWrappingLaneCounts) {
 // The refusal strings divsim prints for scalar-only feature combinations:
 // pinned verbatim so a reworded refusal is a conscious choice, and so the
 // text keeps naming the scalar fallback.  --engine jump is deliberately
-// absent: jump-chain campaigns batch through run_batch_jump.
+// absent: it accepts the width and runs one lane per replica.
 TEST(BatchLanesCli, RefusalTextNamesTheScalarFallback) {
   EXPECT_STREQ(kBatchLanesProcessRefusal,
                "--batch-lanes only supports --process div (the batch engine "

@@ -300,10 +300,11 @@ TEST(JumpEngine, WinnerDistributionMatchesExactChainOnSmallGraphs) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched jump-chain parity: lane L of run_batch_jump, seeded like a scalar
-// run_jump replica, must be BIT-identical to it -- the full JumpRunResult
-// (including effective_steps and mode_switches), the final opinion vector,
-// and the rng stream position (checked by comparing the next raw output).
+// Lane jump-chain parity: run_lane_jump on a one-lane plane, seeded like a
+// scalar run_jump replica, must be BIT-identical to it -- the full
+// JumpRunResult (including effective_steps and mode_switches), the final
+// opinion vector, and the rng stream position (checked by comparing the next
+// raw output).
 
 void expect_same_jump_result(const JumpRunResult& scalar,
                              const JumpRunResult& lane,
@@ -321,10 +322,11 @@ void expect_same_jump_result(const JumpRunResult& scalar,
   EXPECT_EQ(scalar.winner, lane.winner) << where;
 }
 
-// Runs kLanes scalar run_jump replicas (seed = retry_seed(master, lane, 0),
+// Runs `lanes` scalar run_jump replicas (seed = retry_seed(master, lane, 0),
 // initial opinions drawn by `init` from the SAME stream the lane will use)
-// and the identical configuration through run_batch_jump, then asserts
-// per-lane bit-identity on results, final opinions, and stream positions.
+// and the identical configurations through run_lane_jump, one one-lane plane
+// each, then asserts per-replica bit-identity on results, final opinions,
+// and stream positions.
 void expect_batch_jump_parity(
     const Graph& graph, SelectionScheme scheme, unsigned lanes,
     std::uint64_t master, const RunOptions& options,
@@ -342,27 +344,21 @@ void expect_batch_jump_parity(
     scalar_next[lane] = rng.next();
   }
 
-  OpinionPlane plane(graph, lanes);
-  std::vector<Rng> rngs;
-  rngs.reserve(lanes);
-  for (unsigned lane = 0; lane < lanes; ++lane) {
-    rngs.emplace_back(Rng::retry_seed(master, lane, 0));
-    plane.assign_lane(lane, init(lane, rngs[lane]));
-  }
-  const std::vector<JumpRunResult> batch =
-      run_batch_jump(graph, scheme, plane, rngs, options);
-
-  ASSERT_EQ(batch.size(), lanes);
   for (unsigned lane = 0; lane < lanes; ++lane) {
     const std::string where =
         std::string(to_string(scheme)) + " lane " + std::to_string(lane);
-    expect_same_jump_result(scalar[lane], batch[lane], where);
-    const auto lane_view = plane.lane_opinions(lane);
+    OpinionPlane plane(graph, 1);
+    Rng rng(Rng::retry_seed(master, lane, 0));
+    plane.assign_lane(0, init(lane, rng));
+    const JumpRunResult result =
+        run_lane_jump(graph, scheme, plane, rng, options);
+    expect_same_jump_result(scalar[lane], result, where);
+    const auto lane_view = plane.lane_opinions(0);
     ASSERT_EQ(lane_view.size(), scalar_final[lane].size()) << where;
     EXPECT_TRUE(std::equal(lane_view.begin(), lane_view.end(),
                            scalar_final[lane].begin()))
         << where;
-    EXPECT_EQ(rngs[lane].next(), scalar_next[lane]) << where;
+    EXPECT_EQ(rng.next(), scalar_next[lane]) << where;
   }
 }
 
@@ -379,9 +375,9 @@ TEST(BatchJump, LanesBitIdenticalToScalarJump) {
   }
 }
 
-// Wide opinion ranges force the plane onto full-width cells; the batched
-// jump lanes must survive the promotion (including lanes assigned narrow
-// before the promoting wide lane) bit-identically.
+// Wide opinion ranges put the plane on full-width cells; the lane kernel
+// must run wide planes (odd lanes) as bit-identically as byte-packed ones
+// (even lanes).
 TEST(BatchJump, WidePlaneLanesMatchScalarJump) {
   Rng graph_rng(0x77df);
   const Graph graph = make_connected_random_regular(40, 4, graph_rng);
@@ -396,11 +392,10 @@ TEST(BatchJump, WidePlaneLanesMatchScalarJump) {
   }
 }
 
-// Mixed-mode groups: dense lanes (wide uniform start -> hysteresis drops
-// them to naive scheduled stepping) share the clock with near-consensus
-// lanes that stay lazy in jump mode.  Each lane's independent mode history
-// must match its scalar run exactly -- the shared horizon re-orders work
-// across lanes but never changes any lane's own sequence.
+// Both mode histories: dense starts (wide uniform start -> hysteresis drops
+// them to naive scheduled stepping) and near-consensus starts that stay lazy
+// in jump mode.  Each replica's mode history must match its scalar run
+// exactly.
 TEST(BatchJump, MixedModeLanesStayIndependent) {
   Rng graph_rng(0x3a2e);
   const Graph graph = make_connected_random_regular(64, 4, graph_rng);

@@ -127,11 +127,13 @@ int usage() {
       "engines:       --engine step|jump (run only; jump skips lazy steps\n"
       "               via the embedded jump chain -- plain DIV, no faults)\n"
       "batching:      --batch-lanes N (1..4096) runs N replicas per worker\n"
-      "               claim in lock-step over one SoA plane -- either\n"
-      "               engine, plain DIV only (--process div, no --fault or\n"
+      "               claim in lock-step over one SoA plane -- --engine\n"
+      "               step, plain DIV only (--process div, no --fault or\n"
       "               --trace), thread isolation; a --checkpoint-dir run\n"
-      "               batches only with supervision on.  Per-replica\n"
-      "               results stay bit-identical to the scalar engines\n"
+      "               batches only with supervision on.  --engine jump\n"
+      "               runs one lane per replica and ignores the width.\n"
+      "               Per-replica results stay bit-identical to the\n"
+      "               scalar engines\n"
       "durability:    --checkpoint-dir D journals each finished replica\n"
       "               (CRC-framed, fsync'd every --checkpoint-every records);\n"
       "               SIGINT/SIGTERM drain gracefully; --resume skips\n"
@@ -401,14 +403,14 @@ int cmd_run(const Args& args) {
                          backoff_given || retry_quarantined ||
                          isolation == Isolation::kProcess;
 
-  // Lock-step batching: run N replicas per worker claim through the batch
-  // engines (one SoA OpinionPlane per group; run_batch for --engine step,
-  // run_batch_jump for --engine jump).  Per-replica results stay
-  // bit-identical to the scalar drivers' attempt 0 -- this is purely a
-  // throughput knob -- but it only exists for plain DIV, so the
-  // incompatible modes are refused loudly rather than silently falling
-  // back.  The raw u64 is validated BEFORE narrowing: 0 and values past
-  // kMaxBatchLanes used to be silently clamped/wrapped.
+  // Lock-step batching: run N replicas per worker claim through run_batch
+  // (one SoA OpinionPlane per group; --engine jump runs one lane per
+  // replica whatever the width).  Per-replica results stay bit-identical
+  // to the scalar drivers' attempt 0 -- this is purely a throughput knob --
+  // but it only exists for plain DIV, so the incompatible modes are
+  // refused loudly rather than silently falling back.  The raw u64 is
+  // validated BEFORE narrowing: 0 and values past kMaxBatchLanes used to
+  // be silently clamped/wrapped.
   const unsigned batch_lanes =
       validate_batch_lanes(args.get_u64("batch-lanes", 1));
   if (batch_lanes > 1) {
@@ -441,7 +443,10 @@ int cmd_run(const Args& args) {
             << ", replicas: " << replicas << "\n";
   if (batch_lanes > 1) {
     std::cout << "batch lanes: " << batch_lanes << " (lock-step engine";
-    if (!checkpoint_dir.empty() && !supervise) {
+    if (jump) {
+      std::cout << "; note: the jump engine runs one lane per replica, so "
+                   "the width is not applied";
+    } else if (!checkpoint_dir.empty() && !supervise) {
       std::cout << "; note: plain campaigns run one lane per replica, so the "
                    "width is not applied; add --supervise to batch";
     } else if (isolation == Isolation::kProcess) {
@@ -565,10 +570,11 @@ int cmd_run(const Args& args) {
   // The one lane runner.  Every plain-DIV attempt (--process div, no
   // --fault, no --trace) runs on the lane kernel: alone as a one-lane plane
   // (the default width, lone claims, speculative twins, plain campaigns,
-  // fleet workers) or as a lock-step group (batch_task).  Lane i draws its
-  // initial opinions from rngs[i] exactly as the scalar engines'
-  // OpinionState would, and the lane engines are bit-identical per seed, so
-  // every payload and every metrics record equals a scalar run's.
+  // fleet workers, every jump attempt) or as a lock-step run_batch group
+  // (batch_task, --engine step only).  Lane i draws its initial opinions
+  // from rngs[i] exactly as the scalar engines' OpinionState would, and the
+  // lane engines are bit-identical per seed, so every payload and every
+  // metrics record equals a scalar run's.
   // `cancels` are the executor's per-attempt lease tokens (the global
   // SIGINT token for plain campaigns): a deadline kill drains one lane.
   const bool lane_kernel =
@@ -591,12 +597,15 @@ int cmd_run(const Args& args) {
     }
     std::vector<ReplicaRun> runs(width);
     if (jump) {
-      std::vector<JumpRunResult> results = run_batch_jump(
-          graph, scheme, plane, rngs, options, cancels, sinks);
-      for (unsigned lane = 0; lane < width; ++lane) {
-        runs[lane].effective_steps = results[lane].effective_steps;
-        runs[lane].result = std::move(results[lane]);
+      RunOptions lane_options = options;
+      if (cancels[0] != nullptr) {
+        lane_options.cancel = cancels[0];
       }
+      lane_options.metrics = sinks.empty() ? nullptr : sinks[0];
+      JumpRunResult result =
+          run_lane_jump(graph, scheme, plane, rngs[0], lane_options);
+      runs[0].effective_steps = result.effective_steps;
+      runs[0].result = std::move(result);
     } else {
       std::vector<RunResult> results =
           run_batch(graph, scheme, plane, rngs, options, cancels, sinks);
@@ -720,11 +729,11 @@ int cmd_run(const Args& args) {
       };
     }
   }
-  // Thread-mode runs claim lock-step groups of up to --batch-lanes attempts
-  // for the lane runner; each lane keeps its retry_seed stream and its
-  // private lease token.  Lone claims and speculative twins go through
-  // `task`, which runs them as one-lane groups.
-  if (batch_lanes > 1 && isolation == Isolation::kThread) {
+  // Thread-mode step-engine runs claim lock-step groups of up to
+  // --batch-lanes attempts for the lane runner; each lane keeps its
+  // retry_seed stream and its private lease token.  Lone claims, speculative
+  // twins and every jump attempt go through `task`, one lane each.
+  if (batch_lanes > 1 && isolation == Isolation::kThread && !jump) {
     sup.batch_lanes = batch_lanes;
     sup.batch_task = [&](std::span<const BatchLane> lanes) {
       std::vector<std::size_t> lane_replicas;
