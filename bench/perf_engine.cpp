@@ -468,6 +468,40 @@ void BM_MakeRandomRegular(benchmark::State& state) {
 }
 BENCHMARK(BM_MakeRandomRegular)->Arg(1024)->Arg(8192);
 
+// The graph build `divsim run --graph regular:65536:8` performs before its
+// first replica (the large-sparse-jump workload's set-up).
+void BM_MakeConnectedRandomRegular(benchmark::State& state) {
+  const auto n = static_cast<VertexId>(state.range(0));
+  const auto d = static_cast<std::uint32_t>(state.range(1));
+  Rng rng(11);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(make_connected_random_regular(n, d, rng));
+  }
+}
+BENCHMARK(BM_MakeConnectedRandomRegular)
+    ->Args({65536, 8})
+    ->Unit(benchmark::kMillisecond);
+
+// CSR construction alone, from an edge list in random order (the order
+// GraphBuilder hands over): the edges of a random 8-regular graph on
+// range(0) / 4 vertices, shuffled.
+void BM_GraphFromEdges(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<VertexId>(m / 4);
+  Rng rng(12);
+  const Graph source = make_random_regular(n, 8, rng);
+  std::vector<Edge> shuffled(source.edges().begin(), source.edges().end());
+  rng.shuffle(shuffled);
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<Edge> edges = shuffled;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(Graph(n, std::move(edges)));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * m));
+}
+BENCHMARK(BM_GraphFromEdges)->Arg(1 << 18)->Unit(benchmark::kMillisecond);
+
 void BM_SecondEigenvalueDense(benchmark::State& state) {
   const Graph g = make_complete(static_cast<VertexId>(state.range(0)));
   for (auto _ : state) {

@@ -1,7 +1,8 @@
 #include "cli/args.hpp"
 
-#include <cmath>
 #include <stdexcept>
+
+#include "cli/parse_number.hpp"
 
 namespace divlib {
 
@@ -67,17 +68,12 @@ std::int64_t Args::get_int(const std::string& key, std::int64_t fallback) const 
   if (text.empty()) {
     return fallback;
   }
-  try {
-    std::size_t end = 0;
-    const std::int64_t value = std::stoll(text, &end);
-    if (end != text.size()) {
-      throw std::invalid_argument("trailing characters");
-    }
-    return value;
-  } catch (const std::exception&) {
+  const auto value = parse_integer<std::int64_t>(text);
+  if (!value) {
     throw std::invalid_argument("Args: --" + key + " expects an integer, got '" +
                                 text + "'");
   }
+  return *value;
 }
 
 std::uint64_t Args::get_u64(const std::string& key, std::uint64_t fallback) const {
@@ -85,22 +81,13 @@ std::uint64_t Args::get_u64(const std::string& key, std::uint64_t fallback) cons
   if (text.empty()) {
     return fallback;
   }
-  try {
-    // stoull accepts a sign and wraps "-1" to 2^64 - 1; refuse it instead.
-    if (text.find('-') != std::string::npos) {
-      throw std::invalid_argument("negative");
-    }
-    std::size_t end = 0;
-    const std::uint64_t value = std::stoull(text, &end);
-    if (end != text.size()) {
-      throw std::invalid_argument("trailing characters");
-    }
-    return value;
-  } catch (const std::exception&) {
+  const auto value = parse_integer<std::uint64_t>(text);
+  if (!value) {
     throw std::invalid_argument("Args: --" + key +
                                 " expects a non-negative integer, got '" + text +
                                 "'");
   }
+  return *value;
 }
 
 std::uint64_t Args::get_positive_u64(const std::string& key,
@@ -117,17 +104,12 @@ double Args::get_double(const std::string& key, double fallback) const {
   if (text.empty()) {
     return fallback;
   }
-  try {
-    std::size_t end = 0;
-    const double value = std::stod(text, &end);
-    if (end != text.size() || !std::isfinite(value)) {
-      throw std::invalid_argument("trailing characters or not finite");
-    }
-    return value;
-  } catch (const std::exception&) {
+  const auto value = parse_finite(text);
+  if (!value) {
     throw std::invalid_argument("Args: --" + key +
                                 " expects a finite number, got '" + text + "'");
   }
+  return *value;
 }
 
 std::vector<std::string> Args::unused_keys() const {

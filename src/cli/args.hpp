@@ -29,7 +29,8 @@ class Args {
   std::string get(const std::string& key, const std::string& fallback) const;
   // The numeric getters throw std::invalid_argument naming the flag and the
   // value unless the whole token parses ("4x" and "1e11" are not integers);
-  // get_double also refuses non-finite values ("nan", "inf").
+  // get_double also refuses non-finite values ("nan", "inf").  The rules are
+  // cli/parse_number.hpp's, shared with the graph, fault and list specs.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   // Refuses a negative value ("-1") instead of wrapping it to 2^64 - 1.
   std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const;

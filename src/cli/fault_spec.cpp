@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "cli/parse_number.hpp"
+
 namespace divlib {
 
 namespace {
@@ -17,36 +19,24 @@ namespace {
 
 // Parses a probability/fraction in [0, 1].
 double parse_probability(const std::string& clause, const std::string& text) {
-  std::size_t used = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(text, &used);
-  } catch (const std::exception&) {
-    bad(clause, "not a number");
+  const auto value = parse_finite(text);
+  if (!value) {
+    bad(clause, "'" + text + "' is not a finite number");
   }
-  if (used != text.size()) {
-    bad(clause, "trailing junk after number");
-  }
-  if (value < 0.0 || value > 1.0) {
+  if (*value < 0.0 || *value > 1.0) {
     bad(clause, "value out of range [0, 1]");
   }
-  return value;
+  return *value;
 }
 
 // Step bounds accept scientific notation ("1e6") but must be non-negative
 // integers after rounding.
 std::uint64_t parse_step(const std::string& clause, const std::string& text) {
-  std::size_t used = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(text, &used);
-  } catch (const std::exception&) {
+  const auto value = parse_finite(text);
+  if (!value || *value < 0.0) {
     bad(clause, "bad step bound");
   }
-  if (used != text.size() || value < 0.0 || !std::isfinite(value)) {
-    bad(clause, "bad step bound");
-  }
-  return static_cast<std::uint64_t>(std::llround(value));
+  return static_cast<std::uint64_t>(std::llround(*value));
 }
 
 }  // namespace
@@ -123,18 +113,18 @@ FaultSpec parse_fault_spec(const std::string& text) {
       spec.byzantine_fraction =
           parse_probability(clause, value.substr(0, colon));
       if (colon != std::string::npos) {
-        try {
-          spec.byzantine_lie =
-              static_cast<Opinion>(std::stoi(value.substr(colon + 1)));
-        } catch (const std::exception&) {
-          bad(clause, "bad fixed lie value");
+        const std::string lie = value.substr(colon + 1);
+        spec.byzantine_lie = parse_integer<Opinion>(lie);
+        if (!spec.byzantine_lie) {
+          bad(clause, "fixed lie " + integer_expectation<Opinion>() +
+                          ", got '" + lie + "'");
         }
       }
     } else if (key == "seed") {
-      try {
-        spec.seed = std::stoull(value);
-      } catch (const std::exception&) {
-        bad(clause, "bad seed");
+      spec.seed = parse_integer<std::uint64_t>(value);
+      if (!spec.seed) {
+        bad(clause, "seed " + integer_expectation<std::uint64_t>() +
+                        ", got '" + value + "'");
       }
     } else {
       bad(clause, "unknown key");

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "cli/parse_number.hpp"
 #include "graph/generators.hpp"
 #include "graph/random_graphs.hpp"
 
@@ -27,22 +28,6 @@ std::vector<std::string> split_fields(const std::string& spec) {
   throw std::invalid_argument("graph spec '" + spec + "': " + reason);
 }
 
-std::uint64_t parse_u64(const std::string& spec, const std::string& field) {
-  try {
-    return std::stoull(field);
-  } catch (const std::exception&) {
-    fail(spec, "'" + field + "' is not a non-negative integer");
-  }
-}
-
-double parse_double(const std::string& spec, const std::string& field) {
-  try {
-    return std::stod(field);
-  } catch (const std::exception&) {
-    fail(spec, "'" + field + "' is not a number");
-  }
-}
-
 void require_arity(const std::string& spec, const std::vector<std::string>& fields,
                    std::size_t args) {
   if (fields.size() != args + 1) {
@@ -51,76 +36,99 @@ void require_arity(const std::string& spec, const std::vector<std::string>& fiel
   }
 }
 
+// Field `index` (1-based after the family) read whole as a T; `name` is the
+// field's name in graph_spec_help().
+template <typename T>
+T integer_field(const std::string& spec, const std::vector<std::string>& fields,
+                std::size_t index, const char* name) {
+  const auto value = parse_integer<T>(fields[index]);
+  if (!value) {
+    fail(spec, std::string(name) + " " + integer_expectation<T>() + ", got '" +
+                   fields[index] + "'");
+  }
+  return *value;
+}
+
+double number_field(const std::string& spec, const std::vector<std::string>& fields,
+                    std::size_t index, const char* name) {
+  const auto value = parse_finite(fields[index]);
+  if (!value) {
+    fail(spec, std::string(name) + " expects a finite number, got '" +
+                   fields[index] + "'");
+  }
+  return *value;
+}
+
 }  // namespace
 
 Graph make_graph_from_spec(const std::string& spec, Rng& rng) {
   const auto fields = split_fields(spec);
   const std::string& family = fields[0];
+  const auto vertices = [&](std::size_t index, const char* name) {
+    return integer_field<VertexId>(spec, fields, index, name);
+  };
   if (family == "complete") {
     require_arity(spec, fields, 1);
-    return make_complete(static_cast<VertexId>(parse_u64(spec, fields[1])));
+    return make_complete(vertices(1, "N"));
   }
   if (family == "path") {
     require_arity(spec, fields, 1);
-    return make_path(static_cast<VertexId>(parse_u64(spec, fields[1])));
+    return make_path(vertices(1, "N"));
   }
   if (family == "cycle") {
     require_arity(spec, fields, 1);
-    return make_cycle(static_cast<VertexId>(parse_u64(spec, fields[1])));
+    return make_cycle(vertices(1, "N"));
   }
   if (family == "star") {
     require_arity(spec, fields, 1);
-    return make_star(static_cast<VertexId>(parse_u64(spec, fields[1])));
+    return make_star(vertices(1, "N"));
   }
   if (family == "hypercube") {
     require_arity(spec, fields, 1);
-    return make_hypercube(static_cast<unsigned>(parse_u64(spec, fields[1])));
+    return make_hypercube(integer_field<unsigned>(spec, fields, 1, "D"));
   }
   if (family == "barbell") {
     require_arity(spec, fields, 1);
-    return make_barbell(static_cast<VertexId>(parse_u64(spec, fields[1])));
+    return make_barbell(vertices(1, "H"));
   }
   if (family == "lollipop") {
     require_arity(spec, fields, 2);
-    return make_lollipop(static_cast<VertexId>(parse_u64(spec, fields[1])),
-                         static_cast<VertexId>(parse_u64(spec, fields[2])));
+    return make_lollipop(vertices(1, "CLIQUE"), vertices(2, "TAIL"));
   }
   if (family == "grid" || family == "torus") {
     require_arity(spec, fields, 2);
-    return make_grid(static_cast<VertexId>(parse_u64(spec, fields[1])),
-                     static_cast<VertexId>(parse_u64(spec, fields[2])),
-                     family == "torus");
+    return make_grid(vertices(1, "R"), vertices(2, "C"), family == "torus");
   }
   if (family == "tree") {
     require_arity(spec, fields, 1);
-    return make_binary_tree(static_cast<VertexId>(parse_u64(spec, fields[1])));
+    return make_binary_tree(vertices(1, "N"));
   }
   if (family == "margulis") {
     require_arity(spec, fields, 1);
-    return make_margulis(static_cast<VertexId>(parse_u64(spec, fields[1])));
+    return make_margulis(vertices(1, "M"));
   }
   if (family == "regular") {
     require_arity(spec, fields, 2);
     return make_connected_random_regular(
-        static_cast<VertexId>(parse_u64(spec, fields[1])),
-        static_cast<std::uint32_t>(parse_u64(spec, fields[2])), rng);
+        vertices(1, "N"), integer_field<std::uint32_t>(spec, fields, 2, "D"),
+        rng);
   }
   if (family == "gnp") {
     require_arity(spec, fields, 2);
-    return make_connected_gnp(static_cast<VertexId>(parse_u64(spec, fields[1])),
-                              parse_double(spec, fields[2]), rng);
+    return make_connected_gnp(vertices(1, "N"),
+                              number_field(spec, fields, 2, "P"), rng);
   }
   if (family == "ws") {
     require_arity(spec, fields, 3);
-    return make_watts_strogatz(static_cast<VertexId>(parse_u64(spec, fields[1])),
-                               static_cast<std::uint32_t>(parse_u64(spec, fields[2])),
-                               parse_double(spec, fields[3]), rng);
+    return make_watts_strogatz(
+        vertices(1, "N"), integer_field<std::uint32_t>(spec, fields, 2, "K"),
+        number_field(spec, fields, 3, "BETA"), rng);
   }
   if (family == "ba") {
     require_arity(spec, fields, 2);
-    return make_barabasi_albert(static_cast<VertexId>(parse_u64(spec, fields[1])),
-                                static_cast<std::uint32_t>(parse_u64(spec, fields[2])),
-                                rng);
+    return make_barabasi_albert(
+        vertices(1, "N"),
+        integer_field<std::uint32_t>(spec, fields, 2, "ATTACH"), rng);
   }
   fail(spec, "unknown family (see graph_spec_help())");
 }

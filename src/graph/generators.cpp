@@ -139,7 +139,7 @@ Graph make_grid(VertexId rows, VertexId cols, bool torus) {
     throw std::invalid_argument("make_grid: torus requires rows,cols >= 3");
   }
   const auto id = [cols](VertexId r, VertexId c) { return r * cols + c; };
-  GraphBuilder builder(rows * cols);
+  GraphBuilder builder(rows * cols, 2 * static_cast<std::size_t>(rows) * cols);
   for (VertexId r = 0; r < rows; ++r) {
     for (VertexId c = 0; c < cols; ++c) {
       if (c + 1 < cols) {
@@ -167,7 +167,8 @@ Graph make_margulis(VertexId m) {
     const std::int64_t r = value % static_cast<std::int64_t>(m);
     return static_cast<VertexId>(r < 0 ? r + m : r);
   };
-  GraphBuilder builder(n);
+  // Each of the 8 offsets pairs up with its inverse, so at most 4n edges.
+  GraphBuilder builder(n, 4 * static_cast<std::size_t>(n));
   for (VertexId x = 0; x < m; ++x) {
     for (VertexId y = 0; y < m; ++y) {
       const VertexId v = id(x, y);

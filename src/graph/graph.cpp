@@ -6,42 +6,51 @@
 
 namespace divlib {
 
+// The CSR is built straight from the input, in any order: count degrees,
+// scatter both directions of every edge into its rows, then sort each row.
+// A duplicate edge shows up as two equal neighbours in one row, and the
+// lexicographic edge list is read off the sorted rows, so no comparison sort
+// ever runs over all m edges.
 Graph::Graph(VertexId num_vertices, std::vector<Edge> edges)
-    : num_vertices_(num_vertices), edges_(std::move(edges)) {
-  for (auto& e : edges_) {
+    : num_vertices_(num_vertices) {
+  offsets_.assign(static_cast<std::size_t>(num_vertices_) + 1, 0);
+  for (const Edge& e : edges) {
     if (e.u >= num_vertices_ || e.v >= num_vertices_) {
       throw std::invalid_argument("Graph: edge endpoint out of range");
     }
     if (e.u == e.v) {
       throw std::invalid_argument("Graph: self-loop");
     }
-    if (e.u > e.v) {
-      std::swap(e.u, e.v);
-    }
-  }
-  std::sort(edges_.begin(), edges_.end(), [](const Edge& a, const Edge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
-  if (std::adjacent_find(edges_.begin(), edges_.end()) != edges_.end()) {
-    throw std::invalid_argument("Graph: duplicate edge");
-  }
-
-  offsets_.assign(num_vertices_ + 1, 0);
-  for (const Edge& e : edges_) {
     ++offsets_[e.u + 1];
     ++offsets_[e.v + 1];
   }
   std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
 
-  adjacency_.resize(2 * edges_.size());
+  adjacency_.resize(2 * edges.size());
   std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (const Edge& e : edges_) {
+  for (const Edge& e : edges) {
     adjacency_[cursor[e.u]++] = e.v;
     adjacency_[cursor[e.v]++] = e.u;
   }
   for (VertexId v = 0; v < num_vertices_; ++v) {
-    std::sort(adjacency_.begin() + offsets_[v], adjacency_.begin() + offsets_[v + 1]);
+    const auto row = adjacency_.begin() + offsets_[v];
+    const auto row_end = adjacency_.begin() + offsets_[v + 1];
+    std::sort(row, row_end);
+    if (std::adjacent_find(row, row_end) != row_end) {
+      throw std::invalid_argument("Graph: duplicate edge");
+    }
   }
+
+  // Reuse the input's storage for the edge list: same size, now sorted.
+  edges.clear();
+  for (VertexId u = 0; u < num_vertices_; ++u) {
+    for (const VertexId v : neighbors(u)) {
+      if (v > u) {
+        edges.push_back({u, v});
+      }
+    }
+  }
+  edges_ = std::move(edges);
 }
 
 bool Graph::has_edge(VertexId u, VertexId v) const {

@@ -44,7 +44,8 @@ class Graph {
     return {adjacency_.data() + offsets_[v], adjacency_.data() + offsets_[v + 1]};
   }
 
-  // Flat list of undirected edges with u < v; stable order.
+  // Flat list of undirected edges with u < v, in lexicographic (u, v) order
+  // whatever order the constructor received them in.
   std::span<const Edge> edges() const { return edges_; }
 
   bool has_edge(VertexId u, VertexId v) const;

@@ -3,8 +3,10 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "graph/builder.hpp"
+#include "graph/generators.hpp"
 
 namespace divlib {
 
@@ -80,10 +82,9 @@ bool try_pairing(VertexId n, std::uint32_t d, Rng& rng, GraphBuilder& builder) {
   for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
     const VertexId u = stubs[i];
     const VertexId v = stubs[i + 1];
-    if (u == v || builder.has_edge(u, v)) {
+    if (u == v || !builder.add_edge(u, v)) {
       defective.push_back({u, v});
     } else {
-      builder.add_edge(u, v);
       good.push_back(u < v ? Edge{u, v} : Edge{v, u});
     }
   }
@@ -122,29 +123,43 @@ bool try_pairing(VertexId n, std::uint32_t d, Rng& rng, GraphBuilder& builder) {
   return true;
 }
 
+void check_regular_arguments(const char* who, VertexId n, std::uint32_t d) {
+  if (n < 2 || d < 1 || d >= n) {
+    throw std::invalid_argument(std::string(who) + ": need n >= 2, 1 <= d < n");
+  }
+  if ((static_cast<std::uint64_t>(n) * d) % 2 != 0) {
+    throw std::invalid_argument(std::string(who) + ": n*d must be even");
+  }
+}
+
 }  // namespace
 
 Graph make_random_regular(VertexId n, std::uint32_t d, Rng& rng, int max_attempts) {
-  if (n < 2 || d < 1 || d >= n) {
-    throw std::invalid_argument("make_random_regular: need n >= 2, 1 <= d < n");
-  }
-  if ((static_cast<std::uint64_t>(n) * d) % 2 != 0) {
-    throw std::invalid_argument("make_random_regular: n*d must be even");
+  check_regular_arguments("make_random_regular", n, d);
+  if (d == n - 1) {
+    return make_complete(n);
   }
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    GraphBuilder builder(n);
+    GraphBuilder builder(n, static_cast<std::size_t>(n) * d / 2);
     if (try_pairing(n, d, rng, builder)) {
       return builder.build();
     }
   }
-  throw std::runtime_error("make_random_regular: pairing rejected too often");
+  throw std::runtime_error("make_random_regular: the pairing repair stalled in all " +
+                           std::to_string(max_attempts) + " attempts");
 }
 
 Graph make_connected_random_regular(VertexId n, std::uint32_t d, Rng& rng,
                                     int max_attempts) {
+  check_regular_arguments("make_connected_random_regular", n, d);
+  if (d == n - 1) {
+    return make_complete(n);
+  }
+  int stalled = 0;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    GraphBuilder builder(n);
+    GraphBuilder builder(n, static_cast<std::size_t>(n) * d / 2);
     if (!try_pairing(n, d, rng, builder)) {
+      ++stalled;
       continue;
     }
     Graph g = builder.build();
@@ -152,7 +167,11 @@ Graph make_connected_random_regular(VertexId n, std::uint32_t d, Rng& rng,
       return g;
     }
   }
-  throw std::runtime_error("make_connected_random_regular: no connected sample");
+  throw std::runtime_error(
+      "make_connected_random_regular: no connected sample in " +
+      std::to_string(max_attempts) + " attempts: the pairing repair stalled in " +
+      std::to_string(stalled) + ", and " + std::to_string(max_attempts - stalled) +
+      " were simple but disconnected");
 }
 
 Graph make_watts_strogatz(VertexId n, std::uint32_t k, double beta, Rng& rng) {
@@ -172,7 +191,7 @@ Graph make_watts_strogatz(VertexId n, std::uint32_t k, double beta, Rng& rng) {
       lattice.push_back({v, static_cast<VertexId>((v + j) % n)});
     }
   }
-  GraphBuilder fresh(n);
+  GraphBuilder fresh(n, lattice.size());
   std::vector<bool> keep(lattice.size(), true);
   // First pass: decide rewiring and insert surviving lattice edges.
   std::vector<std::size_t> to_rewire;
@@ -206,7 +225,7 @@ Graph make_barabasi_albert(VertexId n, std::uint32_t attach, Rng& rng) {
   if (attach < 1 || n < attach + 1) {
     throw std::invalid_argument("make_barabasi_albert: need n >= attach+1 >= 2");
   }
-  GraphBuilder builder(n);
+  GraphBuilder builder(n, static_cast<std::size_t>(n) * attach);
   // Seed clique on attach+1 vertices.
   for (VertexId u = 0; u <= attach; ++u) {
     for (VertexId v = u + 1; v <= attach; ++v) {

@@ -20,14 +20,19 @@ Graph make_gnp(VertexId n, double p, Rng& rng);
 // `max_attempts` failures).  Intended for p above the connectivity threshold.
 Graph make_connected_gnp(VertexId n, double p, Rng& rng, int max_attempts = 200);
 
-// Random d-regular graph via the configuration model, rejecting pairings
-// with self-loops or multi-edges (whp successful for d = O(n^{1/3})).
-// Requires n*d even, 1 <= d < n.  Throws after `max_attempts` rejections.
+// Random d-regular graph via the configuration model: a uniform pairing of
+// n*d stubs, whose self-loops and multi-edges are then repaired by
+// degree-preserving double-edge swaps against random simple edges.  An
+// attempt whose repair stalls is discarded and a fresh pairing drawn.
+// d = n - 1 returns K_n (the only simple (n-1)-regular graph) without
+// drawing from `rng`.  Requires n*d even, 1 <= d < n.  Throws
+// std::runtime_error after `max_attempts` stalled attempts.
 Graph make_random_regular(VertexId n, std::uint32_t d, Rng& rng,
                           int max_attempts = 5000);
 
 // As make_random_regular but additionally requires connectivity (whp
-// immediate for d >= 3).
+// immediate for d >= 3).  The error after `max_attempts` says how many
+// attempts stalled in the repair and how many were simple but disconnected.
 Graph make_connected_random_regular(VertexId n, std::uint32_t d, Rng& rng,
                                     int max_attempts = 5000);
 

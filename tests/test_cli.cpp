@@ -12,6 +12,7 @@
 #include "cli/batch_lanes.hpp"
 #include "cli/flag_range.hpp"
 #include "cli/graph_spec.hpp"
+#include "cli/parse_number.hpp"
 #include "cli/process_spec.hpp"
 #include "graph/generators.hpp"
 
@@ -271,6 +272,91 @@ TEST(Args, U64GetterRefusesNegativeValues) {
   const Args args(std::vector<std::string>{"--threads", "-1"});
   EXPECT_EQ(refusal([&] { args.get_u64("threads", 0); }),
             "Args: --threads expects a non-negative integer, got '-1'");
+}
+
+// stoull/stod stopped at the first character they could not use, took a
+// sign, and the value was narrowed to VertexId unchecked: every spec below
+// used to build something (regular:16x:4 as regular:16:4, complete:8.9 as
+// K_8, complete:4294967298 as K_2) or, for regular:-1:4, die in bad_alloc.
+TEST(GraphSpec, RefusesTrailingGarbageSignsAndWrapping) {
+  for (const auto& [spec, message] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"regular:16x:4",
+            "graph spec 'regular:16x:4': N expects an integer in [0, "
+            "4294967295], got '16x'"},
+           {"complete:8.9",
+            "graph spec 'complete:8.9': N expects an integer in [0, "
+            "4294967295], got '8.9'"},
+           {"gnp:50:0.5junk",
+            "graph spec 'gnp:50:0.5junk': P expects a finite number, got "
+            "'0.5junk'"},
+           {"cycle:+5",
+            "graph spec 'cycle:+5': N expects an integer in [0, 4294967295], "
+            "got '+5'"},
+           {"complete:4294967298",
+            "graph spec 'complete:4294967298': N expects an integer in [0, "
+            "4294967295], got '4294967298'"},
+           {"regular:-1:4",
+            "graph spec 'regular:-1:4': N expects an integer in [0, "
+            "4294967295], got '-1'"},
+           {"regular:16:4294967300",
+            "graph spec 'regular:16:4294967300': D expects an integer in [0, "
+            "4294967295], got '4294967300'"},
+           {"ws:50:2:nan",
+            "graph spec 'ws:50:2:nan': BETA expects a finite number, got "
+            "'nan'"},
+           {"lollipop:4: 2",
+            "graph spec 'lollipop:4: 2': TAIL expects an integer in [0, "
+            "4294967295], got ' 2'"},
+       }) {
+    Rng rng(3);
+    EXPECT_EQ(refusal([&] { (void)make_graph_from_spec(spec, rng); }), message);
+  }
+}
+
+// The specs that the drills, examples, README, DESIGN and the benchmark's
+// workloads pass still parse (and build).
+TEST(GraphSpec, DocumentedSpecsStillParse) {
+  for (const std::string spec :
+       {"complete:8", "complete:16", "complete:32", "complete:128",
+        "complete:256", "path:1024", "barbell:16", "barbell:64", "gnp:400:0.1",
+        "regular:32:4", "regular:128:8", "regular:192:12", "regular:256:8",
+        "regular:256:16", "regular:512:8", "regular:512:16", "regular:1024:16",
+        "regular:4096:8", "regular:4096:16", "regular:16384:16",
+        "regular:65536:8", "regular:65536:16"}) {
+    Rng rng(1);
+    EXPECT_EQ(refusal([&] { (void)make_graph_from_spec(spec, rng); }),
+              "accepted")
+        << spec;
+  }
+}
+
+// divsim's comma-separated flags (sweep --sizes, exact --opinions,
+// meanfield --fractions) used getline + stoul/stoi/stod with the same
+// defects: "0.5x,0.5" ran as 0.5,0.5.
+TEST(ParseList, RefusesAnyBadField) {
+  EXPECT_EQ(parse_list<double>("--fractions", "0.5,0.25,0.25"),
+            (std::vector<double>{0.5, 0.25, 0.25}));
+  EXPECT_EQ(parse_list<VertexId>("--sizes", "64,128"),
+            (std::vector<VertexId>{64, 128}));
+  EXPECT_EQ(parse_list<Opinion>("--opinions", "0,-1,2"),
+            (std::vector<Opinion>{0, -1, 2}));
+  EXPECT_EQ(refusal([] { (void)parse_list<double>("--fractions", "0.5x,0.5"); }),
+            "--fractions expects finite numbers, got '0.5x'");
+  EXPECT_EQ(refusal([] { (void)parse_list<double>("--fractions", "0.5,inf"); }),
+            "--fractions expects finite numbers, got 'inf'");
+  EXPECT_EQ(refusal([] { (void)parse_list<VertexId>("--sizes", "64,4294967298"); }),
+            "--sizes expects an integer in [0, 4294967295], got '4294967298'");
+  EXPECT_EQ(refusal([] { (void)parse_list<VertexId>("--sizes", "64,-1"); }),
+            "--sizes expects an integer in [0, 4294967295], got '-1'");
+  EXPECT_EQ(refusal([] { (void)parse_list<VertexId>("--sizes", "64,"); }),
+            "--sizes expects an integer in [0, 4294967295], got ''");
+  EXPECT_EQ(refusal([] { (void)parse_list<Opinion>("--opinions", "0,1.5"); }),
+            "--opinions expects an integer in [-2147483648, 2147483647], got "
+            "'1.5'");
+  EXPECT_EQ(refusal([] { (void)parse_list<Opinion>("--opinions", "2147483648"); }),
+            "--opinions expects an integer in [-2147483648, 2147483647], got "
+            "'2147483648'");
 }
 
 }  // namespace

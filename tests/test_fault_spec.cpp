@@ -68,6 +68,17 @@ TEST(FaultSpec, RejectsMalformedInput) {
   EXPECT_THROW(parse_fault_spec("crash=0.1@[9,9]"), std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("byzantine=0.1:zebra"), std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("seed=zebra"), std::invalid_argument);
+  // Whole tokens only, no sign on the seed, the lie range-checked as an
+  // Opinion: stoi/stoull used to read "3x" as 3 and wrap "-4" to 2^64 - 4.
+  for (const char* text :
+       {"byzantine=0.1:3x", "byzantine=0.1:2147483648", "byzantine=0.1:",
+        "seed=-4", "seed=+4", "seed=4x", "seed=18446744073709551616",
+        "drop=+0.5", "crash=0.1@[0,5x]"}) {
+    EXPECT_THROW(parse_fault_spec(text), std::invalid_argument) << text;
+  }
+  EXPECT_EQ(*parse_fault_spec("byzantine=0.1:-2").byzantine_lie, -2);
+  EXPECT_EQ(*parse_fault_spec("seed=18446744073709551615").seed,
+            18446744073709551615ULL);
   // Fault fractions cannot cover more than the whole graph.
   EXPECT_THROW(parse_fault_spec("crash=0.7,byzantine=0.6"),
                std::invalid_argument);

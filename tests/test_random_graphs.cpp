@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+
+#include "cli/graph_spec.hpp"
+#include "graph/generators.hpp"
 
 namespace divlib {
 namespace {
@@ -128,6 +133,55 @@ TEST(RandomGraphs, BarabasiAlbertValidatesArguments) {
   Rng rng(47);
   EXPECT_THROW(make_barabasi_albert(3, 0, rng), std::invalid_argument);
   EXPECT_THROW(make_barabasi_albert(2, 2, rng), std::invalid_argument);
+}
+
+// K_n is the only simple (n-1)-regular graph, so the double-edge-swap repair
+// can never improve a defective pairing; these specs used to run until the
+// attempt budget ran out (minutes for n >= 16) or fail with "no connected
+// sample".  They now return K_n at once, as regular:4:3 always did.
+TEST(RandomGraphs, RegularWithDegreeNMinus1IsComplete) {
+  for (const VertexId n : {2u, 4u, 8u, 10u, 12u, 16u, 32u, 64u}) {
+    const std::string size = std::to_string(n);
+    const auto start = std::chrono::steady_clock::now();
+    Rng rng(n);
+    const Graph regular =
+        make_graph_from_spec("regular:" + size + ":" + std::to_string(n - 1), rng);
+    const Graph plain = make_random_regular(n, n - 1, rng);
+    EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            start)
+                  .count(),
+              1.0)
+        << n;
+    const Graph complete = make_complete(n);
+    for (const Graph* g : {&regular, &plain}) {
+      ASSERT_EQ(g->num_edges(), complete.num_edges()) << n;
+      for (std::size_t i = 0; i < complete.num_edges(); ++i) {
+        EXPECT_EQ(g->edges()[i], complete.edges()[i]) << n;
+      }
+    }
+  }
+}
+
+TEST(RandomGraphs, ConnectedRegularRejectsWhatNoRegularGraphSatisfies) {
+  Rng rng(53);
+  EXPECT_THROW(make_connected_random_regular(5, 3, rng), std::invalid_argument);
+  EXPECT_THROW(make_connected_random_regular(6, 6, rng), std::invalid_argument);
+  EXPECT_THROW(make_connected_random_regular(1, 1, rng), std::invalid_argument);
+}
+
+// A 1-regular graph on 4 vertices is two disjoint edges: every pairing is
+// simple and every sample is disconnected, and the error says so.
+TEST(RandomGraphs, ExhaustedConnectedRegularNamesTheFailingStep) {
+  Rng rng(59);
+  try {
+    (void)make_connected_random_regular(4, 1, rng, 3);
+    ADD_FAILURE() << "a disconnected-only family produced a sample";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "make_connected_random_regular: no connected sample in 3 "
+              "attempts: the pairing repair stalled in 0, and 3 were simple "
+              "but disconnected");
+  }
 }
 
 }  // namespace

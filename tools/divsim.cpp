@@ -70,6 +70,7 @@
 #include "cli/fault_spec.hpp"
 #include "cli/flag_range.hpp"
 #include "cli/graph_spec.hpp"
+#include "cli/parse_number.hpp"
 #include "cli/process_spec.hpp"
 #include "core/cancel.hpp"
 #include "core/faulty_process.hpp"
@@ -1571,14 +1572,8 @@ int cmd_sweep(const Args& args) {
   const std::string process_name = args.get("process", "div");
   const auto replicas = static_cast<std::size_t>(args.get_u64("replicas", 50));
   const std::uint64_t seed = args.get_u64("seed", 1);
-  std::vector<VertexId> sizes;
-  {
-    std::istringstream stream(args.get("sizes", "64,128,256"));
-    std::string field;
-    while (std::getline(stream, field, ',')) {
-      sizes.push_back(static_cast<VertexId>(std::stoul(field)));
-    }
-  }
+  const std::vector<VertexId> sizes =
+      parse_list<VertexId>("--sizes", args.get("sizes", "64,128,256"));
   warn_unused(args);
 
   Table table({"n", "lambda", "E[steps]", "ci95", "steps/n^2", "P(top winner)",
@@ -1631,7 +1626,9 @@ int cmd_sweep(const Args& args) {
 int cmd_exact(const Args& args) {
   Rng rng(args.get_u64("seed", 1));
   const Graph graph = make_graph_from_spec(args.get("graph", "path:6"), rng);
-  const auto k = static_cast<int>(args.get_int("k", 3));
+  const int k = narrow_flag<int>("--k", args.get_int("k", 3),
+                                 std::numeric_limits<int>::min(),
+                                 std::numeric_limits<int>::max());
   const SelectionScheme scheme = parse_scheme(args.get("scheme", "edge"));
   const std::string opinions_text = args.get("opinions", "");
   warn_unused(args);
@@ -1639,11 +1636,7 @@ int cmd_exact(const Args& args) {
   const DivChain chain(graph, k, scheme);
   std::vector<Opinion> start;
   if (!opinions_text.empty()) {
-    std::istringstream stream(opinions_text);
-    std::string field;
-    while (std::getline(stream, field, ',')) {
-      start.push_back(static_cast<Opinion>(std::stoi(field)));
-    }
+    start = parse_list<Opinion>("--opinions", opinions_text);
   } else {
     start = uniform_random_opinions(graph.num_vertices(), 0,
                                     static_cast<Opinion>(k - 1), rng);
@@ -1703,12 +1696,7 @@ int cmd_meanfield(const Args& args) {
   std::vector<double> fractions(k, 1.0 / static_cast<double>(k));
   const std::string custom = args.get("fractions", "");
   if (!custom.empty()) {
-    fractions.clear();
-    std::istringstream stream(custom);
-    std::string field;
-    while (std::getline(stream, field, ',')) {
-      fractions.push_back(std::stod(field));
-    }
+    fractions = parse_list<double>("--fractions", custom);
   }
   warn_unused(args);
   MeanFieldDiv flow(std::move(fractions));
