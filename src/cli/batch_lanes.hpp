@@ -1,14 +1,16 @@
 // --batch-lanes validation and refusal text, shared by divsim and the CLI
 // tests.
 //
+// Every plain-DIV replica runs on its own one-lane plane, so the width is
+// accepted and validated but not applied: scripts that pass it keep
+// working, and divsim prints a note when it is larger than 1.
+//
 // The lane count reaches the tool as a raw u64 from Args::get_u64.  It used
 // to be clamped with max(1, static_cast<unsigned>(raw)), which silently
 // wrapped values above UINT_MAX (--batch-lanes 4294967297 ran with 1 lane)
 // and silently promoted an explicit 0 to 1.  Both are caller mistakes, so
 // validate_batch_lanes refuses them loudly instead (through narrow_flag,
-// cli/flag_range.hpp); the accepted range is [1, kMaxBatchLanes]
-// (engine/supervisor.hpp), matching the guard run_supervised_set applies
-// to SupervisorOptions::batch_lanes.
+// cli/flag_range.hpp); the accepted range is [1, kMaxBatchLanes].
 //
 // The refusal strings for the scalar-only feature combinations (and the
 // jump engine's process refusal) live here as constants so test_cli can
@@ -18,14 +20,16 @@
 #include <cstdint>
 
 #include "cli/flag_range.hpp"
-#include "engine/supervisor.hpp"
 
 namespace divlib {
 
-// Refused combinations: the lane engines inline the plain DIV update rule
+// Upper bound on --batch-lanes.  A larger value is almost certainly a
+// typo'd or overflowed input, so it is refused loudly.
+inline constexpr unsigned kMaxBatchLanes = 4096;
+
+// Refused combinations: the lane kernels inline the plain DIV update rule
 // and keep no per-step hooks, so decorated processes and tracing stay on
-// the scalar engines.  (--engine jump is NOT refused: it accepts the width
-// and runs one lane per replica on run_lane_jump.)
+// the scalar engines.
 inline constexpr const char* kBatchLanesProcessRefusal =
     "--batch-lanes only supports --process div (the batch engine inlines "
     "the DIV update rule; other processes use the scalar engines)";
@@ -46,7 +50,7 @@ inline constexpr const char* kJumpProcessRefusal =
 
 // Validates a raw --batch-lanes value BEFORE any narrowing: 0 and anything
 // above kMaxBatchLanes throw std::invalid_argument with the offending value
-// in the message.  Returns the value as the unsigned the engines take.
+// in the message.
 inline unsigned validate_batch_lanes(std::uint64_t raw) {
   return narrow_flag("--batch-lanes", raw, 1u, kMaxBatchLanes);
 }

@@ -61,7 +61,8 @@ double number_field(const std::string& spec, const std::vector<std::string>& fie
 
 }  // namespace
 
-Graph make_graph_from_spec(const std::string& spec, Rng& rng) {
+Graph make_graph_from_spec(const std::string& spec, Rng& rng,
+                           const CancelToken* cancel) {
   const auto fields = split_fields(spec);
   const std::string& family = fields[0];
   const auto vertices = [&](std::size_t index, const char* name) {
@@ -111,7 +112,7 @@ Graph make_graph_from_spec(const std::string& spec, Rng& rng) {
     require_arity(spec, fields, 2);
     return make_connected_random_regular(
         vertices(1, "N"), integer_field<std::uint32_t>(spec, fields, 2, "D"),
-        rng);
+        rng, kRegularMaxAttempts, cancel);
   }
   if (family == "gnp") {
     require_arity(spec, fields, 2);

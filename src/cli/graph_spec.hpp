@@ -18,6 +18,7 @@
 
 #include <string>
 
+#include "core/cancel.hpp"
 #include "graph/graph.hpp"
 #include "rng/rng.hpp"
 
@@ -25,8 +26,11 @@ namespace divlib {
 
 // Parses and builds; throws std::invalid_argument with a helpful message on
 // unknown families, wrong arity, or invalid parameters.  Random families
-// consume randomness from `rng`.
-Graph make_graph_from_spec(const std::string& spec, Rng& rng);
+// consume randomness from `rng`.  The random regular family polls `cancel`
+// (when given) during the build and throws OperationCancelled once it
+// fires; polling draws nothing from `rng`.
+Graph make_graph_from_spec(const std::string& spec, Rng& rng,
+                           const CancelToken* cancel = nullptr);
 
 // One-line human-readable list of supported specs (for --help output).
 std::string graph_spec_help();

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <atomic>
+#include <stdexcept>
 
 namespace divlib {
 
@@ -67,5 +68,13 @@ class CancelToken {
 
 static_assert(std::atomic<unsigned char>::is_always_lock_free,
               "CancelToken::request must be async-signal-safe");
+
+// Thrown by set-up work that polls a token but has no step boundary to
+// drain at -- the random graph generators -- when the token fires: there
+// is no partial result to keep.
+class OperationCancelled : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 }  // namespace divlib

@@ -3,7 +3,7 @@
 namespace divlib {
 
 // The scalar OpinionState instantiation lives here; the lane jump engine's
-// PlaneLaneView instantiation is implicit in batch_engine.cpp.
+// OpinionPlane instantiation is implicit in batch_engine.cpp.
 template class BasicDiscordanceTracker<OpinionState>;
 
 }  // namespace divlib

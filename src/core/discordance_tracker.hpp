@@ -31,9 +31,9 @@
 //
 // The tracker is a template over its read-only state surface so the SAME
 // bookkeeping serves both the scalar engine (State = OpinionState) and the
-// lane jump engine (run_lane_jump), which runs its tracker over a
-// PlaneLaneView into a one-lane OpinionPlane.  The surface a State must
-// provide: graph(), num_vertices(), opinion(v), range_lo(), range_hi().
+// lane jump engine (run_lane_jump, State = OpinionPlane).  The surface a
+// State must provide: graph(), num_vertices(), opinion(v), range_lo(),
+// range_hi().
 // Every member stays bit-identical across instantiations -- the lane
 // engine's draws reproduce the scalar tracker's exactly.
 #pragma once

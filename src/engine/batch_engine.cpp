@@ -4,6 +4,7 @@
 #include <array>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 
 #include "core/discordance_tracker.hpp"
 #include "core/div_process.hpp"
@@ -19,31 +20,29 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// Pre-drawn step blocks.  A lane's rng stream does not depend on the
-// opinion state -- per step the vertex scheme draws uniform_below(n) then
+// Pre-drawn step blocks.  The rng stream does not depend on the opinion
+// state -- per step the vertex scheme draws uniform_below(n) then
 // uniform_below(degree(updater)) and the edge scheme uniform_below(m) then
 // next(), all functions of the graph and the stream alone -- so a whole
 // block of (updater, observed) pairs can be drawn, and every opinion cell it
 // will touch prefetched, before the first application reads the plane.  By
 // apply time each cell has had a block's worth of independent work to cover
-// its miss.  A lane that stops mid-block (consensus; the step cap lands on a
-// block boundary by construction) rewinds its rng to the block-start
+// its miss.  A run that stops mid-block rewinds its rng to the block-start
 // snapshot and re-executes exactly the draws of its completed steps
 // (rewind_block), so its final stream position is bit-identical to the
 // scalar engines'.
 constexpr std::uint64_t kBlockSteps = 32;
 
-// Cancellation drains a lane at a block boundary: one acquire load per step
+// Cancellation drains a run at a block boundary: one acquire load per step
 // is measurable in a loop this tight, so tokens are polled every
-// kCancelBlocks blocks (and always before the first step) -- a few dozen
-// steps of extra drain latency against deadlines that are milliseconds at
-// their tightest.
+// kCancelBlocks iterations (and always before the first step) -- a few
+// dozen steps of extra drain latency against deadlines that are
+// milliseconds at their tightest.
 constexpr std::uint64_t kCancelBlocks = 8;
 
 // Draws `count` scheduled (updater, observed) pairs from `rng` into upd/obs
 // in select_pair's order, prefetching the cells the apply will read from
-// the lane whose raw cells start at `vals` (stride `cell`).  The caller
-// snapshots rng.state() first if it may need rewind_block.
+// the plane whose raw cells start at `vals` (stride `cell`).
 void draw_block(const Graph& graph, SelectionScheme scheme, Rng& rng,
                 const char* vals, std::size_t cell, VertexId* __restrict upd,
                 VertexId* __restrict obs, std::uint64_t count) {
@@ -96,299 +95,120 @@ void rewind_block(const Graph& graph, SelectionScheme scheme, Rng& rng,
   }
 }
 
-// The scalar engines' finalize(): the lane's aggregate snapshot.
-void fill_result(const OpinionPlane& plane, unsigned lane, RunStatus status,
+// A run's scratch for one block of pre-drawn (updater, observed) pairs.
+struct BlockPairs {
+  std::array<VertexId, kBlockSteps> upd{};
+  std::array<VertexId, kBlockSteps> obs{};
+};
+
+// One block of `count` (at most kBlockSteps) scheduled steps, shared by
+// run_lane and run_lane_jump's naive mode: draw, counted apply, and the
+// rewind when the stop rule lands mid-block.  `applied` < count exactly
+// when the run stopped inside the block; a stop on the block's last step
+// consumed every draw, so it needs no rewind.
+OpinionPlane::AppliedSteps step_block(const Graph& graph,
+                                      SelectionScheme scheme,
+                                      OpinionPlane& plane, Rng& rng,
+                                      BlockPairs& pairs, std::uint64_t count,
+                                      Opinion stop_delta) {
+  const std::array<std::uint64_t, 4> snapshot = rng.state();
+  draw_block(graph, scheme, rng, static_cast<const char*>(plane.raw()),
+             plane.cell_bytes(), pairs.upd.data(), pairs.obs.data(), count);
+  const OpinionPlane::AppliedSteps applied =
+      plane.apply_steps_toward_counted(pairs.upd.data(), pairs.obs.data(),
+                                       count, stop_delta);
+  if (applied.applied < count) {
+    rewind_block(graph, scheme, rng, snapshot, applied.applied);
+  }
+  return applied;
+}
+
+// The refusals both kernels share.
+void check_lane_arguments(const char* who, const Graph& graph,
+                          SelectionScheme scheme, const OpinionPlane& plane,
+                          const RunOptions& options) {
+  if (options.trace_stride != 0) {
+    throw std::invalid_argument(std::string(who) +
+                                " records no traces; use the scalar engines "
+                                "for tracing");
+  }
+  if (&plane.graph() != &graph) {
+    throw std::invalid_argument(std::string(who) +
+                                ": the plane must be built over `graph`");
+  }
+  validate_for_selection(graph, scheme);
+}
+
+// The scalar engines' finalize(): the plane's aggregate snapshot.
+void fill_result(const OpinionPlane& plane, RunStatus status,
                  std::uint64_t steps, RunResult& result) {
   result.status = status;
   result.completed = status == RunStatus::kCompleted;
   result.steps = steps;
-  result.min_active = plane.min_active(lane);
-  result.max_active = plane.max_active(lane);
-  result.num_active = plane.num_active(lane);
-  result.final_sum = plane.sum(lane);
-  result.final_z = plane.z_total(lane);
-  if (plane.is_consensus(lane)) {
-    result.winner = plane.min_active(lane);
+  result.min_active = plane.min_active();
+  result.max_active = plane.max_active();
+  result.num_active = plane.num_active();
+  result.final_sum = plane.sum();
+  result.final_z = plane.z_total();
+  if (plane.is_consensus()) {
+    result.winner = plane.min_active();
   }
 }
 
 }  // namespace
 
-std::vector<RunResult> run_batch(
-    const Graph& graph, SelectionScheme scheme, OpinionPlane& plane,
-    std::span<Rng> rngs, const RunOptions& options,
-    std::span<const CancelToken* const> lane_cancels,
-    std::span<RunMetrics* const> lane_metrics) {
-  const unsigned lanes = plane.num_lanes();
-  if (rngs.size() != lanes) {
-    throw std::invalid_argument("run_batch: one rng per lane is required");
-  }
-  if (!lane_cancels.empty() && lane_cancels.size() != lanes) {
-    throw std::invalid_argument(
-        "run_batch: lane_cancels must be empty or one token slot per lane");
-  }
-  if (!lane_metrics.empty() && lane_metrics.size() != lanes) {
-    throw std::invalid_argument(
-        "run_batch: lane_metrics must be empty or one sink slot per lane");
-  }
-  if (options.trace_stride != 0) {
-    throw std::invalid_argument(
-        "run_batch records no traces; use the scalar engines for tracing");
-  }
-  if (options.metrics != nullptr) {
-    throw std::invalid_argument(
-        "run_batch records telemetry per lane; pass lane_metrics instead of "
-        "RunOptions::metrics");
-  }
-  validate_for_selection(graph, scheme);
+RunResult run_lane(const Graph& graph, SelectionScheme scheme,
+                   OpinionPlane& plane, Rng& rng, const RunOptions& options) {
+  check_lane_arguments("run_lane", graph, scheme, plane, options);
   const auto wall_start = Clock::now();
-  const auto sink_for = [&](unsigned lane) -> RunMetrics* {
-    return lane_metrics.empty() ? nullptr : lane_metrics[lane];
-  };
-  for (unsigned lane = 0; lane < lanes; ++lane) {
-    if (RunMetrics* metrics = sink_for(lane)) {
-      // Like the naive scalar engine: one all-scheduled segment.
-      metrics->record_mode_switch(0, /*jump_mode=*/false, 0.0, 0);
-    }
-  }
-
-  const VertexId n = graph.num_vertices();
+  RunMetrics* const metrics = options.metrics;
   // is_satisfied(kConsensus) == (max - min <= 0); kTwoAdjacent == (<= 1).
   const Opinion stop_delta = options.stop == StopKind::kConsensus ? 0 : 1;
-
-  std::vector<RunResult> results(lanes);
-
-  const auto token_for = [&](unsigned lane) -> const CancelToken* {
-    if (!lane_cancels.empty() && lane_cancels[lane] != nullptr) {
-      return lane_cancels[lane];
-    }
-    return options.cancel;
-  };
-  const auto finalize_lane = [&](unsigned lane, RunStatus status,
-                                 std::uint64_t steps) {
-    fill_result(plane, lane, status, steps, results[lane]);
-    if (RunMetrics* metrics = sink_for(lane)) {
+  if (metrics != nullptr) {
+    // Like the naive scalar engine: one all-scheduled segment.
+    metrics->record_mode_switch(0, /*jump_mode=*/false, 0.0, 0);
+  }
+  RunResult result;
+  const auto finish = [&](RunStatus status, std::uint64_t steps) {
+    fill_result(plane, status, steps, result);
+    if (metrics != nullptr) {
       const double wall = seconds_since(wall_start);
       metrics->scheduled_steps = steps;
       metrics->wall_seconds_total = wall;
       metrics->wall_seconds_naive = wall;
     }
+    return result;
   };
-
-  // Dense per-live-lane context.  The sweeps below run tens of millions of
-  // iterations; resolving rngs[active[i]] / lane_data(active[i]) through the
-  // lane id every time costs an extra dependent load per draw, so the hot
-  // pointers are compacted into stripes indexed directly by live position
-  // and swap-removed together when a lane retires.
-  std::vector<unsigned> active;       // lane id, for aggregates/finalize
-  std::vector<Rng*> lane_rng;
-  std::vector<const char*> lane_vals;  // raw cell base (see cell stride)
-  std::vector<const CancelToken*> lane_token;
-  std::vector<std::uint64_t> lane_steps;
-  active.reserve(lanes);
-  lane_rng.reserve(lanes);
-  lane_vals.reserve(lanes);
-  lane_token.reserve(lanes);
-  lane_steps.reserve(lanes);
-
-  // Scalar ordering: a lane satisfied before its first step completes with
-  // zero steps; an unsatisfied lane under a zero budget is capped at zero.
-  for (unsigned lane = 0; lane < lanes; ++lane) {
-    if (plane.max_active(lane) - plane.min_active(lane) <= stop_delta) {
-      finalize_lane(lane, RunStatus::kCompleted, 0);
-    } else if (options.max_steps == 0) {
-      finalize_lane(lane, RunStatus::kCapped, 0);
-    } else {
-      active.push_back(lane);
-      lane_rng.push_back(&rngs[lane]);
-      lane_vals.push_back(static_cast<const char*>(plane.lane_raw(lane)));
-      lane_token.push_back(token_for(lane));
-      lane_steps.push_back(0);
-    }
+  // Scalar ordering: a run satisfied before its first step completes with
+  // zero steps; an unsatisfied run under a zero budget is capped at zero.
+  if (plane.spread() <= stop_delta) {
+    return finish(RunStatus::kCompleted, 0);
   }
-
-  // Cell stride for prefetch addressing (1 for byte-packed planes).
-  const std::size_t cell = plane.cell_bytes();
-
-  // Block scratch, lane-major stripes: upd[i * kBlockSteps + s].
-  std::vector<VertexId> upd(static_cast<std::size_t>(lanes) * kBlockSteps);
-  std::vector<VertexId> obs(static_cast<std::size_t>(lanes) * kBlockSteps);
-  std::vector<std::array<std::uint64_t, 4>> block_start(lanes);
-
-  // Retirement happens only at phase boundaries -- the cancel poll before a
-  // draw, or the compaction after a whole apply phase -- so a retired slot's
-  // scratch stripe and block snapshot are always dead (the next draw phase
-  // rewrites both for every surviving lane) and only the per-lane context
-  // moves.
-  const auto retire = [&](std::size_t i, std::size_t last) {
-    active[i] = active[last];
-    lane_rng[i] = lane_rng[last];
-    lane_vals[i] = lane_vals[last];
-    lane_token[i] = lane_token[last];
-    lane_steps[i] = lane_steps[last];
-  };
-  std::vector<unsigned char> retired_flags(lanes, 0);
-
-  std::uint64_t block_index = 0;
-
-  while (!active.empty()) {
-    std::size_t live = active.size();
-
-    if (block_index++ % kCancelBlocks == 0) {
-      for (std::size_t i = 0; i < live;) {
-        const CancelToken* token = lane_token[i];
-        if (token != nullptr && token->requested()) {
-          finalize_lane(active[i], drained_status(*token), lane_steps[i]);
-          retire(i, --live);
-        } else {
-          ++i;
-        }
-      }
-      active.resize(live);
-      if (live == 0) {
-        break;
-      }
+  BlockPairs pairs;
+  std::uint64_t steps = 0;
+  for (std::uint64_t iteration = 0; steps < options.max_steps; ++iteration) {
+    if (iteration % kCancelBlocks == 0 && options.cancel != nullptr &&
+        options.cancel->requested()) {
+      return finish(drained_status(*options.cancel), steps);
     }
-
-    // Every live lane has stepped the same number of times (lanes only
-    // diverge by retiring), so one block width serves them all and the step
-    // cap is enforced purely by block sizing.
-    const std::uint64_t done_before = lane_steps[0];
-    const std::uint64_t block =
-        std::min<std::uint64_t>(kBlockSteps, options.max_steps - done_before);
-
-    // Draw phase, lane-major: per lane, snapshot the stream, pre-draw
-    // `block` pairs, prefetch the cells the apply phase will read.  The
-    // lane's xoshiro state lives in registers for the whole stripe (a
-    // step-major interleave was tried and lost: it round-trips the state
-    // through memory every draw, and the extra L1 traffic costs more than
-    // the chain interleaving buys).
-    std::size_t drawn = 0;
-    if (scheme == SelectionScheme::kVertex) {
-      // Lane pairs: a single lane's two draws per step form one serial
-      // xoshiro dependency chain, so a lone stripe is latency-bound on the
-      // generator.  Walking two lanes' streams together gives the core two
-      // independent chains to overlap (the states are copied into locals so
-      // they live in registers for the whole stripe; a full step-major
-      // interleave of ALL lanes was tried and lost -- it round-trips every
-      // state through memory each draw).
-      for (; drawn + 1 < live; drawn += 2) {
-        const std::size_t i = drawn;
-        Rng ra = *lane_rng[i];
-        Rng rb = *lane_rng[i + 1];
-        block_start[i] = ra.state();
-        block_start[i + 1] = rb.state();
-        const char* vals_a = lane_vals[i];
-        const char* vals_b = lane_vals[i + 1];
-        // __restrict: the stripes never alias the graph's adjacency data the
-        // loop reads, but VertexId stores would otherwise pin every
-        // following same-width load in program order.
-        VertexId* __restrict upd_a_out = &upd[i * kBlockSteps];
-        VertexId* __restrict obs_a_out = &obs[i * kBlockSteps];
-        VertexId* __restrict upd_b_out = &upd[(i + 1) * kBlockSteps];
-        VertexId* __restrict obs_b_out = &obs[(i + 1) * kBlockSteps];
-        for (std::uint64_t s = 0; s < block; ++s) {
-          const auto upd_a = static_cast<VertexId>(ra.uniform_below(n));
-          const auto upd_b = static_cast<VertexId>(rb.uniform_below(n));
-          const auto row_a = graph.neighbors(upd_a);
-          const auto row_b = graph.neighbors(upd_b);
-          const VertexId obs_a = row_a[static_cast<std::size_t>(
-              ra.uniform_below(row_a.size()))];
-          const VertexId obs_b = row_b[static_cast<std::size_t>(
-              rb.uniform_below(row_b.size()))];
-          upd_a_out[s] = upd_a;
-          obs_a_out[s] = obs_a;
-          upd_b_out[s] = upd_b;
-          obs_b_out[s] = obs_b;
-          __builtin_prefetch(vals_a + upd_a * cell, 1);
-          __builtin_prefetch(vals_a + obs_a * cell, 0);
-          __builtin_prefetch(vals_b + upd_b * cell, 1);
-          __builtin_prefetch(vals_b + obs_b * cell, 0);
-        }
-        *lane_rng[i] = ra;
-        *lane_rng[i + 1] = rb;
-      }
-    }
-    for (; drawn < live; ++drawn) {
-      block_start[drawn] = lane_rng[drawn]->state();
-      draw_block(graph, scheme, *lane_rng[drawn], lane_vals[drawn], cell,
-                 &upd[drawn * kBlockSteps], &obs[drawn * kBlockSteps], block);
-    }
-
-    // Apply phase: per lane, its block's steps in draw order (in-block
-    // rereads of a just-written cell see the write, exactly as the scalar
-    // loop would).
     // The stopping rule is a pure function of the state and the spread only
-    // moves on a changed step, so the kernels' unconditional
-    // after-every-step check is semantically identical to the scalar loop's
-    // changed-gated check.  Stopped/capped lanes are flagged here and
-    // compacted once after the sweep (order-preserving), so the pair walk
-    // never revisits a slot.
-    bool any_retired = false;
-    const auto settle = [&](std::size_t i, std::uint64_t applied) {
-      const unsigned lane = active[i];
-      lane_steps[i] += applied;
-      if (plane.spread(lane) <= stop_delta) {
-        if (applied < block) {
-          rewind_block(graph, scheme, *lane_rng[i], block_start[i], applied);
-        }
-        finalize_lane(lane, RunStatus::kCompleted, lane_steps[i]);
-        retired_flags[i] = 1;
-        any_retired = true;
-      } else if (lane_steps[i] >= options.max_steps) {
-        finalize_lane(lane, RunStatus::kCapped, lane_steps[i]);
-        retired_flags[i] = 1;
-        any_retired = true;
-      }
-    };
-    std::size_t i = 0;
-    for (; i + 1 < live; i += 2) {
-      const auto [applied_a, applied_b] = plane.apply_steps_toward_pair_counted(
-          active[i], &upd[i * kBlockSteps], &obs[i * kBlockSteps],
-          active[i + 1], &upd[(i + 1) * kBlockSteps],
-          &obs[(i + 1) * kBlockSteps], block, stop_delta);
-      settle(i, applied_a.applied);
-      settle(i + 1, applied_b.applied);
+    // moves on a changed step, so the kernel's unconditional after-every-
+    // step check is semantically identical to the scalar loop's check.
+    const std::uint64_t block =
+        std::min<std::uint64_t>(kBlockSteps, options.max_steps - steps);
+    steps +=
+        step_block(graph, scheme, plane, rng, pairs, block, stop_delta).applied;
+    if (plane.spread() <= stop_delta) {
+      return finish(RunStatus::kCompleted, steps);
     }
-    if (i < live) {
-      settle(i, plane
-                    .apply_steps_toward_counted(active[i],
-                                                &upd[i * kBlockSteps],
-                                                &obs[i * kBlockSteps], block,
-                                                stop_delta)
-                    .applied);
-    }
-    if (any_retired) {
-      std::size_t w = 0;
-      for (std::size_t r = 0; r < live; ++r) {
-        if (retired_flags[r] != 0) {
-          retired_flags[r] = 0;
-          continue;
-        }
-        if (w != r) {
-          retire(w, r);
-        }
-        ++w;
-      }
-      live = w;
-    }
-    active.resize(live);
   }
-  return results;
+  return finish(RunStatus::kCapped, steps);
 }
 
 JumpRunResult run_lane_jump(const Graph& graph, SelectionScheme scheme,
                             OpinionPlane& plane, Rng& rng,
                             const RunOptions& options) {
-  if (plane.num_lanes() != 1) {
-    throw std::invalid_argument(
-        "run_lane_jump: the plane must have exactly one lane");
-  }
-  if (options.trace_stride != 0) {
-    throw std::invalid_argument(
-        "run_lane_jump records no traces; use run_jump for tracing");
-  }
-  validate_for_selection(graph, scheme);
+  check_lane_arguments("run_lane_jump", graph, scheme, plane, options);
   const auto wall_start = Clock::now();
   RunMetrics* const metrics = options.metrics;
   const Opinion stop_delta = options.stop == StopKind::kConsensus ? 0 : 1;
@@ -397,8 +217,7 @@ JumpRunResult run_lane_jump(const Graph& graph, SelectionScheme scheme,
   // As in run_jump: the tracker is built (and the launch entry stamped with
   // its activity) before the first stop check, and the run starts in jump
   // mode so a start that can never change state is diagnosed at once.
-  const PlaneLaneView view(plane, 0);
-  BasicDiscordanceTracker<PlaneLaneView> tracker(view, scheme);
+  BasicDiscordanceTracker<OpinionPlane> tracker(plane, scheme);
   JumpRunResult result;
   bool jump_mode = true;
   Clock::time_point segment_start = wall_start;  // metrics only
@@ -415,7 +234,7 @@ JumpRunResult run_lane_jump(const Graph& graph, SelectionScheme scheme,
                                 tracker.total_discordant_pairs());
   }
   const auto finish = [&](RunStatus status, std::uint64_t steps) {
-    fill_result(plane, 0, status, steps, result);
+    fill_result(plane, status, steps, result);
     if (metrics != nullptr) {
       close_segment(jump_mode);
       metrics->wall_seconds_total = seconds_since(wall_start);
@@ -425,7 +244,7 @@ JumpRunResult run_lane_jump(const Graph& graph, SelectionScheme scheme,
     }
     return result;
   };
-  if (plane.spread(0) <= stop_delta) {
+  if (plane.spread() <= stop_delta) {
     return finish(RunStatus::kCompleted, 0);
   }
 
@@ -444,14 +263,11 @@ JumpRunResult run_lane_jump(const Graph& graph, SelectionScheme scheme,
   };
   std::uint64_t window_steps = 0;      // naive mode: steps in this window
   std::uint64_t window_effective = 0;  // naive mode: changed steps in window
-  const char* const vals = static_cast<const char*>(plane.lane_raw(0));
-  const std::size_t cell = plane.cell_bytes();
-  std::array<VertexId, kBlockSteps> upd{};
-  std::array<VertexId, kBlockSteps> obs{};
+  BlockPairs pairs;
 
   // One iteration is one effective step in jump mode or one pre-drawn block
   // in naive mode; the cancel poll sits between iterations, every
-  // kCancelBlocks of them, as in run_batch.
+  // kCancelBlocks of them, as in run_lane.
   for (std::uint64_t iteration = 0; clock < max_steps; ++iteration) {
     if (iteration % kCancelBlocks == 0 && options.cancel != nullptr &&
         options.cancel->requested()) {
@@ -474,10 +290,9 @@ JumpRunResult run_lane_jump(const Graph& graph, SelectionScheme scheme,
       }
       clock += skipped + 1;
       const SelectedPair pair = tracker.sample_discordant_pair(rng);
-      const Opinion own = plane.opinion(0, pair.updater);
-      plane.set(0, pair.updater,
-                DivProcess::updated_opinion(
-                    own, plane.opinion(0, pair.observed)));
+      const Opinion own = plane.opinion(pair.updater);
+      plane.set(pair.updater, DivProcess::updated_opinion(
+                                  own, plane.opinion(pair.observed)));
       tracker.apply_move(pair.updater, own);
       ++result.effective_steps;
       if (metrics != nullptr) {
@@ -488,7 +303,7 @@ JumpRunResult run_lane_jump(const Graph& graph, SelectionScheme scheme,
                                    tracker.total_discordant_pairs());
         }
       }
-      if (plane.spread(0) <= stop_delta) {
+      if (plane.spread() <= stop_delta) {
         return finish(RunStatus::kCompleted, clock);
       }
       if (tracker.active_probability() > kJumpExitActiveProbability) {
@@ -501,24 +316,16 @@ JumpRunResult run_lane_jump(const Graph& graph, SelectionScheme scheme,
       // Naive mode: a pre-drawn block that ends at the window boundary or
       // the cap at the latest.  The counted kernel's `changed` is the scalar
       // loop's per-step `next != own` tally, so the window bookkeeping is
-      // exact; a block that reaches the stop spread rewinds the stream to
-      // the stopping step.
+      // exact.
       const std::uint64_t block =
           std::min({kBlockSteps, kNaiveWindow - window_steps,
                     max_steps - clock});
-      const std::array<std::uint64_t, 4> snapshot = rng.state();
-      draw_block(graph, scheme, rng, vals, cell, upd.data(), obs.data(),
-                 block);
       const OpinionPlane::AppliedSteps applied =
-          plane.apply_steps_toward_counted(0, upd.data(), obs.data(), block,
-                                           stop_delta);
+          step_block(graph, scheme, plane, rng, pairs, block, stop_delta);
       window_steps += applied.applied;
       window_effective += applied.changed;
       result.effective_steps += applied.changed;
-      if (plane.spread(0) <= stop_delta) {
-        if (applied.applied < block) {
-          rewind_block(graph, scheme, rng, snapshot, applied.applied);
-        }
+      if (plane.spread() <= stop_delta) {
         return finish(RunStatus::kCompleted, clock + applied.applied);
       }
       clock += block;

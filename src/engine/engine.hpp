@@ -43,9 +43,8 @@ struct RunOptions {
   // determinism contract.  The naive engine fills scheduled_steps, a
   // single naive timeline entry, and the wall-clock split; the jump engine
   // additionally records mode switches, activity samples, skipped lazy
-  // steps, and tracker rebuilds.  Scalar engines only: the lane engines
-  // (engine/batch_engine) refuse it and fill one lane_metrics sink per
-  // lane with this same content instead.
+  // steps, and tracker rebuilds.  The lane kernels (engine/batch_engine)
+  // fill it with this same content.
   RunMetrics* metrics = nullptr;
 };
 

@@ -44,8 +44,8 @@ namespace divlib {
 // chain only wins when fewer than ~1 in 20 scheduled steps changes state.
 // The hysteresis band [1/64, 1/16] straddles that break-even so a trajectory
 // hovering near it does not thrash the O(n + m) rebuild_counts() resync.
-// Shared by the scalar hybrid loop and run_batch_jump, whose per-lane mode
-// machines must switch at exactly the same thresholds to stay bit-identical.
+// Shared by the scalar hybrid loop and run_lane_jump, whose mode machine
+// must switch at exactly the same thresholds to stay bit-identical.
 inline constexpr double kJumpExitActiveProbability = 1.0 / 16.0;
 inline constexpr std::uint64_t kNaiveWindow = 4096;
 inline constexpr std::uint64_t kJumpEnterEffectiveMax = kNaiveWindow / 64;

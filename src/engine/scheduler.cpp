@@ -166,21 +166,6 @@ std::optional<ReplicaScheduler::Launch> ReplicaScheduler::claim(
   return std::nullopt;
 }
 
-std::optional<ReplicaScheduler::Launch> ReplicaScheduler::claim_mate(
-    Clock::time_point now) {
-  if (cancel_seen_ || queue_.empty()) {
-    return std::nullopt;
-  }
-  // A replica appears at most once per group: claiming flips it to
-  // kRunning, and a second queued item for it fails the phase check.
-  const WorkItem item = queue_.top();
-  if (item.speculative || item.ready_at > now || stale(item)) {
-    return std::nullopt;
-  }
-  queue_.pop();
-  return start(item, now);
-}
-
 ReplicaScheduler::Clock::time_point ReplicaScheduler::wake_at(
     std::size_t busy) const {
   if (cancel_seen_ || queue_.empty() || busy >= width_cap()) {

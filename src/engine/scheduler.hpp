@@ -104,13 +104,8 @@ class ReplicaScheduler {
 
   // Claims the next ready attempt for a worker, or nullopt when nothing is
   // ready, the operator cancelled, or `busy` workers already hold attempts
-  // at the width cap.  A speculative twin or a lock-step group occupies one
-  // worker, so `busy` counts workers, not executions.
+  // at the width cap.
   std::optional<Launch> claim(Clock::time_point now, std::size_t busy);
-  // Extends a claimed lock-step group: the queue top, but only when it is
-  // a ready, non-speculative fresh attempt (the scan stops at the first
-  // ineligible top rather than perturbing the heap).
-  std::optional<Launch> claim_mate(Clock::time_point now);
   // When claim() returned nullopt: the earliest time it could succeed with
   // no other input, or Clock::time_point::max() when only a verdict, a tick
   // or a cancel can unblock it.

@@ -172,14 +172,7 @@ class SupervisorRun {
         }),
         scheduled_(stash_events(options)),
         scheduler_(replica_ids, scheduled_, stash_payload_, workers_,
-                   Isolation::kThread, Clock::now()) {
-    if (options_.metrics != nullptr) {
-      batch_groups_counter_ =
-          &options_.metrics->counter("supervisor_batch_groups");
-      batched_attempts_counter_ =
-          &options_.metrics->counter("supervisor_batched_attempts");
-    }
-  }
+                   Isolation::kThread, Clock::now()) {}
 
   SupervisorReport run() {
     if (scheduler_.finished()) {
@@ -203,11 +196,8 @@ class SupervisorRun {
     if (error_) {
       std::rethrow_exception(error_);
     }
-    SupervisorReport report = scheduler_.finish(
-        options_.cancel != nullptr && options_.cancel->requested());
-    report.batch_groups = batch_groups_;
-    report.batched_attempts = batched_attempts_;
-    return report;
+    return scheduler_.finish(options_.cancel != nullptr &&
+                             options_.cancel->requested());
   }
 
  private:
@@ -330,30 +320,10 @@ class SupervisorRun {
       }
       ++busy_;
       tokens_.try_emplace(launch->execution);
-      std::vector<ReplicaScheduler::Launch> group;
-      if (!launch->speculative && options_.batch_lanes > 1 &&
-          options_.batch_task) {
-        // Lock-step batching: the claim absorbs up to batch_lanes - 1 more
-        // ready fresh attempts; the whole group occupies this one worker.
-        group.push_back(*launch);
-        while (group.size() < options_.batch_lanes) {
-          const std::optional<ReplicaScheduler::Launch> mate =
-              scheduler_.claim_mate(now);
-          if (!mate.has_value()) {
-            break;
-          }
-          tokens_.try_emplace(mate->execution);
-          group.push_back(*mate);
-        }
-      }
       try {
         // A verdict can throw only out of a callback the scheduler calls
         // inline: the estimator's observer.
-        if (group.size() > 1) {
-          run_group(lock, group);
-        } else {
-          run_scalar(lock, *launch);
-        }
+        run_attempt(lock, *launch);
       } catch (...) {
         if (!lock.owns_lock()) {
           lock.lock();
@@ -367,8 +337,8 @@ class SupervisorRun {
     }
   }
 
-  void run_scalar(std::unique_lock<std::mutex>& lock,
-                  const ReplicaScheduler::Launch& launch) {
+  void run_attempt(std::unique_lock<std::mutex>& lock,
+                   const ReplicaScheduler::Launch& launch) {
     const CancelToken& token = tokens_.at(launch.execution);
     lock.unlock();
     std::optional<std::string> payload;
@@ -380,42 +350,6 @@ class SupervisorRun {
         });
     lock.lock();
     record_locked(launch.execution, std::move(payload), failure);
-  }
-
-  // Dispatches a lock-step group through options_.batch_task.  Every lane
-  // keeps its own token and verdict; a throw fails every lane with one
-  // shared classification (the lanes shared the execution that died).
-  void run_group(std::unique_lock<std::mutex>& lock,
-                 const std::vector<ReplicaScheduler::Launch>& group) {
-    ++batch_groups_;
-    batched_attempts_ += group.size();
-    if (batch_groups_counter_ != nullptr) {
-      batch_groups_counter_->add();
-      batched_attempts_counter_->add(static_cast<std::uint64_t>(group.size()));
-    }
-    std::vector<BatchLane> lanes(group.size());
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      lanes[i].replica = group[i].replica;
-      lanes[i].seed = Rng::retry_seed(options_.master_seed, group[i].replica,
-                                      group[i].attempt);
-      lanes[i].cancel = &tokens_.at(group[i].execution);
-    }
-    lock.unlock();
-    std::vector<std::optional<std::string>> verdicts;
-    std::optional<AttemptFailure> failure = catch_attempt_failure(
-        options_, [&] { verdicts = options_.batch_task(lanes); });
-    if (!failure.has_value() && verdicts.size() != lanes.size()) {
-      failure = AttemptFailure{
-          FailureClass::kDeterministic,
-          "batch_task returned " + std::to_string(verdicts.size()) +
-              " verdicts for " + std::to_string(lanes.size()) + " lanes"};
-    }
-    lock.lock();
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      record_locked(group[i].execution,
-                    failure.has_value() ? std::nullopt : std::move(verdicts[i]),
-                    failure);
-    }
   }
 
   void monitor_loop() {
@@ -455,11 +389,7 @@ class SupervisorRun {
   // Each in-flight attempt's private lease token.  Map nodes never move, so
   // a task polls its token lock-free while other entries come and go.
   std::map<ExecutionId, CancelToken> tokens_;
-  std::size_t busy_ = 0;  // workers holding an attempt (a group counts once)
-  std::uint64_t batch_groups_ = 0;
-  std::uint64_t batched_attempts_ = 0;
-  Counter* batch_groups_counter_ = nullptr;
-  Counter* batched_attempts_counter_ = nullptr;
+  std::size_t busy_ = 0;  // workers holding an attempt
 };
 
 }  // namespace
@@ -468,14 +398,6 @@ SupervisorReport run_supervised_set(
     std::span<const std::size_t> replica_ids, const SupervisedTask& task,
     const std::function<void(std::size_t, std::string&&)>& on_success,
     const SupervisorOptions& options) {
-  // Same bound divsim enforces on --batch-lanes: a zero or absurd lane
-  // count is a caller bug, not a tunable.
-  if (options.batch_lanes == 0 || options.batch_lanes > kMaxBatchLanes) {
-    throw std::invalid_argument(
-        "run_supervised_set: batch_lanes must be in [1, " +
-        std::to_string(kMaxBatchLanes) + "], got " +
-        std::to_string(options.batch_lanes));
-  }
   if (options.isolation == Isolation::kProcess) {
     return run_fleet_set(replica_ids, task, on_success, options);
   }

@@ -41,9 +41,8 @@
 // The policies are decided once, by the pure ReplicaScheduler
 // (engine/scheduler), for two executors: the in-process thread pool
 // (engine/supervisor.cpp) and the forked worker fleet (engine/fleet).  Every
-// fault-isolating replica set -- supervised or not, scalar or in lock-step
-// lanes -- runs on one of them; only the abort-on-failure
-// run_replicas_erased keeps a pool of its own.
+// fault-isolating replica set -- supervised or not -- runs on one of them;
+// only the abort-on-failure run_replicas_erased keeps a pool of its own.
 #pragma once
 
 #include <chrono>
@@ -164,39 +163,6 @@ struct QuarantineRecord {
   std::string message;  // what() of the last failure
 };
 
-// Upper bound on batch_lanes accepted anywhere a lane count enters the
-// system (divsim's --batch-lanes, SupervisorOptions::batch_lanes).  A lane
-// costs O(n) plane cells plus per-lane scratch; beyond a few thousand lanes
-// the SoA plane stops fitting any cache level and a larger value is almost
-// certainly a typo'd or overflowed input, so it is refused loudly instead
-// of silently thrashing.
-inline constexpr unsigned kMaxBatchLanes = 4096;
-
-// One lane of a lock-step thread-mode group (see
-// SupervisorOptions::batch_task).  `seed` is the lane's full attempt seed,
-// Rng::retry_seed(master_seed, replica, attempt) -- the batch task seeds the
-// lane's private stream from it directly.  `cancel` is that lane's private
-// lease token (stable address for the group's lifetime): pass it through so
-// deadline kills and operator drains stop ONE lane at a step boundary while
-// its groupmates keep running.
-struct BatchLane {
-  std::size_t replica = 0;
-  std::uint64_t seed = 0;
-  const CancelToken* cancel = nullptr;
-};
-
-// Runs a lock-step group of attempts (engine/batch_engine integration).
-// Must return exactly lanes.size() verdicts where verdict i obeys the scalar
-// SupervisedTask contract for lane i run alone with Rng(lanes[i].seed) --
-// payload on success, nullopt on a token drain -- which the batch engine's
-// per-lane bit-identity makes free to honor.  A thrown exception fails EVERY
-// lane of the group with one shared classification (the lanes shared the
-// execution that died); returning the wrong number of verdicts is a
-// deterministic failure for the whole group.
-using SupervisedBatchTask =
-    std::function<std::vector<std::optional<std::string>>(
-        std::span<const BatchLane> lanes)>;
-
 struct SupervisorOptions {
   std::uint64_t master_seed = 0xd117ULL;
   // 0 = hardware_concurrency (at least 1).
@@ -252,18 +218,6 @@ struct SupervisorOptions {
   // instead of replaying the poisoned one.  The attempt budget still allows
   // max_attempts NEW attempts from this base.
   std::function<unsigned(std::size_t replica)> first_attempt;
-  // Lock-step batching (thread isolation only; the process fleet ignores
-  // both).  When batch_lanes > 1 AND batch_task is set, a worker that claims
-  // a ready non-speculative item greedily claims up to batch_lanes - 1 more
-  // ready non-speculative queued items and dispatches them through
-  // batch_task as one group.  Speculative twins always run through the
-  // scalar `task` (they duplicate one specific in-flight instance); retries
-  // join groups like any queued item, on their own retry_seed.  Every
-  // supervision policy -- deadlines, stragglers, cancel, quarantine --
-  // applies per LANE, via each lane's private token and Execution record.
-  // Defaults (1 lane / empty task) leave behavior untouched.
-  unsigned batch_lanes = 1;
-  SupervisedBatchTask batch_task;
   // Adaptive control plane (engine/adaptive).  When `estimator` is set,
   // every successful attempt feeds its wall time in, and -- once the
   // estimator's confidence gate opens -- straggler speculation switches
@@ -313,11 +267,6 @@ struct SupervisorReport {
   std::uint64_t worker_suspects = 0;  // Alive/Unknown -> Suspect transitions
   std::uint64_t worker_deaths = 0;    // Suspect -> Dead transitions
   std::uint64_t worker_dismissals = 0;  // idle workers retired by the breaker
-  // Thread-mode lock-step batching accounting (zero when batching is off or
-  // no group ever formed).  batched_attempts / batch_groups is the achieved
-  // mean lane occupancy.
-  std::uint64_t batch_groups = 0;     // lock-step groups dispatched
-  std::uint64_t batched_attempts = 0; // attempt instances run inside groups
   // Adaptive control plane accounting (zero when no estimator / breaker).
   std::uint64_t deadline_adapts = 0;  // learned-deadline changes published
   std::uint64_t breaker_opens = 0;

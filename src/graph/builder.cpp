@@ -110,7 +110,7 @@ bool GraphBuilder::has_edge(VertexId u, VertexId v) const {
   return slots_[find(k)] == k;
 }
 
-Graph GraphBuilder::build() const {
+Graph GraphBuilder::build(const CancelToken* cancel) const {
   std::vector<Edge> edges;
   edges.reserve(size_);
   for (const std::uint64_t packed : slots_) {
@@ -119,7 +119,7 @@ Graph GraphBuilder::build() const {
                        static_cast<VertexId>(packed)});
     }
   }
-  return Graph(num_vertices_, std::move(edges));
+  return Graph(num_vertices_, std::move(edges), cancel);
 }
 
 }  // namespace divlib

@@ -37,8 +37,9 @@ class GraphBuilder {
   VertexId num_vertices() const { return num_vertices_; }
 
   // Finalizes into an immutable Graph.  The builder may be reused afterwards
-  // (it retains its contents).
-  Graph build() const;
+  // (it retains its contents).  `cancel` is polled as Graph's constructor
+  // polls it.
+  Graph build(const CancelToken* cancel = nullptr) const;
 
  private:
   static std::uint64_t key(VertexId u, VertexId v);

@@ -11,8 +11,14 @@ namespace divlib {
 // A duplicate edge shows up as two equal neighbours in one row, and the
 // lexicographic edge list is read off the sorted rows, so no comparison sort
 // ever runs over all m edges.
-Graph::Graph(VertexId num_vertices, std::vector<Edge> edges)
+Graph::Graph(VertexId num_vertices, std::vector<Edge> edges,
+             const CancelToken* cancel)
     : num_vertices_(num_vertices) {
+  const auto poll = [cancel] {
+    if (cancel != nullptr && cancel->requested()) {
+      throw OperationCancelled("graph build cancelled");
+    }
+  };
   offsets_.assign(static_cast<std::size_t>(num_vertices_) + 1, 0);
   for (const Edge& e : edges) {
     if (e.u >= num_vertices_ || e.v >= num_vertices_) {
@@ -25,6 +31,7 @@ Graph::Graph(VertexId num_vertices, std::vector<Edge> edges)
     ++offsets_[e.v + 1];
   }
   std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  poll();
 
   adjacency_.resize(2 * edges.size());
   std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
@@ -33,6 +40,9 @@ Graph::Graph(VertexId num_vertices, std::vector<Edge> edges)
     adjacency_[cursor[e.v]++] = e.u;
   }
   for (VertexId v = 0; v < num_vertices_; ++v) {
+    if (v % (1u << 16) == 0) {
+      poll();
+    }
     const auto row = adjacency_.begin() + offsets_[v];
     const auto row_end = adjacency_.begin() + offsets_[v + 1];
     std::sort(row, row_end);

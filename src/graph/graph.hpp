@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "core/cancel.hpp"
+
 namespace divlib {
 
 using VertexId = std::uint32_t;
@@ -31,7 +33,11 @@ class Graph {
   // Builds from an edge list over vertices [0, num_vertices).
   // Throws std::invalid_argument on self-loops, duplicate edges, or
   // out-of-range endpoints.  (Use GraphBuilder for incremental assembly.)
-  Graph(VertexId num_vertices, std::vector<Edge> edges);
+  // A million-vertex build takes seconds, so `cancel` (when given) is
+  // polled between passes and every few tens of thousands of rows; once it
+  // fires the build throws OperationCancelled.
+  Graph(VertexId num_vertices, std::vector<Edge> edges,
+        const CancelToken* cancel = nullptr);
 
   VertexId num_vertices() const { return num_vertices_; }
   std::size_t num_edges() const { return edges_.size(); }

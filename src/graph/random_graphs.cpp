@@ -60,6 +60,15 @@ Graph make_connected_gnp(VertexId n, double p, Rng& rng, int max_attempts) {
 
 namespace {
 
+// Stubs (or repair swaps) between two polls of a build's cancel token.
+constexpr std::size_t kCancelPollStubs = 1 << 15;
+
+void poll_cancel(const CancelToken* cancel) {
+  if (cancel != nullptr && cancel->requested()) {
+    throw OperationCancelled("random regular graph build cancelled");
+  }
+}
+
 // Configuration-model pairing with double-edge-swap repair.
 //
 // Plain rejection sampling is hopeless beyond small degree (the probability
@@ -69,7 +78,8 @@ namespace {
 // (u, x) and (v, y), which preserves all degrees.  This is the standard
 // practical sampler; the bias relative to uniform is negligible for d = o(n).
 // Returns false if the repair stalls (retry with a fresh pairing).
-bool try_pairing(VertexId n, std::uint32_t d, Rng& rng, GraphBuilder& builder) {
+bool try_pairing(VertexId n, std::uint32_t d, Rng& rng, GraphBuilder& builder,
+                 const CancelToken* cancel) {
   std::vector<VertexId> stubs(static_cast<std::size_t>(n) * d);
   for (VertexId v = 0; v < n; ++v) {
     std::fill_n(stubs.begin() + static_cast<std::size_t>(v) * d, d, v);
@@ -80,6 +90,9 @@ bool try_pairing(VertexId n, std::uint32_t d, Rng& rng, GraphBuilder& builder) {
   std::vector<Edge> defective;
   good.reserve(stubs.size() / 2);
   for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
+    if (i % kCancelPollStubs == 0) {
+      poll_cancel(cancel);
+    }
     const VertexId u = stubs[i];
     const VertexId v = stubs[i + 1];
     if (u == v || !builder.add_edge(u, v)) {
@@ -91,6 +104,9 @@ bool try_pairing(VertexId n, std::uint32_t d, Rng& rng, GraphBuilder& builder) {
 
   std::uint64_t budget = 1000 + 200ULL * defective.size() * (d + 1);
   while (!defective.empty()) {
+    if (budget % kCancelPollStubs == 0) {
+      poll_cancel(cancel);
+    }
     if (budget-- == 0 || good.empty()) {
       return false;
     }
@@ -134,15 +150,17 @@ void check_regular_arguments(const char* who, VertexId n, std::uint32_t d) {
 
 }  // namespace
 
-Graph make_random_regular(VertexId n, std::uint32_t d, Rng& rng, int max_attempts) {
+Graph make_random_regular(VertexId n, std::uint32_t d, Rng& rng, int max_attempts,
+                          const CancelToken* cancel) {
   check_regular_arguments("make_random_regular", n, d);
   if (d == n - 1) {
     return make_complete(n);
   }
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
+    poll_cancel(cancel);
     GraphBuilder builder(n, static_cast<std::size_t>(n) * d / 2);
-    if (try_pairing(n, d, rng, builder)) {
-      return builder.build();
+    if (try_pairing(n, d, rng, builder, cancel)) {
+      return builder.build(cancel);
     }
   }
   throw std::runtime_error("make_random_regular: the pairing repair stalled in all " +
@@ -150,19 +168,21 @@ Graph make_random_regular(VertexId n, std::uint32_t d, Rng& rng, int max_attempt
 }
 
 Graph make_connected_random_regular(VertexId n, std::uint32_t d, Rng& rng,
-                                    int max_attempts) {
+                                    int max_attempts,
+                                    const CancelToken* cancel) {
   check_regular_arguments("make_connected_random_regular", n, d);
   if (d == n - 1) {
     return make_complete(n);
   }
   int stalled = 0;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
+    poll_cancel(cancel);
     GraphBuilder builder(n, static_cast<std::size_t>(n) * d / 2);
-    if (!try_pairing(n, d, rng, builder)) {
+    if (!try_pairing(n, d, rng, builder, cancel)) {
       ++stalled;
       continue;
     }
-    Graph g = builder.build();
+    Graph g = builder.build(cancel);
     if (g.is_connected()) {
       return g;
     }

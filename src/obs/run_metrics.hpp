@@ -21,10 +21,10 @@
 // wall_* fields are measured with a monotonic clock and are explicitly
 // NON-reproducible; consumers must not diff them.
 //
-// Opt in by pointing RunOptions::metrics (scalar engines) or a lane_metrics
-// slot (lane engines, engine/batch_engine) at a RunMetrics; the engines
-// leave a null pointer completely untouched (zero overhead when disabled).
-// A lane's sink holds the same content as a scalar run of that seed.
+// Opt in by pointing RunOptions::metrics at a RunMetrics; every engine --
+// scalar or lane kernel (engine/batch_engine) -- leaves a null pointer
+// completely untouched (zero overhead when disabled).  A lane kernel's sink
+// holds the same content as a scalar run of that seed.
 #pragma once
 
 #include <cstdint>

@@ -3,16 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <mutex>
 #include <numeric>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -90,9 +85,9 @@ void expect_same_result(const RunResult& scalar, const RunResult& lane,
   EXPECT_EQ(scalar.winner, lane.winner) << where;
 }
 
-// The core contract: lane L of run_batch, seeded like the scalar isolated
-// driver's attempt 0, is BIT-identical to run() on its own OpinionState --
-// same result fields, same final opinion vector, and the rng streams line up
+// The core contract: run_lane, seeded like the scalar isolated driver's
+// attempt 0, is BIT-identical to run() on its own OpinionState -- same
+// result fields, same final opinion vector, and the rng streams line up
 // draw for draw (checked by comparing the next raw output after the run).
 TEST(BatchEngine, LanesBitIdenticalToScalarRun) {
   Rng graph_rng(0x6a7c);
@@ -118,40 +113,29 @@ TEST(BatchEngine, LanesBitIdenticalToScalarRun) {
       scalar_next[lane] = rng.next();
     }
 
-    // The same replicas as lanes of one plane.
-    OpinionPlane plane(graph, kLanes);
-    std::vector<Rng> rngs;
-    rngs.reserve(kLanes);
-    for (unsigned lane = 0; lane < kLanes; ++lane) {
-      rngs.emplace_back(Rng::retry_seed(kMaster, lane, 0));
-      plane.assign_lane(
-          lane, uniform_random_opinions(graph.num_vertices(), 1, 4,
-                                        rngs[lane]));
-    }
-    const std::vector<RunResult> batch =
-        run_batch(graph, scheme, plane, rngs, options);
-
-    ASSERT_EQ(batch.size(), kLanes);
+    // The same replicas, one plane each.
     for (unsigned lane = 0; lane < kLanes; ++lane) {
       const std::string where =
           std::string(to_string(scheme)) + " lane " + std::to_string(lane);
-      expect_same_result(scalar[lane], batch[lane], where);
-      const auto lane_view = plane.lane_opinions(lane);
+      Rng rng(Rng::retry_seed(kMaster, lane, 0));
+      OpinionPlane plane(
+          graph, uniform_random_opinions(graph.num_vertices(), 1, 4, rng));
+      const RunResult result = run_lane(graph, scheme, plane, rng, options);
+      expect_same_result(scalar[lane], result, where);
+      const auto lane_view = plane.opinions();
       ASSERT_EQ(lane_view.size(), scalar_final[lane].size()) << where;
       EXPECT_TRUE(std::equal(lane_view.begin(), lane_view.end(),
                              scalar_final[lane].begin()))
           << where;
       // Stream alignment: the lane consumed exactly the scalar draws.
-      EXPECT_EQ(rngs[lane].next(), scalar_next[lane]) << where;
+      EXPECT_EQ(rng.next(), scalar_next[lane]) << where;
     }
   }
 }
 
-// Opinion ranges wider than a byte force the plane onto full-width cells
-// (promote_to_wide_).  The promotion is exercised both ways: a plane whose
-// first assignment is already wide, and a plane where narrow lanes are
-// assigned first and a later wide lane re-encodes them in place.  Either
-// way the lanes must stay bit-identical to scalar runs.
+// Opinion ranges wider than a byte put the plane on full-width cells.
+// Replicas alternate between narrow (byte-packed) and wide planes, and both
+// must stay bit-identical to scalar runs.
 TEST(BatchEngine, WideRangeLanesMatchScalarRun) {
   Rng graph_rng(0x77de);
   const Graph graph = make_connected_random_regular(40, 4, graph_rng);
@@ -159,7 +143,7 @@ TEST(BatchEngine, WideRangeLanesMatchScalarRun) {
   constexpr std::uint64_t kMaster = 0x51de;
   RunOptions options;
   // Lanes alternate between a narrow range (fits a byte) and a wide one
-  // (width 300 > 256); the first wide assignment triggers the promotion.
+  // (up to 300 values; wider than 256 on every lane drawn here).
   const auto range_hi = [](unsigned lane) -> Opinion {
     return (lane % 2 == 0) ? 4 : 300;
   };
@@ -181,32 +165,23 @@ TEST(BatchEngine, WideRangeLanesMatchScalarRun) {
       scalar_next[lane] = rng.next();
     }
 
-    OpinionPlane plane(graph, kLanes);
-    EXPECT_EQ(plane.cell_bytes(), 1u);
-    std::vector<Rng> rngs;
-    rngs.reserve(kLanes);
-    for (unsigned lane = 0; lane < kLanes; ++lane) {
-      rngs.emplace_back(Rng::retry_seed(kMaster, lane, 0));
-      plane.assign_lane(lane,
-                        uniform_random_opinions(graph.num_vertices(), 1,
-                                                range_hi(lane), rngs[lane]));
-    }
-    // The first wide lane (lane 1) promoted the whole plane.
-    EXPECT_EQ(plane.cell_bytes(), sizeof(Opinion));
-    const std::vector<RunResult> batch =
-        run_batch(graph, scheme, plane, rngs, options);
-
-    ASSERT_EQ(batch.size(), kLanes);
     for (unsigned lane = 0; lane < kLanes; ++lane) {
       const std::string where = std::string(to_string(scheme)) +
                                 " wide lane " + std::to_string(lane);
-      expect_same_result(scalar[lane], batch[lane], where);
-      const auto lane_view = plane.lane_opinions(lane);
+      Rng rng(Rng::retry_seed(kMaster, lane, 0));
+      OpinionPlane plane(graph,
+                         uniform_random_opinions(graph.num_vertices(), 1,
+                                                 range_hi(lane), rng));
+      EXPECT_EQ(plane.cell_bytes(),
+                lane % 2 == 0 ? 1u : sizeof(Opinion)) << where;
+      const RunResult result = run_lane(graph, scheme, plane, rng, options);
+      expect_same_result(scalar[lane], result, where);
+      const auto lane_view = plane.opinions();
       ASSERT_EQ(lane_view.size(), scalar_final[lane].size()) << where;
       EXPECT_TRUE(std::equal(lane_view.begin(), lane_view.end(),
                              scalar_final[lane].begin()))
           << where;
-      EXPECT_EQ(rngs[lane].next(), scalar_next[lane]) << where;
+      EXPECT_EQ(rng.next(), scalar_next[lane]) << where;
     }
   }
 }
@@ -219,69 +194,62 @@ TEST(BatchEngine, StepCapMatchesScalarPerLane) {
   options.max_steps = 17;
 
   DivProcess process(graph, SelectionScheme::kEdge);
-  OpinionPlane plane(graph, kLanes);
-  std::vector<Rng> rngs;
-  std::vector<RunResult> scalar(kLanes);
   for (unsigned lane = 0; lane < kLanes; ++lane) {
     Rng rng(Rng::retry_seed(0x5eed, lane, 0));
     OpinionState state(
         graph, uniform_random_opinions(graph.num_vertices(), 1, 9, rng));
-    scalar[lane] = run(process, state, rng, options);
+    const RunResult scalar = run(process, state, rng, options);
 
-    rngs.emplace_back(Rng::retry_seed(0x5eed, lane, 0));
-    plane.assign_lane(lane, uniform_random_opinions(graph.num_vertices(), 1,
-                                                    9, rngs[lane]));
-  }
-  const std::vector<RunResult> batch =
-      run_batch(graph, SelectionScheme::kEdge, plane, rngs, options);
-  for (unsigned lane = 0; lane < kLanes; ++lane) {
-    EXPECT_EQ(batch[lane].status, RunStatus::kCapped);
-    expect_same_result(scalar[lane], batch[lane],
-                       "capped lane " + std::to_string(lane));
+    Rng lane_rng(Rng::retry_seed(0x5eed, lane, 0));
+    OpinionPlane plane(graph, uniform_random_opinions(graph.num_vertices(), 1,
+                                                      9, lane_rng));
+    const RunResult result =
+        run_lane(graph, SelectionScheme::kEdge, plane, lane_rng, options);
+    EXPECT_EQ(result.status, RunStatus::kCapped);
+    expect_same_result(scalar, result, "capped lane " + std::to_string(lane));
   }
 }
 
+// run_lane refuses a traced run and a plane built over another graph (the
+// kernel draws from `graph` and writes the plane's cells, so the two must
+// agree; with one rng per plane the old rng-count mismatch cannot arise).
 TEST(BatchEngine, RejectsTracingAndMismatchedRngs) {
   const Graph graph = make_cycle(6);
-  OpinionPlane plane(graph, 2);
-  std::vector<Rng> rngs;
-  for (unsigned lane = 0; lane < 2; ++lane) {
-    rngs.emplace_back(Rng::retry_seed(7, lane, 0));
-    plane.assign_lane(lane, uniform_random_opinions(6, 1, 3, rngs[lane]));
-  }
+  Rng rng(Rng::retry_seed(7, 0, 0));
+  OpinionPlane plane(graph, uniform_random_opinions(6, 1, 3, rng));
   RunOptions traced;
   traced.trace_stride = 1;
-  EXPECT_THROW(
-      run_batch(graph, SelectionScheme::kEdge, plane, rngs, traced),
-      std::invalid_argument);
+  EXPECT_THROW(run_lane(graph, SelectionScheme::kEdge, plane, rng, traced),
+               std::invalid_argument);
 
-  std::vector<Rng> short_rngs;
-  short_rngs.emplace_back(1);
+  const Graph other = make_cycle(8);
   EXPECT_THROW(
-      run_batch(graph, SelectionScheme::kEdge, plane, short_rngs,
-                RunOptions{}),
+      run_lane(other, SelectionScheme::kEdge, plane, rng, RunOptions{}),
       std::invalid_argument);
 }
 
-// A fired per-lane token drains exactly that lane; its groupmates run to
-// consensus untouched, and the drained lane's state is a valid step-boundary
-// configuration (aggregates match a recount).
+// A fired options.cancel drains exactly the run it is passed to; runs
+// without it reach consensus untouched, and the drained run's state is a
+// valid step-boundary configuration (aggregates match a recount).
 TEST(BatchEngine, PerLaneCancelDrainsOnlyThatLane) {
   Rng graph_rng(0x77);
   const Graph graph = make_connected_random_regular(32, 4, graph_rng);
   constexpr unsigned kLanes = 3;
-  OpinionPlane plane(graph, kLanes);
-  std::vector<Rng> rngs;
-  for (unsigned lane = 0; lane < kLanes; ++lane) {
-    rngs.emplace_back(Rng::retry_seed(0xc0de, lane, 0));
-    plane.assign_lane(lane, uniform_random_opinions(graph.num_vertices(), 1,
-                                                    5, rngs[lane]));
-  }
   CancelToken mid_token;
   mid_token.request(CancelReason::kUser);
   const CancelToken* cancels[kLanes] = {nullptr, &mid_token, nullptr};
-  const std::vector<RunResult> results = run_batch(
-      graph, SelectionScheme::kEdge, plane, rngs, RunOptions{}, cancels);
+  std::vector<RunResult> results;
+  std::vector<std::vector<Opinion>> finals;
+  for (unsigned lane = 0; lane < kLanes; ++lane) {
+    Rng rng(Rng::retry_seed(0xc0de, lane, 0));
+    OpinionPlane plane(
+        graph, uniform_random_opinions(graph.num_vertices(), 1, 5, rng));
+    RunOptions options;
+    options.cancel = cancels[lane];
+    results.push_back(
+        run_lane(graph, SelectionScheme::kEdge, plane, rng, options));
+    finals.push_back(plane.opinions());
+  }
 
   EXPECT_EQ(results[0].status, RunStatus::kCompleted);
   EXPECT_EQ(results[2].status, RunStatus::kCompleted);
@@ -289,78 +257,43 @@ TEST(BatchEngine, PerLaneCancelDrainsOnlyThatLane) {
   EXPECT_EQ(results[1].steps, 0u);  // pre-fired: drained before any step
   // Lane 1's aggregates still describe its (initial) configuration.
   std::int64_t sum = 0;
-  for (const Opinion x : plane.lane_opinions(1)) sum += x;
+  for (const Opinion x : finals[1]) sum += x;
   EXPECT_EQ(sum, results[1].final_sum);
 }
 
 // Plain DIV replicas [0, replicas) through the one replica driver, the way
 // divsim runs them: run_supervised_set under supervision_off(mc), each
-// replica drawing its opinions uniformly in [lo, hi] from its own stream.
-// The step engine claims lock-step groups of `lanes` for its batch_task and
-// runs each group on one plane with run_batch (a lone claim runs a one-lane
-// plane); the jump engine (Result = JumpRunResult) runs every replica alone
-// through run_lane_jump, so `lanes` must be 1 there.  Slot r holds replica
-// r's result.
+// replica drawing its opinions uniformly in [lo, hi] from its own stream
+// and running alone on its own plane -- run_lane for the step engine,
+// run_lane_jump for the jump engine (Result = JumpRunResult).  Slot r holds
+// replica r's result.
 template <typename Result>
-IsolatedBatch<Result> run_lane_groups(const Graph& graph,
-                                      SelectionScheme scheme,
-                                      std::size_t replicas, Opinion lo,
-                                      Opinion hi, unsigned lanes,
-                                      const MonteCarloOptions& mc) {
-  constexpr bool kJump = std::is_same_v<Result, JumpRunResult>;
+IsolatedBatch<Result> run_lane_replicas(const Graph& graph,
+                                        SelectionScheme scheme,
+                                        std::size_t replicas, Opinion lo,
+                                        Opinion hi,
+                                        const MonteCarloOptions& mc) {
   IsolatedBatch<Result> batch;
   batch.results.resize(replicas);
-  const auto run_group = [&](std::span<const std::size_t> ids,
-                             std::vector<Rng>& rngs,
-                             const std::vector<const CancelToken*>& cancels) {
-    OpinionPlane plane(graph, static_cast<unsigned>(ids.size()));
-    for (unsigned lane = 0; lane < ids.size(); ++lane) {
-      plane.assign_lane(lane, uniform_random_opinions(graph.num_vertices(),
-                                                      lo, hi, rngs[lane]));
-    }
-    if constexpr (kJump) {
-      RunOptions options;
-      options.cancel = cancels[0];
-      batch.results[ids[0]] =
-          run_lane_jump(graph, scheme, plane, rngs[0], options);
-    } else {
-      std::vector<Result> results =
-          run_batch(graph, scheme, plane, rngs, RunOptions{}, cancels);
-      for (std::size_t lane = 0; lane < ids.size(); ++lane) {
-        batch.results[ids[lane]] = std::move(results[lane]);
-      }
-    }
-  };
-  SupervisorOptions options = supervision_off(mc);
-  if constexpr (kJump) {
-    EXPECT_EQ(lanes, 1u) << "the jump engine runs one lane per replica";
-  } else {
-    options.batch_lanes = lanes;
-    options.batch_task = [&](std::span<const BatchLane> group) {
-      std::vector<std::size_t> ids;
-      std::vector<Rng> rngs;
-      std::vector<const CancelToken*> cancels;
-      for (const BatchLane& lane : group) {
-        ids.push_back(lane.replica);
-        rngs.emplace_back(lane.seed);
-        cancels.push_back(lane.cancel);
-      }
-      run_group(ids, rngs, cancels);
-      return std::vector<std::optional<std::string>>(group.size(),
-                                                     std::string());
-    };
-  }
   std::vector<std::size_t> ids(replicas);
   std::iota(ids.begin(), ids.end(), std::size_t{0});
   const SupervisorReport report = run_supervised_set(
       ids,
       [&](std::size_t replica, Rng& rng,
           const CancelToken& cancel) -> std::optional<std::string> {
-        std::vector<Rng> rngs{rng};
-        run_group(std::span<const std::size_t>(&replica, 1), rngs, {&cancel});
+        OpinionPlane plane(
+            graph, uniform_random_opinions(graph.num_vertices(), lo, hi, rng));
+        RunOptions options;
+        options.cancel = &cancel;
+        if constexpr (std::is_same_v<Result, JumpRunResult>) {
+          batch.results[replica] =
+              run_lane_jump(graph, scheme, plane, rng, options);
+        } else {
+          batch.results[replica] = run_lane(graph, scheme, plane, rng, options);
+        }
         return std::string();
       },
-      [](std::size_t, std::string&&) {}, options);
+      [](std::size_t, std::string&&) {}, supervision_off(mc));
   batch.report = to_batch_report(report);
   return batch;
 }
@@ -388,12 +321,12 @@ TEST(BatchEngine, WinnerDistributionMatchesScalarEngine) {
       scalar_steps.push_back(static_cast<double>(result.steps));
     }
 
-    // Batched sample on an independent seed family.
+    // Lane-kernel sample on an independent seed family.
     MonteCarloOptions mc;
     mc.master_seed = 0xcafe;
     mc.num_threads = 2;
-    const auto batch = run_lane_groups<RunResult>(graph, scheme, kReplicas,
-                                                  kLo, kHi, /*lanes=*/16, mc);
+    const auto batch =
+        run_lane_replicas<RunResult>(graph, scheme, kReplicas, kLo, kHi, mc);
     ASSERT_TRUE(batch.report.ok());
     std::vector<std::uint64_t> batch_winners(kHi - kLo + 1, 0);
     std::vector<double> batch_steps;
@@ -416,12 +349,12 @@ TEST(BatchEngine, WinnerDistributionMatchesScalarEngine) {
   }
 }
 
-// Lock-step groups fill every slot with the scalar isolated driver's
-// attempt-0 result, at any lane width / replica count alignment.
+// One-lane replicas fill every slot with the scalar isolated driver's
+// attempt-0 result across a worker pool.
 TEST(BatchDriver, SlotsMatchScalarAttemptZero) {
   Rng graph_rng(0x31);
   const Graph graph = make_connected_random_regular(24, 4, graph_rng);
-  constexpr std::size_t kReplicas = 10;  // deliberately not a lane multiple
+  constexpr std::size_t kReplicas = 10;
   constexpr std::uint64_t kMaster = 0xfeed;
   RunOptions run_options;
 
@@ -437,8 +370,8 @@ TEST(BatchDriver, SlotsMatchScalarAttemptZero) {
   MonteCarloOptions mc;
   mc.master_seed = kMaster;
   mc.num_threads = 3;
-  const auto batch = run_lane_groups<RunResult>(
-      graph, SelectionScheme::kVertex, kReplicas, 1, 4, /*lanes=*/4, mc);
+  const auto batch = run_lane_replicas<RunResult>(
+      graph, SelectionScheme::kVertex, kReplicas, 1, 4, mc);
 
   EXPECT_EQ(batch.report.replicas, kReplicas);
   EXPECT_EQ(batch.report.attempted, kReplicas);
@@ -458,8 +391,8 @@ TEST(BatchDriver, PresetCancelClaimsNothing) {
   token.request(CancelReason::kUser);
   MonteCarloOptions mc;
   mc.cancel = &token;
-  const auto batch = run_lane_groups<RunResult>(
-      graph, SelectionScheme::kEdge, 8, 1, 3, /*lanes=*/4, mc);
+  const auto batch =
+      run_lane_replicas<RunResult>(graph, SelectionScheme::kEdge, 8, 1, 3, mc);
   EXPECT_TRUE(batch.report.cancelled);
   EXPECT_EQ(batch.report.attempted, 0u);
   for (const auto& result : batch.results) {
@@ -523,158 +456,8 @@ TEST(DiscordanceTrackerAlias, FrozenSamplingMatchesWeights) {
   EXPECT_FALSE(edge_tracker.alias_frozen());
 }
 
-// Thread-mode lock-step groups: payloads are identical to the scalar task's
-// (the contract batch_task implementations must honor), every replica
-// succeeds, and the report says groups actually formed.
-TEST(SupervisorBatch, GroupsProduceScalarIdenticalPayloads) {
-  constexpr std::size_t kReplicas = 16;
-  constexpr std::uint64_t kMaster = 0xd00d;
-
-  const auto payload_for = [](std::size_t replica, Rng& rng) {
-    return std::to_string(replica) + ":" + std::to_string(rng.next());
-  };
-
-  std::vector<std::size_t> ids(kReplicas);
-  for (std::size_t i = 0; i < kReplicas; ++i) ids[i] = i;
-
-  // Scalar reference.  on_success may run concurrently for different
-  // replicas, so the maps below are filled under a lock.
-  std::mutex payloads_mu;
-  std::map<std::size_t, std::string> scalar_payloads;
-  {
-    SupervisorOptions options;
-    options.master_seed = kMaster;
-    options.num_threads = 2;
-    const SupervisorReport report = run_supervised_set(
-        ids,
-        [&](std::size_t replica, Rng& rng, const CancelToken&) {
-          return std::optional<std::string>(payload_for(replica, rng));
-        },
-        [&](std::size_t replica, std::string&& payload) {
-          const std::lock_guard<std::mutex> lock(payloads_mu);
-          scalar_payloads[replica] = std::move(payload);
-        },
-        options);
-    ASSERT_EQ(report.succeeded, kReplicas);
-    EXPECT_EQ(report.batch_groups, 0u);
-    EXPECT_EQ(report.batched_attempts, 0u);
-  }
-
-  // Batched run: same payloads, and groups actually formed.
-  std::map<std::size_t, std::string> batch_payloads;
-  SupervisorOptions options;
-  options.master_seed = kMaster;
-  options.num_threads = 2;
-  options.batch_lanes = 4;
-  options.batch_task =
-      [&](std::span<const BatchLane> lanes) {
-        std::vector<std::optional<std::string>> verdicts;
-        verdicts.reserve(lanes.size());
-        for (const BatchLane& lane : lanes) {
-          Rng rng(lane.seed);
-          verdicts.emplace_back(payload_for(lane.replica, rng));
-        }
-        return verdicts;
-      };
-  const SupervisorReport report = run_supervised_set(
-      ids,
-      [&](std::size_t replica, Rng& rng, const CancelToken&) {
-        return std::optional<std::string>(payload_for(replica, rng));
-      },
-      [&](std::size_t replica, std::string&& payload) {
-        const std::lock_guard<std::mutex> lock(payloads_mu);
-        batch_payloads[replica] = std::move(payload);
-      },
-      options);
-
-  EXPECT_EQ(report.succeeded, kReplicas);
-  EXPECT_GE(report.batch_groups, 1u);
-  EXPECT_GE(report.batched_attempts, options.batch_lanes);
-  EXPECT_EQ(batch_payloads, scalar_payloads);
-}
-
-// A batch_task returning the wrong number of verdicts is a deterministic
-// group failure: every lane fails fast into quarantine (no retry could
-// change a logic error in the batch plumbing).
-TEST(SupervisorBatch, VerdictCountMismatchQuarantinesTheGroup) {
-  constexpr std::size_t kReplicas = 4;
-  std::vector<std::size_t> ids(kReplicas);
-  for (std::size_t i = 0; i < kReplicas; ++i) ids[i] = i;
-
-  SupervisorOptions options;
-  options.num_threads = 1;
-  options.max_attempts = 1;
-  options.batch_lanes = 4;
-  options.batch_task =
-      [](std::span<const BatchLane> lanes) {
-        return std::vector<std::optional<std::string>>(lanes.size() - 1);
-      };
-  const SupervisorReport report = run_supervised_set(
-      ids,
-      [](std::size_t, Rng&, const CancelToken&) {
-        return std::optional<std::string>("scalar");
-      },
-      [](std::size_t, std::string&&) {},
-      options);
-
-  EXPECT_EQ(report.succeeded, 0u);
-  ASSERT_EQ(report.quarantined.size(), kReplicas);
-  for (const QuarantineRecord& record : report.quarantined) {
-    EXPECT_EQ(record.failure, FailureClass::kDeterministic);
-    EXPECT_NE(record.message.find("verdicts"), std::string::npos);
-  }
-  EXPECT_EQ(report.fail_fasts, kReplicas);
-}
-
-// A throwing batch_task fails every lane with one shared classification;
-// transient classes retry on the scalar-compatible retry seeds and the
-// replicas still complete (here via a batch_task that succeeds on retry).
-TEST(SupervisorBatch, GroupThrowRetriesEveryLane) {
-  constexpr std::size_t kReplicas = 4;
-  std::vector<std::size_t> ids(kReplicas);
-  for (std::size_t i = 0; i < kReplicas; ++i) ids[i] = i;
-
-  std::atomic<int> calls{0};
-  SupervisorOptions options;
-  options.num_threads = 1;
-  options.max_attempts = 2;
-  options.backoff_base = std::chrono::milliseconds{0};
-  options.batch_lanes = 4;
-  options.batch_task =
-      [&](std::span<const BatchLane> lanes)
-          -> std::vector<std::optional<std::string>> {
-        if (calls.fetch_add(1) == 0) {
-          throw std::runtime_error("transient group failure");
-        }
-        std::vector<std::optional<std::string>> verdicts;
-        for (const BatchLane& lane : lanes) {
-          verdicts.emplace_back(std::to_string(lane.replica));
-        }
-        return verdicts;
-      };
-  std::mutex payloads_mu;  // on_success may run concurrently
-  std::map<std::size_t, std::string> payloads;
-  const SupervisorReport report = run_supervised_set(
-      ids,
-      [](std::size_t replica, Rng&, const CancelToken&) {
-        return std::optional<std::string>(std::to_string(replica));
-      },
-      [&](std::size_t replica, std::string&& payload) {
-        const std::lock_guard<std::mutex> lock(payloads_mu);
-        payloads[replica] = std::move(payload);
-      },
-      options);
-
-  EXPECT_EQ(report.succeeded, kReplicas);
-  EXPECT_EQ(report.retries, kReplicas);  // one retry per lane of the group
-  ASSERT_EQ(payloads.size(), kReplicas);
-  for (std::size_t replica = 0; replica < kReplicas; ++replica) {
-    EXPECT_EQ(payloads[replica], std::to_string(replica));
-  }
-}
-
 // ---------------------------------------------------------------------------
-// One-lane jump-chain engine (run_lane_jump) -- refusals, cancel drain,
+// Lane jump-chain engine (run_lane_jump) -- refusals, cancel drain,
 // distributional equivalence, and the replica driver's slot contract.  The
 // draw-for-draw bit-identity suite lives in test_jump_engine.cpp
 // (BatchJump.LanesBitIdenticalToScalarJump and friends).
@@ -687,24 +470,20 @@ void expect_same_jump_result(const JumpRunResult& scalar,
   EXPECT_EQ(scalar.mode_switches, lane.mode_switches) << where;
 }
 
-// The one-lane kernel refuses a traced run and a plane that does not have
-// exactly one lane (the one rng cannot match a two-lane plane).
+// The jump kernel refuses a traced run and a plane built over another graph
+// (with one rng per plane the old lane-count mismatch cannot arise).
 TEST(BatchJump, RejectsTracingAndMismatchedRngs) {
   const Graph graph = make_cycle(6);
   Rng rng(Rng::retry_seed(7, 0, 0));
-  OpinionPlane plane(graph, 1);
-  plane.assign_lane(0, uniform_random_opinions(6, 1, 3, rng));
+  OpinionPlane plane(graph, uniform_random_opinions(6, 1, 3, rng));
   RunOptions traced;
   traced.trace_stride = 1;
   EXPECT_THROW(
       run_lane_jump(graph, SelectionScheme::kEdge, plane, rng, traced),
       std::invalid_argument);
 
-  OpinionPlane two_lanes(graph, 2);
-  for (unsigned lane = 0; lane < 2; ++lane) {
-    two_lanes.assign_lane(lane, uniform_random_opinions(6, 1, 3, rng));
-  }
-  EXPECT_THROW(run_lane_jump(graph, SelectionScheme::kEdge, two_lanes, rng,
+  const Graph other = make_cycle(8);
+  EXPECT_THROW(run_lane_jump(other, SelectionScheme::kEdge, plane, rng,
                              RunOptions{}),
                std::invalid_argument);
 }
@@ -725,9 +504,8 @@ TEST(BatchJump, PerLaneCancelDrainsOnlyThatLane) {
         Case{CancelReason::kUser, RunStatus::kCancelled},
         Case{CancelReason::kDeadline, RunStatus::kDeadline}}) {
     Rng rng(Rng::retry_seed(0xc0df, 1, 0));
-    OpinionPlane plane(graph, 1);
-    plane.assign_lane(0, uniform_random_opinions(graph.num_vertices(), 1, 5,
-                                                 rng));
+    OpinionPlane plane(
+        graph, uniform_random_opinions(graph.num_vertices(), 1, 5, rng));
     CancelToken token;
     if (drain.fired) {
       token.request(*drain.fired);
@@ -742,7 +520,7 @@ TEST(BatchJump, PerLaneCancelDrainsOnlyThatLane) {
       EXPECT_EQ(result.effective_steps, 0u);
     }
     std::int64_t sum = 0;
-    for (const Opinion x : plane.lane_opinions(0)) sum += x;
+    for (const Opinion x : plane.opinions()) sum += x;
     EXPECT_EQ(sum, result.final_sum);
   }
 }
@@ -750,7 +528,7 @@ TEST(BatchJump, PerLaneCancelDrainsOnlyThatLane) {
 // Distributional equivalence on INDEPENDENT seed families (the bit-identity
 // suite pins same-seed equality; this pins the ensemble): winner categories
 // by chi-square homogeneity, completion times by Kolmogorov-Smirnov, and the
-// batched lanes must still actually skip scheduled work.
+// lane kernel must still actually skip scheduled work.
 TEST(BatchJump, WinnerDistributionMatchesScalarJumpEngine) {
   Rng graph_rng(0x23b);
   const Graph graph = make_connected_random_regular(32, 4, graph_rng);
@@ -778,8 +556,8 @@ TEST(BatchJump, WinnerDistributionMatchesScalarJumpEngine) {
     MonteCarloOptions mc;
     mc.master_seed = 0xcafe;
     mc.num_threads = 2;
-    const auto batch = run_lane_groups<JumpRunResult>(
-        graph, scheme, kReplicas, kLo, kHi, /*lanes=*/1, mc);
+    const auto batch = run_lane_replicas<JumpRunResult>(graph, scheme,
+                                                        kReplicas, kLo, kHi, mc);
     ASSERT_TRUE(batch.report.ok());
     std::vector<std::uint64_t> batch_winners(kHi - kLo + 1, 0);
     std::vector<double> batch_steps;
@@ -830,8 +608,8 @@ TEST(BatchDriver, JumpSlotsMatchScalarAttemptZero) {
   MonteCarloOptions mc;
   mc.master_seed = kMaster;
   mc.num_threads = 3;
-  const auto batch = run_lane_groups<JumpRunResult>(
-      graph, SelectionScheme::kVertex, kReplicas, 1, 4, /*lanes=*/1, mc);
+  const auto batch = run_lane_replicas<JumpRunResult>(
+      graph, SelectionScheme::kVertex, kReplicas, 1, 4, mc);
 
   EXPECT_EQ(batch.report.replicas, kReplicas);
   EXPECT_EQ(batch.report.attempted, kReplicas);
@@ -845,8 +623,9 @@ TEST(BatchDriver, JumpSlotsMatchScalarAttemptZero) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-lane telemetry: each lane_metrics sink must hold what the scalar engine
-// writes for the same seed -- every non-wall_* field, entry by entry.
+// Lane telemetry: a lane kernel's options.metrics sink must hold what the
+// scalar engine writes for the same seed -- every non-wall_* field, entry by
+// entry.
 
 void expect_same_metrics(const RunMetrics& scalar, const RunMetrics& lane,
                          const std::string& where) {
@@ -883,62 +662,43 @@ using LaneInit = std::function<std::vector<Opinion>(unsigned, Rng&)>;
 using LaneSinkConfig = std::function<void(unsigned, RunMetrics&)>;
 
 // Runs `lanes` scalar replicas (run, or run_jump when `jump`) with a metrics
-// sink each, then the same seeds through the lane engine -- run_batch in
-// planes of `width` lanes with per-lane sinks, or run_lane_jump one lane at
-// a time (`width` must be 1) with options.metrics -- and compares results
-// and metrics lane by lane.  Returns the scalar metrics so callers can check
-// which cases the configuration exercised.
+// sink each, then the same seeds through the lane engine -- run_lane or
+// run_lane_jump, one plane per replica, with options.metrics -- and compares
+// results and metrics lane by lane.  Returns the scalar metrics so callers
+// can check which cases the configuration exercised.
 std::vector<RunMetrics> expect_lane_metrics_match(
     bool jump, const Graph& graph, SelectionScheme scheme, unsigned lanes,
-    unsigned width, const RunOptions& options, const LaneInit& init,
+    const RunOptions& options, const LaneInit& init,
     const LaneSinkConfig& configure) {
   constexpr std::uint64_t kMaster = 0x3e7a;
   DivProcess process(graph, scheme);
   std::vector<RunMetrics> scalar(lanes);
-  std::vector<RunResult> scalar_results(lanes);
   for (unsigned lane = 0; lane < lanes; ++lane) {
+    const std::string where =
+        std::string(to_string(scheme)) + " lane " + std::to_string(lane);
     configure(lane, scalar[lane]);
     Rng rng(Rng::retry_seed(kMaster, lane, 0));
     OpinionState state(graph, init(lane, rng));
     RunOptions scalar_options = options;
     scalar_options.metrics = &scalar[lane];
-    if (jump) {
-      scalar_results[lane] = run_jump(process, state, rng, scalar_options);
-    } else {
-      scalar_results[lane] = run(process, state, rng, scalar_options);
-    }
-  }
 
-  std::vector<RunMetrics> batch(lanes);
-  for (unsigned first = 0; first < lanes; first += width) {
-    const unsigned group = std::min(width, lanes - first);
-    OpinionPlane plane(graph, group);
-    std::vector<Rng> rngs;
-    std::vector<RunMetrics*> sinks;
-    for (unsigned i = 0; i < group; ++i) {
-      rngs.emplace_back(Rng::retry_seed(kMaster, first + i, 0));
-      plane.assign_lane(i, init(first + i, rngs[i]));
-      configure(first + i, batch[first + i]);
-      sinks.push_back(&batch[first + i]);
-    }
-    std::vector<RunResult> results;
+    RunMetrics metrics;
+    configure(lane, metrics);
+    Rng lane_rng(Rng::retry_seed(kMaster, lane, 0));
+    OpinionPlane plane(graph, init(lane, lane_rng));
+    RunOptions lane_options = options;
+    lane_options.metrics = &metrics;
     if (jump) {
-      EXPECT_EQ(group, 1u) << "the jump engine runs one lane";
-      RunOptions lane_options = options;
-      lane_options.metrics = sinks[0];
-      results.push_back(
-          run_lane_jump(graph, scheme, plane, rngs[0], lane_options));
+      expect_same_result(run_jump(process, state, rng, scalar_options),
+                         run_lane_jump(graph, scheme, plane, lane_rng,
+                                       lane_options),
+                         where);
     } else {
-      results = run_batch(graph, scheme, plane, rngs, options, {}, sinks);
+      expect_same_result(
+          run(process, state, rng, scalar_options),
+          run_lane(graph, scheme, plane, lane_rng, lane_options), where);
     }
-    for (unsigned i = 0; i < group; ++i) {
-      const unsigned lane = first + i;
-      const std::string where = std::string(to_string(scheme)) + " width " +
-                                std::to_string(width) + " lane " +
-                                std::to_string(lane);
-      expect_same_result(scalar_results[lane], results[i], where);
-      expect_same_metrics(scalar[lane], batch[lane], where);
-    }
+    expect_same_metrics(scalar[lane], metrics, where);
   }
   return scalar;
 }
@@ -949,10 +709,10 @@ std::vector<Opinion> unanimous_but_one(const Graph& graph, unsigned lane) {
   return opinions;
 }
 
-// run_batch's sinks carry run()'s telemetry: one naive timeline entry at
-// step 0 (dropped into mode_switches_dropped under max_samples == 0) and
-// the lane's scheduled steps, for lanes satisfied at step 0, lanes that
-// complete, and lanes the step cap stops.
+// run_lane's options.metrics sink carries run()'s telemetry: one naive
+// timeline entry at step 0 (dropped into mode_switches_dropped under
+// max_samples == 0) and the lane's scheduled steps, for lanes satisfied at
+// step 0, lanes that complete, and lanes the step cap stops.
 TEST(BatchEngine, PerLaneMetricsMatchScalarRun) {
   Rng graph_rng(0x51c);
   const Graph graph = make_connected_random_regular(48, 4, graph_rng);
@@ -974,44 +734,22 @@ TEST(BatchEngine, PerLaneMetricsMatchScalarRun) {
   };
   for (const SelectionScheme scheme :
        {SelectionScheme::kVertex, SelectionScheme::kEdge}) {
-    for (const unsigned width : {1u, 4u}) {
-      const std::vector<RunMetrics> scalar = expect_lane_metrics_match(
-          /*jump=*/false, graph, scheme, /*lanes=*/8, width, options, init,
-          configure);
-      EXPECT_EQ(scalar[0].scheduled_steps, 0u);
-      EXPECT_EQ(scalar[3].mode_switches_dropped, 1u);
-      std::size_t capped = 0;
-      std::size_t completed = 0;
-      for (const RunMetrics& metrics : scalar) {
-        if (metrics.scheduled_steps == options.max_steps) {
-          ++capped;
-        } else if (metrics.scheduled_steps > 0) {
-          ++completed;
-        }
+    const std::vector<RunMetrics> scalar = expect_lane_metrics_match(
+        /*jump=*/false, graph, scheme, /*lanes=*/8, options, init, configure);
+    EXPECT_EQ(scalar[0].scheduled_steps, 0u);
+    EXPECT_EQ(scalar[3].mode_switches_dropped, 1u);
+    std::size_t capped = 0;
+    std::size_t completed = 0;
+    for (const RunMetrics& metrics : scalar) {
+      if (metrics.scheduled_steps == options.max_steps) {
+        ++capped;
+      } else if (metrics.scheduled_steps > 0) {
+        ++completed;
       }
-      EXPECT_GT(capped, 0u);
-      EXPECT_GT(completed, 0u);
     }
+    EXPECT_GT(capped, 0u);
+    EXPECT_GT(completed, 0u);
   }
-
-  // A group-level RunOptions::metrics sink and a sink span of the wrong
-  // width are refused.
-  OpinionPlane plane(graph, 2);
-  std::vector<Rng> rngs;
-  for (unsigned lane = 0; lane < 2; ++lane) {
-    rngs.emplace_back(Rng::retry_seed(1, lane, 0));
-    plane.assign_lane(lane, init(lane, rngs[lane]));
-  }
-  RunMetrics metrics;
-  RunOptions group_sink;
-  group_sink.metrics = &metrics;
-  EXPECT_THROW(run_batch(graph, SelectionScheme::kEdge, plane, rngs,
-                         group_sink),
-               std::invalid_argument);
-  RunMetrics* const one_sink[1] = {&metrics};
-  EXPECT_THROW(run_batch(graph, SelectionScheme::kEdge, plane, rngs,
-                         RunOptions{}, {}, one_sink),
-               std::invalid_argument);
 }
 
 // run_lane_jump's options.metrics sink carries run_jump()'s telemetry across
@@ -1085,25 +823,24 @@ TEST(BatchJump, PerLaneMetricsMatchScalarJump) {
   for (const SelectionScheme scheme :
        {SelectionScheme::kVertex, SelectionScheme::kEdge}) {
     tally(expect_lane_metrics_match(/*jump=*/true, graph, scheme, 8,
-                                    /*width=*/1, consensus, mixed, sampled));
+                                    consensus, mixed, sampled));
     const std::vector<RunMetrics> adjacent = expect_lane_metrics_match(
-        /*jump=*/true, graph, scheme, 4, /*width=*/1, two_adjacent, mixed,
-        sampled);
+        /*jump=*/true, graph, scheme, 4, two_adjacent, mixed, sampled);
     tally(adjacent);
     launch_activity += adjacent[0].mode_timeline.at(0).active_probability;
     for (const RunMetrics& metrics :
          expect_lane_metrics_match(/*jump=*/true, graph, scheme, 8,
-                                   /*width=*/1, tight, mixed, sampled)) {
+                                   tight, mixed, sampled)) {
       watchdog_tails += metrics.frozen_tail_steps;
     }
     for (const RunMetrics& metrics :
          expect_lane_metrics_match(/*jump=*/true, split, scheme, 4,
-                                   /*width=*/1, capped, split_init, sampled)) {
+                                   capped, split_init, sampled)) {
       frozen_tails += metrics.frozen_tail_steps;
     }
     for (const RunMetrics& metrics :
          expect_lane_metrics_match(/*jump=*/true, graph, scheme, 4,
-                                   /*width=*/1, no_budget, mixed, sampled)) {
+                                   no_budget, mixed, sampled)) {
       EXPECT_EQ(metrics.scheduled_steps, 0u);
       zero_budget_entries += metrics.mode_timeline.size();
     }
@@ -1117,32 +854,171 @@ TEST(BatchJump, PerLaneMetricsMatchScalarJump) {
   EXPECT_GT(zero_budget_entries, 0u);
 }
 
-// SupervisorOptions::batch_lanes gets the same loud range guard the CLI
-// applies to --batch-lanes: 0 and anything above kMaxBatchLanes refuse up
-// front instead of silently degenerating (0 used to disable batching, and
-// oversized widths allocated planes nothing could have asked for).
-TEST(SupervisorBatch, RejectsOutOfRangeLaneCounts) {
-  const std::vector<std::size_t> ids = {0, 1};
-  const auto task = [](std::size_t, Rng&, const CancelToken&) {
-    return std::optional<std::string>("ok");
-  };
-  const auto commit = [](std::size_t, std::string&&) {};
+// ---------------------------------------------------------------------------
+// Seeded randomized parity: both lane kernels against their scalar oracles
+// over fuzzed configurations, modelled on SchedulerPropertyTest.  Each round
+// draws a small graph (n <= 64), a scheme, a stop rule, an opinion count
+// k <= 300 (so some planes hold full-width cells), a start (uniform, one
+// vertex off unanimity, or unanimous) and a step cap from {0, 1, 31, 32, 33,
+// random} -- the fixed caps straddle the 32-step draw block -- then asserts
+// run_lane == run(DivProcess) and run_lane_jump == run_jump on every result
+// field, the final opinions and the next rng word.
 
-  for (const unsigned lanes : {0u, kMaxBatchLanes + 1}) {
-    SupervisorOptions options;
-    options.num_threads = 1;
-    options.batch_lanes = lanes;
-    EXPECT_THROW(run_supervised_set(ids, task, commit, options),
-                 std::invalid_argument)
-        << "batch_lanes=" << lanes;
+// Two disjoint cliques: discordance can die out with the stop rule unmet,
+// so jump rounds reach the frozen cap.
+Graph disjoint_cliques(VertexId half) {
+  std::vector<Edge> edges;
+  for (VertexId base : {VertexId{0}, half}) {
+    for (VertexId u = 0; u < half; ++u) {
+      for (VertexId v = u + 1; v < half; ++v) {
+        edges.push_back({base + u, base + v});
+      }
+    }
   }
+  return Graph(2 * half, std::move(edges));
+}
 
-  SupervisorOptions options;
-  options.num_threads = 1;
-  options.batch_lanes = kMaxBatchLanes;  // the boundary itself is legal
-  const SupervisorReport report =
-      run_supervised_set(ids, task, commit, options);
-  EXPECT_EQ(report.succeeded, ids.size());
+Graph fuzzed_graph(Rng& rng) {
+  const auto below = [&rng](std::uint64_t bound) {
+    return static_cast<VertexId>(rng.uniform_below(bound));
+  };
+  switch (rng.uniform_below(12)) {
+    case 0:
+      return make_complete(2 + below(63));
+    case 1:
+      return make_cycle(3 + below(62));
+    case 2:
+      return make_path(2 + below(63));
+    case 3:
+      return make_star(2 + below(63));
+    case 4:
+      return make_hypercube(1 + static_cast<unsigned>(below(6)));
+    case 5:
+      return make_barbell(2 + below(31));
+    case 6:
+      return make_grid(2 + below(7), 2 + below(7), false);
+    case 7:
+      return make_margulis(3 + below(6));
+    case 8: {
+      const VertexId n = 8 + 2 * below(29);  // even, so any degree fits
+      return make_connected_random_regular(n, 3 + below(6), rng);
+    }
+    case 9:
+      return make_connected_gnp(8 + below(57), 0.25 + 0.5 * rng.uniform01(),
+                                rng);
+    case 10:
+      return make_barabasi_albert(4 + below(61), 1 + below(3), rng);
+    default:
+      return disjoint_cliques(2 + below(31));
+  }
+}
+
+// Half the rounds take a random cap, long enough for the jump engine's
+// 4096-step naive windows to switch modes both ways.
+std::uint64_t fuzzed_cap(Rng& rng) {
+  constexpr std::uint64_t kFixed[] = {0, 1, 31, 32, 33};
+  const std::uint64_t pick = rng.uniform_below(10);
+  return pick < 5 ? kFixed[pick] : rng.uniform_below(1 << 18);
+}
+
+std::vector<Opinion> fuzzed_start(VertexId n, Opinion k, Rng& rng) {
+  switch (rng.uniform_below(6)) {
+    case 0: {  // one vertex one level above an otherwise unanimous graph
+      std::vector<Opinion> opinions(n, 1);
+      opinions[static_cast<VertexId>(rng.uniform_below(n))] = 2;
+      return opinions;
+    }
+    case 1:
+      return std::vector<Opinion>(n, k);
+    case 2: {  // two unanimous halves: lazy until the boundary churns
+      std::vector<Opinion> opinions(n, 1);
+      std::fill(opinions.begin() + n / 2, opinions.end(), k);
+      return opinions;
+    }
+    default:
+      return uniform_random_opinions(n, 1, k, rng);
+  }
+}
+
+// Every RunResult field, the trace and fault included.
+void expect_identical_runs(const RunResult& scalar, const RunResult& lane) {
+  expect_same_result(scalar, lane, "result");
+  EXPECT_EQ(scalar.fault, lane.fault);
+  EXPECT_EQ(scalar.trace.samples().size(), lane.trace.samples().size());
+}
+
+TEST(LaneKernelPropertyTest, SeededRoundsMatchScalarEngines) {
+  std::size_t mid_block_stops = 0;
+  std::size_t capped = 0;
+  std::size_t wide = 0;
+  std::size_t round_trips = 0;  // jump rounds that left jump mode and came back
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    SCOPED_TRACE("round seed " + std::to_string(seed));
+    Rng round(seed);
+    const Graph graph = fuzzed_graph(round);
+    const SelectionScheme scheme = round.uniform_below(2) == 0
+                                       ? SelectionScheme::kVertex
+                                       : SelectionScheme::kEdge;
+    RunOptions options;
+    options.stop = round.uniform_below(3) == 0 ? StopKind::kTwoAdjacent
+                                               : StopKind::kConsensus;
+    constexpr Opinion kBands[][2] = {{1, 3}, {2, 9}, {10, 69}, {257, 300}};
+    const auto& band = kBands[round.uniform_below(4)];
+    const Opinion k = band[0] + static_cast<Opinion>(round.uniform_below(
+                                    static_cast<std::uint64_t>(
+                                        band[1] - band[0] + 1)));
+    options.max_steps = fuzzed_cap(round);
+    const std::vector<Opinion> start =
+        fuzzed_start(graph.num_vertices(), k, round);
+    const std::uint64_t stream = round.next();
+    DivProcess process(graph, scheme);
+
+    // The step engine.
+    Rng scalar_rng(stream);
+    OpinionState state(graph, start);
+    const RunResult scalar = run(process, state, scalar_rng, options);
+    Rng lane_rng(stream);
+    OpinionPlane plane(graph, start);
+    const RunResult lane = run_lane(graph, scheme, plane, lane_rng, options);
+    expect_identical_runs(scalar, lane);
+    const std::vector<Opinion> lane_final = plane.opinions();
+    EXPECT_TRUE(std::equal(state.opinions().begin(), state.opinions().end(),
+                           lane_final.begin()));
+    EXPECT_EQ(scalar_rng.next(), lane_rng.next());
+    if (lane.completed && lane.steps % 32 != 0 &&
+        lane.steps != options.max_steps) {
+      ++mid_block_stops;
+    }
+    capped += lane.status == RunStatus::kCapped;
+    wide += plane.cell_bytes() == sizeof(Opinion);
+
+    // The jump engine on the same configuration and stream.
+    Rng jump_rng(stream);
+    OpinionState jump_state(graph, start);
+    const JumpRunResult scalar_jump =
+        run_jump(process, jump_state, jump_rng, options);
+    Rng lane_jump_rng(stream);
+    OpinionPlane jump_plane(graph, start);
+    const JumpRunResult lane_jump =
+        run_lane_jump(graph, scheme, jump_plane, lane_jump_rng, options);
+    expect_identical_runs(scalar_jump, lane_jump);
+    EXPECT_EQ(scalar_jump.effective_steps, lane_jump.effective_steps);
+    EXPECT_EQ(scalar_jump.mode_switches, lane_jump.mode_switches);
+    const std::vector<Opinion> jump_final = jump_plane.opinions();
+    EXPECT_TRUE(std::equal(jump_state.opinions().begin(),
+                           jump_state.opinions().end(), jump_final.begin()));
+    EXPECT_EQ(jump_rng.next(), lane_jump_rng.next());
+    capped += lane_jump.status == RunStatus::kCapped;
+    round_trips += lane_jump.mode_switches >= 2;
+    if (HasFailure()) {
+      return;  // the trace above names the first failing round
+    }
+  }
+  // The rounds must reach the paths the kernels special-case.
+  EXPECT_GE(mid_block_stops, 100u);
+  EXPECT_GE(capped, 100u);
+  EXPECT_GE(wide, 50u);
+  EXPECT_GE(round_trips, 10u);
 }
 
 }  // namespace

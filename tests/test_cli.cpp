@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -14,6 +15,7 @@
 #include "cli/graph_spec.hpp"
 #include "cli/parse_number.hpp"
 #include "cli/process_spec.hpp"
+#include "core/cancel.hpp"
 #include "graph/generators.hpp"
 
 namespace divlib {
@@ -119,6 +121,28 @@ TEST(GraphSpec, BuildsRandomFamilies) {
   EXPECT_EQ(ws.num_vertices(), 40u);
   const Graph ba = make_graph_from_spec("ba:40:2", rng);
   EXPECT_TRUE(ba.is_connected());
+}
+
+// A fired cancel token aborts a random regular build (SIGINT/SIGTERM must
+// not wait for a large graph); an unfired one changes nothing, not even the
+// rng position the build leaves behind.
+TEST(GraphSpec, CancelTokenAbortsRegularBuilds) {
+  CancelToken fired;
+  fired.request();
+  Rng rng(4);
+  EXPECT_THROW((void)make_graph_from_spec("regular:65536:8", rng, &fired),
+               OperationCancelled);
+
+  const CancelToken idle;
+  Rng polled_rng(5);
+  Rng plain_rng(5);
+  const Graph polled =
+      make_graph_from_spec("regular:256:8", polled_rng, &idle);
+  const Graph plain = make_graph_from_spec("regular:256:8", plain_rng);
+  ASSERT_EQ(polled.num_edges(), plain.num_edges());
+  EXPECT_TRUE(std::equal(polled.edges().begin(), polled.edges().end(),
+                         plain.edges().begin()));
+  EXPECT_EQ(polled_rng.next(), plain_rng.next());
 }
 
 TEST(GraphSpec, RejectsBadSpecs) {

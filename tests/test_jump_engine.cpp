@@ -300,7 +300,7 @@ TEST(JumpEngine, WinnerDistributionMatchesExactChainOnSmallGraphs) {
 }
 
 // ---------------------------------------------------------------------------
-// Lane jump-chain parity: run_lane_jump on a one-lane plane, seeded like a
+// Lane jump-chain parity: run_lane_jump on an OpinionPlane, seeded like a
 // scalar run_jump replica, must be BIT-identical to it -- the full
 // JumpRunResult (including effective_steps and mode_switches), the final
 // opinion vector, and the rng stream position (checked by comparing the next
@@ -324,7 +324,7 @@ void expect_same_jump_result(const JumpRunResult& scalar,
 
 // Runs `lanes` scalar run_jump replicas (seed = retry_seed(master, lane, 0),
 // initial opinions drawn by `init` from the SAME stream the lane will use)
-// and the identical configurations through run_lane_jump, one one-lane plane
+// and the identical configurations through run_lane_jump, one plane
 // each, then asserts per-replica bit-identity on results, final opinions,
 // and stream positions.
 void expect_batch_jump_parity(
@@ -347,13 +347,12 @@ void expect_batch_jump_parity(
   for (unsigned lane = 0; lane < lanes; ++lane) {
     const std::string where =
         std::string(to_string(scheme)) + " lane " + std::to_string(lane);
-    OpinionPlane plane(graph, 1);
     Rng rng(Rng::retry_seed(master, lane, 0));
-    plane.assign_lane(0, init(lane, rng));
+    OpinionPlane plane(graph, init(lane, rng));
     const JumpRunResult result =
         run_lane_jump(graph, scheme, plane, rng, options);
     expect_same_jump_result(scalar[lane], result, where);
-    const auto lane_view = plane.lane_opinions(0);
+    const auto lane_view = plane.opinions();
     ASSERT_EQ(lane_view.size(), scalar_final[lane].size()) << where;
     EXPECT_TRUE(std::equal(lane_view.begin(), lane_view.end(),
                            scalar_final[lane].begin()))

@@ -1,6 +1,6 @@
 // engine/scheduler: the supervision policy as a pure, timestamp-fed state
 // machine.  A fake executor drives seeded random event schedules on a fake
-// clock -- claims (with lock-step mates and unclaims), successes, every
+// clock -- claims (and unclaims), successes, every
 // failure class, drains with every CancelReason the scheduler can issue,
 // worker crashes, ticks, breaker spikes, operator cancel and tasks that
 // ignore it -- and checks the policy's invariants after every step and every
@@ -68,7 +68,6 @@ class FuzzedRound {
     options_.backoff_base = std::chrono::milliseconds(rng_.uniform_below(20));
     options_.backoff_cap = 50ms;
     speculation_ = rng_.uniform_below(2) == 0;  // thread- vs process-style
-    groups_ = speculation_ && rng_.uniform_below(2) == 0;
     if (speculation_ && rng_.uniform_below(2) == 0) {
       options_.straggler_factor = 1.5 + rng_.uniform01();
       options_.straggler_warmup = 1 + rng_.uniform_below(3);
@@ -263,17 +262,6 @@ class FuzzedRound {
     // can shrink the cap below what is already running, never the reverse).
     EXPECT_LT(busy, scheduler_->width_cap()) << "claim past the width cap";
     admit(*launch, worker);
-    if (groups_ && !launch->speculative) {
-      const std::size_t lanes = 1 + rng_.uniform_below(3);
-      for (std::size_t lane = 1; lane < lanes; ++lane) {
-        const std::optional<Launch> mate = scheduler_->claim_mate(now_);
-        if (!mate.has_value()) {
-          break;
-        }
-        EXPECT_FALSE(mate->speculative);
-        admit(*mate, worker);
-      }
-    }
     if (!speculation_ && !launch->speculative && rng_.uniform_below(10) == 0) {
       // The assignment never reached the worker: hand it back.
       history_.at(launch->replica).unclaimed = true;
@@ -505,7 +493,6 @@ class FuzzedRound {
   std::vector<std::set<ExecutionId>> workers_;  // executions each holds
   std::size_t width_ = 1;
   bool speculation_ = true;
-  bool groups_ = false;
   bool cancelled_ = false;
   std::size_t drained_then_killed_ = 0;
   Clock::time_point now_ = kT0;

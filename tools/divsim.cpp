@@ -127,14 +127,10 @@ int usage() {
       "               (run only; add --retries N for per-replica retry)\n"
       "engines:       --engine step|jump (run only; jump skips lazy steps\n"
       "               via the embedded jump chain -- plain DIV, no faults)\n"
-      "batching:      --batch-lanes N (1..4096) runs N replicas per worker\n"
-      "               claim in lock-step over one SoA plane -- --engine\n"
-      "               step, plain DIV only (--process div, no --fault or\n"
-      "               --trace), thread isolation; a --checkpoint-dir run\n"
-      "               batches only with supervision on.  --engine jump\n"
-      "               runs one lane per replica and ignores the width.\n"
-      "               Per-replica results stay bit-identical to the\n"
-      "               scalar engines\n"
+      "batching:      --batch-lanes N (1..4096) is accepted for plain DIV\n"
+      "               (--process div, no --fault or --trace) but not\n"
+      "               applied: every replica runs on its own one-lane\n"
+      "               plane, bit-identical to the scalar engines\n"
       "durability:    --checkpoint-dir D journals each finished replica\n"
       "               (CRC-framed, fsync'd every --checkpoint-every records);\n"
       "               SIGINT/SIGTERM drain gracefully; --resume skips\n"
@@ -284,8 +280,10 @@ ReplicaRun decode_replica_run(const std::string& payload) {
 int cmd_run(const Args& args) {
   const std::uint64_t master_seed = args.get_u64("seed", 1);
   Rng graph_rng(master_seed);
+  // A SIGINT/SIGTERM during a large random build aborts it (divsim exits
+  // 130 from main) instead of waiting for the graph.
   const Graph graph = make_graph_from_spec(args.get("graph", "complete:128"),
-                                           graph_rng);
+                                           graph_rng, &CancelToken::global());
   const Opinion k = k_flag(args);
   const SelectionScheme scheme = parse_scheme(args.get("scheme", "edge"));
   const std::string process_name = args.get("process", "div");
@@ -404,14 +402,12 @@ int cmd_run(const Args& args) {
                          backoff_given || retry_quarantined ||
                          isolation == Isolation::kProcess;
 
-  // Lock-step batching: run N replicas per worker claim through run_batch
-  // (one SoA OpinionPlane per group; --engine jump runs one lane per
-  // replica whatever the width).  Per-replica results stay bit-identical
-  // to the scalar drivers' attempt 0 -- this is purely a throughput knob --
-  // but it only exists for plain DIV, so the incompatible modes are
-  // refused loudly rather than silently falling back.  The raw u64 is
-  // validated BEFORE narrowing: 0 and values past kMaxBatchLanes used to
-  // be silently clamped/wrapped.
+  // --batch-lanes: every plain-DIV replica runs on its own one-lane plane,
+  // so the width is validated but not applied; scripts that pass it keep
+  // working.  The flag still names a plain-DIV feature, so the
+  // incompatible modes stay refused.  The raw u64 is validated BEFORE
+  // narrowing: 0 and values past kMaxBatchLanes used to be silently
+  // clamped/wrapped.
   const unsigned batch_lanes =
       validate_batch_lanes(args.get_u64("batch-lanes", 1));
   if (batch_lanes > 1) {
@@ -443,18 +439,9 @@ int cmd_run(const Args& args) {
             << ", stop: " << to_string(options.stop)
             << ", replicas: " << replicas << "\n";
   if (batch_lanes > 1) {
-    std::cout << "batch lanes: " << batch_lanes << " (lock-step engine";
-    if (jump) {
-      std::cout << "; note: the jump engine runs one lane per replica, so "
-                   "the width is not applied";
-    } else if (!checkpoint_dir.empty() && !supervise) {
-      std::cout << "; note: plain campaigns run one lane per replica, so the "
-                   "width is not applied; add --supervise to batch";
-    } else if (isolation == Isolation::kProcess) {
-      std::cout << "; note: fleet workers run one lane per replica, so the "
-                   "width is not applied; use --isolation thread to batch";
-    }
-    std::cout << ")\n";
+    std::cout << "batch lanes: " << batch_lanes
+              << " (note: every replica runs on one lane, so the width is "
+                 "not applied)\n";
   }
   if (fault_spec.any()) {
     std::cout << "faults: " << fault_text << "\n";
@@ -568,80 +555,23 @@ int cmd_run(const Args& args) {
   // interleave with (and double) the parent's.
   const bool emit_telemetry = isolation == Isolation::kThread;
 
-  // The one lane runner.  Every plain-DIV attempt (--process div, no
-  // --fault, no --trace) runs on the lane kernel: alone as a one-lane plane
-  // (the default width, lone claims, speculative twins, plain campaigns,
-  // fleet workers, every jump attempt) or as a lock-step run_batch group
-  // (batch_task, --engine step only).  Lane i draws its initial opinions
-  // from rngs[i] exactly as the scalar engines' OpinionState would, and the
-  // lane engines are bit-identical per seed, so every payload and every
-  // metrics record equals a scalar run's.
-  // `cancels` are the executor's per-attempt lease tokens (the global
-  // SIGINT token for plain campaigns): a deadline kill drains one lane.
+  // The one task every path runs.  Every plain-DIV attempt (--process div,
+  // no --fault, no --trace) runs on the lane kernels, one plane per
+  // attempt: its initial opinions are drawn from `rng` exactly as the
+  // scalar engines' OpinionState would, and the lane kernels are
+  // bit-identical per seed, so every payload and every metrics record
+  // equals a scalar run's.  The scalar engines serve what the lane kernels
+  // cannot: fault plans, non-DIV processes, and --trace (replica 0's trace
+  // is captured on the side, as the journal keeps no traces; a speculative
+  // twin records the same bytes).  `cancel` is the executor's per-attempt
+  // lease token (the global SIGINT token for plain campaigns).
   const bool lane_kernel =
       process_name == "div" && !fault_spec.any() && trace_stride == 0;
-  const auto run_lanes = [&](std::span<const std::size_t> lane_replicas,
-                             std::span<Rng> rngs,
-                             std::span<const CancelToken* const> cancels) {
-    const auto width = static_cast<unsigned>(rngs.size());
-    OpinionPlane plane(graph, width);
-    for (unsigned lane = 0; lane < width; ++lane) {
-      plane.assign_lane(lane, uniform_random_opinions(graph.num_vertices(), 1,
-                                                      k, rngs[lane]));
-    }
-    std::vector<RunMetrics> metrics(width);
-    std::vector<RunMetrics*> sinks;
-    if (metrics_out && emit_telemetry) {
-      for (RunMetrics& sink : metrics) {
-        sinks.push_back(&sink);
-      }
-    }
-    std::vector<ReplicaRun> runs(width);
-    if (jump) {
-      RunOptions lane_options = options;
-      if (cancels[0] != nullptr) {
-        lane_options.cancel = cancels[0];
-      }
-      lane_options.metrics = sinks.empty() ? nullptr : sinks[0];
-      JumpRunResult result =
-          run_lane_jump(graph, scheme, plane, rngs[0], lane_options);
-      runs[0].effective_steps = result.effective_steps;
-      runs[0].result = std::move(result);
-    } else {
-      std::vector<RunResult> results =
-          run_batch(graph, scheme, plane, rngs, options, cancels, sinks);
-      for (unsigned lane = 0; lane < width; ++lane) {
-        runs[lane].result = std::move(results[lane]);
-      }
-    }
-    std::vector<std::optional<std::string>> verdicts(width);
-    for (unsigned lane = 0; lane < width; ++lane) {
-      if (emit_telemetry) {
-        account_run(lane_replicas[lane], runs[lane].result,
-                    runs[lane].effective_steps, metrics[lane]);
-      }
-      verdicts[lane] = verdict_of(runs[lane]);
-    }
-    return verdicts;
-  };
-
-  // The one task every path runs.  Plain DIV goes to the lane runner; the
-  // scalar engines serve what the lane kernel cannot: fault plans, non-DIV
-  // processes, and --trace (replica 0's trace is captured on the side, as
-  // the journal keeps no traces; a speculative twin records the same
-  // bytes).
   std::mutex trace_mutex;
   std::optional<Trace> replica0_trace;
   const SupervisedTask task =
       [&](std::size_t replica, Rng& rng,
           const CancelToken& cancel) -> std::optional<std::string> {
-    if (lane_kernel) {
-      const CancelToken* const token = &cancel;
-      return std::move(run_lanes({&replica, 1}, {&rng, 1}, {&token, 1})[0]);
-    }
-    OpinionState state(
-        graph, uniform_random_opinions(graph.num_vertices(), 1, k, rng));
-    auto process = make_process_from_spec(process_name, scheme, graph);
     // Per-replica trajectory telemetry lands in a local RunMetrics so
     // concurrent replicas never share one (RunOptions itself is shared).
     RunOptions replica_options = options;
@@ -651,25 +581,41 @@ int cmd_run(const Args& args) {
       replica_options.metrics = &metrics;
     }
     ReplicaRun out;
-    if (fault_spec.any()) {
-      const std::uint64_t fault_seed =
-          Rng::substream_seed(master_seed ^ 0xfa017ULL, replica);
-      auto faulty = std::make_unique<FaultyProcess>(
-          std::move(process),
-          materialize_fault_plan(fault_spec, graph.num_vertices(),
-                                 fault_seed, rng));
-      out.result = run_guarded(*faulty, state, rng, replica_options);
-      out.dropped = faulty->dropped();
-      out.rollbacks = faulty->rollbacks();
-      out.corruptions = faulty->corruptions();
-      out.recoveries = faulty->recoveries();
-    } else if (jump) {
-      const JumpRunResult jump_result =
-          run_jump_guarded(*process, state, rng, replica_options);
-      out.result = jump_result;
-      out.effective_steps = jump_result.effective_steps;
+    if (lane_kernel) {
+      OpinionPlane plane(
+          graph, uniform_random_opinions(graph.num_vertices(), 1, k, rng));
+      if (jump) {
+        const JumpRunResult jump_result =
+            run_lane_jump(graph, scheme, plane, rng, replica_options);
+        out.result = jump_result;
+        out.effective_steps = jump_result.effective_steps;
+      } else {
+        out.result = run_lane(graph, scheme, plane, rng, replica_options);
+      }
     } else {
-      out.result = run_guarded(*process, state, rng, replica_options);
+      OpinionState state(
+          graph, uniform_random_opinions(graph.num_vertices(), 1, k, rng));
+      auto process = make_process_from_spec(process_name, scheme, graph);
+      if (fault_spec.any()) {
+        const std::uint64_t fault_seed =
+            Rng::substream_seed(master_seed ^ 0xfa017ULL, replica);
+        auto faulty = std::make_unique<FaultyProcess>(
+            std::move(process),
+            materialize_fault_plan(fault_spec, graph.num_vertices(),
+                                   fault_seed, rng));
+        out.result = run_guarded(*faulty, state, rng, replica_options);
+        out.dropped = faulty->dropped();
+        out.rollbacks = faulty->rollbacks();
+        out.corruptions = faulty->corruptions();
+        out.recoveries = faulty->recoveries();
+      } else if (jump) {
+        const JumpRunResult jump_result =
+            run_jump_guarded(*process, state, rng, replica_options);
+        out.result = jump_result;
+        out.effective_steps = jump_result.effective_steps;
+      } else {
+        out.result = run_guarded(*process, state, rng, replica_options);
+      }
     }
     if (emit_telemetry) {
       account_run(replica, out.result, out.effective_steps, metrics);
@@ -729,27 +675,6 @@ int cmd_run(const Args& args) {
         metrics_out->emit(line.str());
       };
     }
-  }
-  // Thread-mode step-engine runs claim lock-step groups of up to
-  // --batch-lanes attempts for the lane runner; each lane keeps its
-  // retry_seed stream and its private lease token.  Lone claims, speculative
-  // twins and every jump attempt go through `task`, one lane each.
-  if (batch_lanes > 1 && isolation == Isolation::kThread && !jump) {
-    sup.batch_lanes = batch_lanes;
-    sup.batch_task = [&](std::span<const BatchLane> lanes) {
-      std::vector<std::size_t> lane_replicas;
-      std::vector<Rng> rngs;
-      std::vector<const CancelToken*> cancels;
-      lane_replicas.reserve(lanes.size());
-      rngs.reserve(lanes.size());
-      cancels.reserve(lanes.size());
-      for (const BatchLane& lane : lanes) {
-        lane_replicas.push_back(lane.replica);
-        rngs.emplace_back(lane.seed);
-        cancels.push_back(lane.cancel);
-      }
-      return run_lanes(lane_replicas, rngs, cancels);
-    };
   }
   std::vector<std::optional<ReplicaRun>> results(replicas);
   const auto collect = [&results](std::size_t replica, std::string&& payload) {
@@ -868,8 +793,6 @@ int cmd_run(const Args& args) {
           .field("worker_suspects", sup_report.worker_suspects)
           .field("worker_deaths", sup_report.worker_deaths)
           .field("worker_dismissals", sup_report.worker_dismissals)
-          .field("batch_groups", sup_report.batch_groups)
-          .field("batched_attempts", sup_report.batched_attempts)
           .field("cancelled", sup_report.cancelled);
     } else {
       line.field("attempted", static_cast<std::uint64_t>(report.attempted))
@@ -1002,16 +925,6 @@ int cmd_run(const Args& args) {
                 << to_string(record.failure) << ", " << record.attempts
                 << " attempt(s)): " << record.message << "\n";
     }
-  }
-  if (sup_report.batch_groups > 0) {
-    std::cout << "lock-step batching: " << sup_report.batch_groups
-              << " group(s), " << sup_report.batched_attempts
-              << " attempt(s) batched (avg "
-              << format_double(
-                     static_cast<double>(sup_report.batched_attempts) /
-                         static_cast<double>(sup_report.batch_groups),
-                     1)
-              << " lanes/group)\n";
   }
   if (!report.ok()) {
     std::cout << "replica errors (" << report.errors.size() << ", after "
@@ -1770,6 +1683,9 @@ int main(int argc, char** argv) {
     }
     std::cerr << "unknown command '" << command << "'\n";
     return usage();
+  } catch (const OperationCancelled&) {
+    std::cout << "interrupted while building the graph; nothing ran\n";
+    return 130;
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;
