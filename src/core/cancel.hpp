@@ -77,4 +77,13 @@ class OperationCancelled : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+// The set-up work's poll: throws OperationCancelled(`what`) once `cancel`
+// (when given) has fired.  Inline, so div_graph polls without linking
+// div_core.
+inline void throw_if_cancelled(const CancelToken* cancel, const char* what) {
+  if (cancel != nullptr && cancel->requested()) {
+    throw OperationCancelled(what);
+  }
+}
+
 }  // namespace divlib

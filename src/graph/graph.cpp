@@ -5,20 +5,24 @@
 #include <stdexcept>
 
 namespace divlib {
+namespace {
+
+// Edges (or rows) between two polls of a build's cancel token.
+constexpr std::size_t kCancelPollStride = 1 << 16;
+constexpr const char* kBuildCancelled = "graph build cancelled";
+
+}  // namespace
 
 // The CSR is built straight from the input, in any order: count degrees,
 // scatter both directions of every edge into its rows, then sort each row.
 // A duplicate edge shows up as two equal neighbours in one row, and the
 // lexicographic edge list is read off the sorted rows, so no comparison sort
-// ever runs over all m edges.
+// ever runs over all m edges.  The scatter (random writes into every row)
+// and the row sorts are the long passes of a million-vertex build, so
+// `cancel` is polled inside both.
 Graph::Graph(VertexId num_vertices, std::vector<Edge> edges,
              const CancelToken* cancel)
     : num_vertices_(num_vertices) {
-  const auto poll = [cancel] {
-    if (cancel != nullptr && cancel->requested()) {
-      throw OperationCancelled("graph build cancelled");
-    }
-  };
   offsets_.assign(static_cast<std::size_t>(num_vertices_) + 1, 0);
   for (const Edge& e : edges) {
     if (e.u >= num_vertices_ || e.v >= num_vertices_) {
@@ -31,17 +35,20 @@ Graph::Graph(VertexId num_vertices, std::vector<Edge> edges,
     ++offsets_[e.v + 1];
   }
   std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
-  poll();
 
   adjacency_.resize(2 * edges.size());
   std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (const Edge& e : edges) {
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (i % kCancelPollStride == 0) {
+      throw_if_cancelled(cancel, kBuildCancelled);
+    }
+    const Edge& e = edges[i];
     adjacency_[cursor[e.u]++] = e.v;
     adjacency_[cursor[e.v]++] = e.u;
   }
   for (VertexId v = 0; v < num_vertices_; ++v) {
-    if (v % (1u << 16) == 0) {
-      poll();
+    if (v % kCancelPollStride == 0) {
+      throw_if_cancelled(cancel, kBuildCancelled);
     }
     const auto row = adjacency_.begin() + offsets_[v];
     const auto row_end = adjacency_.begin() + offsets_[v + 1];

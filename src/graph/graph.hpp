@@ -33,9 +33,9 @@ class Graph {
   // Builds from an edge list over vertices [0, num_vertices).
   // Throws std::invalid_argument on self-loops, duplicate edges, or
   // out-of-range endpoints.  (Use GraphBuilder for incremental assembly.)
-  // A million-vertex build takes seconds, so `cancel` (when given) is
-  // polled between passes and every few tens of thousands of rows; once it
-  // fires the build throws OperationCancelled.
+  // A million-vertex build is long enough to interrupt, so `cancel` (when
+  // given) is polled every 65536 edges of the scatter pass and rows of the
+  // sort pass; once it fires the build throws OperationCancelled.
   Graph(VertexId num_vertices, std::vector<Edge> edges,
         const CancelToken* cancel = nullptr);
 

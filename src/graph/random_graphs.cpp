@@ -62,12 +62,7 @@ namespace {
 
 // Stubs (or repair swaps) between two polls of a build's cancel token.
 constexpr std::size_t kCancelPollStubs = 1 << 15;
-
-void poll_cancel(const CancelToken* cancel) {
-  if (cancel != nullptr && cancel->requested()) {
-    throw OperationCancelled("random regular graph build cancelled");
-  }
-}
+constexpr const char* kBuildCancelled = "random regular graph build cancelled";
 
 // Configuration-model pairing with double-edge-swap repair.
 //
@@ -91,7 +86,7 @@ bool try_pairing(VertexId n, std::uint32_t d, Rng& rng, GraphBuilder& builder,
   good.reserve(stubs.size() / 2);
   for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
     if (i % kCancelPollStubs == 0) {
-      poll_cancel(cancel);
+      throw_if_cancelled(cancel, kBuildCancelled);
     }
     const VertexId u = stubs[i];
     const VertexId v = stubs[i + 1];
@@ -105,7 +100,7 @@ bool try_pairing(VertexId n, std::uint32_t d, Rng& rng, GraphBuilder& builder,
   std::uint64_t budget = 1000 + 200ULL * defective.size() * (d + 1);
   while (!defective.empty()) {
     if (budget % kCancelPollStubs == 0) {
-      poll_cancel(cancel);
+      throw_if_cancelled(cancel, kBuildCancelled);
     }
     if (budget-- == 0 || good.empty()) {
       return false;
@@ -150,17 +145,15 @@ void check_regular_arguments(const char* who, VertexId n, std::uint32_t d) {
 
 }  // namespace
 
-Graph make_random_regular(VertexId n, std::uint32_t d, Rng& rng, int max_attempts,
-                          const CancelToken* cancel) {
+Graph make_random_regular(VertexId n, std::uint32_t d, Rng& rng, int max_attempts) {
   check_regular_arguments("make_random_regular", n, d);
   if (d == n - 1) {
     return make_complete(n);
   }
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    poll_cancel(cancel);
     GraphBuilder builder(n, static_cast<std::size_t>(n) * d / 2);
-    if (try_pairing(n, d, rng, builder, cancel)) {
-      return builder.build(cancel);
+    if (try_pairing(n, d, rng, builder, nullptr)) {
+      return builder.build();
     }
   }
   throw std::runtime_error("make_random_regular: the pairing repair stalled in all " +
@@ -176,7 +169,7 @@ Graph make_connected_random_regular(VertexId n, std::uint32_t d, Rng& rng,
   }
   int stalled = 0;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    poll_cancel(cancel);
+    throw_if_cancelled(cancel, kBuildCancelled);
     GraphBuilder builder(n, static_cast<std::size_t>(n) * d / 2);
     if (!try_pairing(n, d, rng, builder, cancel)) {
       ++stalled;

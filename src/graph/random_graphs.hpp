@@ -6,10 +6,10 @@
 // (lambda <= (1+o(1)) 2/sqrt(np) whp).  Watts-Strogatz and Barabasi-Albert
 // are included as additional realistic network topologies for the examples.
 //
-// The random d-regular generators take an optional CancelToken (only its
+// make_connected_random_regular takes an optional CancelToken (only its
 // inline poll is used, so div_graph needs no link dependency on div_core):
-// they poll it between attempts, every few tens of thousands of stubs and
-// inside the CSR build, drawing nothing from the rng to do so, and throw
+// it polls it between attempts, every few tens of thousands of stubs and
+// inside the CSR build, drawing nothing from the rng to do so, and throws
 // OperationCancelled once it fires.  A million-vertex build takes seconds,
 // and SIGINT/SIGTERM should not wait for it.
 #pragma once
@@ -37,15 +37,14 @@ inline constexpr int kRegularMaxAttempts = 5000;
 // attempt whose repair stalls is discarded and a fresh pairing drawn.
 // d = n - 1 returns K_n (the only simple (n-1)-regular graph) without
 // drawing from `rng`.  Requires n*d even, 1 <= d < n.  Throws
-// std::runtime_error after `max_attempts` stalled attempts, and
-// OperationCancelled when `cancel` fires.
+// std::runtime_error after `max_attempts` stalled attempts.
 Graph make_random_regular(VertexId n, std::uint32_t d, Rng& rng,
-                          int max_attempts = kRegularMaxAttempts,
-                          const CancelToken* cancel = nullptr);
+                          int max_attempts = kRegularMaxAttempts);
 
 // As make_random_regular but additionally requires connectivity (whp
 // immediate for d >= 3).  The error after `max_attempts` says how many
 // attempts stalled in the repair and how many were simple but disconnected.
+// Throws OperationCancelled when `cancel` fires.
 Graph make_connected_random_regular(VertexId n, std::uint32_t d, Rng& rng,
                                     int max_attempts = kRegularMaxAttempts,
                                     const CancelToken* cancel = nullptr);

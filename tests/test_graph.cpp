@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+
+#include "core/cancel.hpp"
 
 namespace divlib {
 namespace {
@@ -50,6 +53,18 @@ TEST(Graph, RejectsDuplicateEdges) {
 TEST(Graph, RejectsOutOfRangeEndpoints) {
   EXPECT_THROW(Graph(3, {{0, 3}}), std::invalid_argument);
   EXPECT_THROW(Graph(3, {{7, 1}}), std::invalid_argument);
+}
+
+// The CSR build polls a cancel token: a fired one aborts it, an idle one
+// changes nothing.
+TEST(Graph, CancelTokenAbortsTheBuild) {
+  CancelToken fired;
+  fired.request();
+  EXPECT_THROW(Graph(3, {{0, 1}, {1, 2}, {0, 2}}, &fired), OperationCancelled);
+
+  const CancelToken idle;
+  const Graph polled(3, {{2, 0}, {1, 0}, {2, 1}}, &idle);
+  EXPECT_TRUE(std::ranges::equal(polled.edges(), make_triangle().edges()));
 }
 
 TEST(Graph, NeighborsAreSortedAndComplete) {

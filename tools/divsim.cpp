@@ -280,10 +280,19 @@ ReplicaRun decode_replica_run(const std::string& payload) {
 int cmd_run(const Args& args) {
   const std::uint64_t master_seed = args.get_u64("seed", 1);
   Rng graph_rng(master_seed);
-  // A SIGINT/SIGTERM during a large random build aborts it (divsim exits
-  // 130 from main) instead of waiting for the graph.
-  const Graph graph = make_graph_from_spec(args.get("graph", "complete:128"),
-                                           graph_rng, &CancelToken::global());
+  // A SIGINT/SIGTERM during a large random build aborts it instead of
+  // waiting for the graph, and the run exits 130 as an interrupted run
+  // does.  The status is returned here, not from main, because `queue run`
+  // calls cmd_run directly and maps 130 to a released (resumable) campaign.
+  std::optional<Graph> built;
+  try {
+    built.emplace(make_graph_from_spec(args.get("graph", "complete:128"),
+                                       graph_rng, &CancelToken::global()));
+  } catch (const OperationCancelled&) {
+    std::cout << "interrupted while building the graph; nothing ran\n";
+    return 130;
+  }
+  const Graph& graph = *built;
   const Opinion k = k_flag(args);
   const SelectionScheme scheme = parse_scheme(args.get("scheme", "edge"));
   const std::string process_name = args.get("process", "div");
@@ -1683,9 +1692,6 @@ int main(int argc, char** argv) {
     }
     std::cerr << "unknown command '" << command << "'\n";
     return usage();
-  } catch (const OperationCancelled&) {
-    std::cout << "interrupted while building the graph; nothing ran\n";
-    return 130;
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;
