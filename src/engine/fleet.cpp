@@ -11,11 +11,11 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -31,8 +31,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Parent poll cadence, matching the thread executor's monitor: bounds the
-// liveness-tick, deadline, and reap latency without measurable idle cost.
+// Parent poll timeout, matching the thread executor's monitor: the tick for
+// liveness and deadlines.  Frames and worker exits wake the poll at once.
 constexpr std::chrono::milliseconds kFleetPoll{5};
 
 // ---------------------------------------------------------------------------
@@ -184,6 +184,7 @@ struct Worker {
   pid_t pid = -1;
   int work_fd = -1;    // parent -> child assignments
   int result_fd = -1;  // child -> parent beats/results (O_NONBLOCK)
+  int pidfd = -1;      // readable once the child has exited
   WireReader reader;
   LivenessTracker liveness;
   bool busy = false;
@@ -257,8 +258,15 @@ class FleetRun {
       return scheduler_.finish(true);
     }
     SigpipeGuard sigpipe;
-    monitor_loop();
-    shutdown_fleet();
+    try {
+      monitor_loop();
+      shutdown_fleet();
+    } catch (...) {
+      // A throwing callback (a dead journal, say) or a failed spawn ends
+      // the run: no worker, pipe or pidfd may outlive it.
+      kill_fleet();
+      throw;
+    }
     return scheduler_.finish(options_.cancel != nullptr &&
                              options_.cancel->requested());
   }
@@ -334,13 +342,25 @@ class FleetRun {
       for (const auto& other : workers_) {
         if (other->work_fd >= 0) ::close(other->work_fd);
         if (other->result_fd >= 0) ::close(other->result_fd);
+        if (other->pidfd >= 0) ::close(other->pidfd);
       }
       worker_main(work_pipe[0], result_pipe[1], options_,
                   fleet_.heartbeat_interval, task_);
     }
-    // Parent.
+    // Parent.  pidfd_open through syscall(): glibc 2.36's <sys/pidfd.h>
+    // declares it without C linkage, so a C++ call to it does not link.
+    const int pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
     ::close(work_pipe[0]);
     ::close(result_pipe[1]);
+    if (pidfd < 0) {
+      const int error = errno;
+      ::close(work_pipe[1]);
+      ::close(result_pipe[0]);
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+      throw std::runtime_error(std::string("fleet: pidfd_open failed: ") +
+                               std::strerror(error));
+    }
     ::fcntl(result_pipe[0], F_SETFL,
             ::fcntl(result_pipe[0], F_GETFL) | O_NONBLOCK);
     LivenessOptions liveness;
@@ -350,6 +370,7 @@ class FleetRun {
     worker->pid = pid;
     worker->work_fd = work_pipe[1];
     worker->result_fd = result_pipe[0];
+    worker->pidfd = pidfd;
     worker->reader = WireReader(result_pipe[0]);
     SupervisionEvent event;
     event.kind = SupervisionEvent::Kind::kWorkerSpawn;
@@ -576,20 +597,52 @@ class FleetRun {
     }
   }
 
+  // The worker's process is gone: its channels and pidfd go with it.
+  static void mark_reaped(Worker& worker) {
+    worker.reaped = true;
+    for (int* fd : {&worker.work_fd, &worker.result_fd, &worker.pidfd}) {
+      if (*fd >= 0) {
+        ::close(*fd);
+        *fd = -1;
+      }
+    }
+  }
+
+  // Waits up to kFleetPoll in one poll over the open result pipes and every
+  // unreaped worker's pidfd, then drains the pipes that woke it.  A pidfd
+  // turns readable when its worker exits, so an exit wakes the parent at
+  // once for the reap; the timeout is only the liveness and deadline tick.
+  void poll_workers() {
+    std::vector<pollfd> fds;
+    std::vector<Worker*> readers;  // the worker of a pipe, null for a pidfd
+    for (const auto& worker : workers_) {
+      if (worker->reaped) {
+        continue;
+      }
+      if (worker->result_fd >= 0 && !worker->reader.closed() &&
+          !worker->reader.corrupt()) {
+        fds.push_back({worker->result_fd, POLLIN, 0});
+        readers.push_back(worker.get());
+      }
+      fds.push_back({worker->pidfd, POLLIN, 0});
+      readers.push_back(nullptr);
+    }
+    ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+           static_cast<int>(kFleetPoll.count()));
+    for (std::size_t i = 0; i < fds.size(); ++i) {
+      if (readers[i] != nullptr &&
+          (fds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+        drain_reader(*readers[i], Clock::now());
+      }
+    }
+  }
+
   void handle_worker_exit(Worker& worker, int status, Clock::time_point now) {
     // Late frames first: a worker that crashed AFTER writing its result
     // still produced a perfectly good result.
     drain_reader(worker, now);
     emit_transitions(worker, worker.liveness.exited(now));
-    worker.reaped = true;
-    if (worker.work_fd >= 0) {
-      ::close(worker.work_fd);
-      worker.work_fd = -1;
-    }
-    if (worker.result_fd >= 0) {
-      ::close(worker.result_fd);
-      worker.result_fd = -1;
-    }
+    mark_reaped(worker);
     if (!worker.busy) {
       return;  // idle death costs nothing; maintain_fleet refills
     }
@@ -647,32 +700,23 @@ class FleetRun {
       propagate_cancel();
       maintain_fleet(now);
       assign_work(now);
-
-      std::vector<pollfd> fds;
-      std::vector<Worker*> owners;
-      for (const auto& worker : workers_) {
-        if (!worker->reaped && worker->result_fd >= 0 &&
-            !worker->reader.closed() && !worker->reader.corrupt()) {
-          fds.push_back({worker->result_fd, POLLIN, 0});
-          owners.push_back(worker.get());
-        }
-      }
-      if (!fds.empty()) {
-        ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-               static_cast<int>(kFleetPoll.count()));
-        for (std::size_t i = 0; i < fds.size(); ++i) {
-          if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-            drain_reader(*owners[i], Clock::now());
-          }
-        }
-      } else {
-        std::this_thread::sleep_for(kFleetPoll);
-      }
-
+      poll_workers();
       const auto after = Clock::now();
       tick_liveness(after);
       enforce_deadlines(scheduler_.tick(after), after);
       reap_workers(after);
+    }
+  }
+
+  // SIGKILLs and reaps every worker still standing: the end of the shutdown
+  // ladder, and the whole of it when the run ends in an exception.
+  void kill_fleet() {
+    for (const auto& worker : workers_) {
+      if (!worker->reaped) {
+        ::kill(worker->pid, SIGKILL);
+        ::waitpid(worker->pid, nullptr, 0);
+        mark_reaped(*worker);
+      }
     }
   }
 
@@ -703,11 +747,7 @@ class FleetRun {
         const pid_t got = ::waitpid(worker->pid, &status, WNOHANG);
         if (got == worker->pid) {
           drain_reader(*worker, Clock::now());
-          worker->reaped = true;
-          if (worker->result_fd >= 0) {
-            ::close(worker->result_fd);
-            worker->result_fd = -1;
-          }
+          mark_reaped(*worker);
           continue;
         }
         all_reaped = false;
@@ -717,14 +757,7 @@ class FleetRun {
       }
       const auto now = Clock::now();
       if (now >= grace_end) {
-        for (const auto& worker : workers_) {
-          if (!worker->reaped) {
-            ::kill(worker->pid, SIGKILL);
-            int status = 0;
-            ::waitpid(worker->pid, &status, 0);
-            worker->reaped = true;
-          }
-        }
+        kill_fleet();
         break;
       }
       if (!term_sent && now >= grace_end - std::chrono::seconds(2)) {
@@ -735,7 +768,7 @@ class FleetRun {
           }
         }
       }
-      std::this_thread::sleep_for(kFleetPoll);
+      poll_workers();
     }
   }
 

@@ -7,7 +7,7 @@
 namespace divlib {
 namespace {
 
-// Edges (or rows) between two polls of a build's cancel token.
+// Edges, rows or searched vertices between two polls of a cancel token.
 constexpr std::size_t kCancelPollStride = 1 << 16;
 constexpr const char* kBuildCancelled = "graph build cancelled";
 
@@ -130,7 +130,7 @@ bool Graph::is_regular() const {
   return num_vertices_ == 0 || min_degree() == max_degree();
 }
 
-bool Graph::is_connected() const {
+bool Graph::is_connected(const CancelToken* cancel) const {
   if (num_vertices_ == 0) {
     return true;
   }
@@ -138,7 +138,10 @@ bool Graph::is_connected() const {
   std::vector<VertexId> stack{0};
   seen[0] = true;
   std::size_t visited = 1;
-  while (!stack.empty()) {
+  for (std::size_t popped = 0; !stack.empty(); ++popped) {
+    if (popped % kCancelPollStride == 0) {
+      throw_if_cancelled(cancel, kBuildCancelled);
+    }
     const VertexId v = stack.back();
     stack.pop_back();
     for (const VertexId w : neighbors(v)) {

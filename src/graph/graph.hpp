@@ -70,8 +70,10 @@ class Graph {
   double average_degree() const;
   bool is_regular() const;
 
-  // BFS connectivity over the whole vertex set.
-  bool is_connected() const;
+  // Connectivity by a search over the whole vertex set.  `cancel` (when
+  // given) is polled every 65536 vertices; once it fires the search throws
+  // OperationCancelled.
+  bool is_connected(const CancelToken* cancel = nullptr) const;
 
   // True when every vertex has at least one neighbor.
   bool has_isolated_vertices() const;

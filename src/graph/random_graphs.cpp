@@ -79,7 +79,15 @@ bool try_pairing(VertexId n, std::uint32_t d, Rng& rng, GraphBuilder& builder,
   for (VertexId v = 0; v < n; ++v) {
     std::fill_n(stubs.begin() + static_cast<std::size_t>(v) * d, d, v);
   }
-  rng.shuffle(stubs);
+  // Rng::shuffle's Fisher-Yates, written out so the token is polled between
+  // swaps: the same draws in the same order.
+  for (std::size_t i = stubs.size(); i > 1; --i) {
+    if (i % kCancelPollStubs == 0) {
+      throw_if_cancelled(cancel, kBuildCancelled);
+    }
+    const std::size_t j = static_cast<std::size_t>(rng.uniform_below(i));
+    std::swap(stubs[i - 1], stubs[j]);
+  }
 
   std::vector<Edge> good;
   std::vector<Edge> defective;
@@ -176,7 +184,7 @@ Graph make_connected_random_regular(VertexId n, std::uint32_t d, Rng& rng,
       continue;
     }
     Graph g = builder.build(cancel);
-    if (g.is_connected()) {
+    if (g.is_connected(cancel)) {
       return g;
     }
   }

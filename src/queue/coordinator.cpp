@@ -1,8 +1,9 @@
 #include "queue/coordinator.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 namespace divlib {
@@ -18,40 +19,49 @@ bool cancelled(const CoordinatorOptions& options) {
   return options.cancel != nullptr && options.cancel->requested();
 }
 
-// Renews the lease at a cadence of lease_ms / 3 (floor 50ms) until stopped.
-// A renewal that throws -- StaleLease after a long stall, or an I/O error
-// on the queue journal -- simply ends the heartbeat: the campaign will be
-// requeued at expiry, and the main loop's finish() reports the staleness.
+// Renews the lease every lease_ms / 3 until stopped.  The wait is on a
+// condition variable, so the destructor's notify ends it at once and the
+// campaign's verdict is journaled without waiting out a sleep.  A renewal
+// that throws -- StaleLease after a long stall, or an I/O error on the
+// queue journal -- simply ends the heartbeat: the campaign will be requeued
+// at expiry, and the main loop's finish() reports the staleness.
 class LeaseHeartbeat {
  public:
   LeaseHeartbeat(CampaignQueue& queue, std::uint64_t campaign,
                  std::uint64_t lease)
       : thread_([this, &queue, campaign, lease] {
-          const auto interval = std::chrono::milliseconds(
-              std::max<std::int64_t>(queue.options().lease_ms / 3, 50));
-          auto next_renewal = std::chrono::steady_clock::now() + interval;
-          while (!stop_.load(std::memory_order_acquire)) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-            if (std::chrono::steady_clock::now() < next_renewal) {
-              continue;
-            }
+          const auto interval =
+              std::chrono::milliseconds(queue.options().lease_ms / 3);
+          std::unique_lock<std::mutex> lock(mutex_);
+          while (!stop_cv_.wait_for(lock, interval,
+                                    [this] { return stopping_; })) {
+            lock.unlock();
             try {
               queue.renew(campaign, lease);
             } catch (const std::exception&) {
               return;
             }
-            next_renewal = std::chrono::steady_clock::now() + interval;
+            lock.lock();
           }
         }) {}
 
+  LeaseHeartbeat(const LeaseHeartbeat&) = delete;
+  LeaseHeartbeat& operator=(const LeaseHeartbeat&) = delete;
+
   ~LeaseHeartbeat() {
-    stop_.store(true, std::memory_order_release);
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stopping_ = true;
+    }
+    stop_cv_.notify_all();
     thread_.join();
   }
 
  private:
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
+  std::mutex mutex_;
+  std::condition_variable stop_cv_;
+  bool stopping_ = false;
+  std::thread thread_;  // last: the thread reads the members above
 };
 
 }  // namespace

@@ -74,8 +74,11 @@ CampaignQueue::CampaignQueue(QueueOptions options)
   if (options_.directory.empty()) {
     throw std::invalid_argument("CampaignQueue: directory must not be empty");
   }
-  if (options_.lease_ms <= 0) {
-    throw std::invalid_argument("CampaignQueue: lease_ms must be positive");
+  if (options_.lease_ms < kMinLeaseMs) {
+    throw std::invalid_argument(
+        "CampaignQueue: lease_ms must be at least " +
+        std::to_string(kMinLeaseMs) + ", got " +
+        std::to_string(options_.lease_ms));
   }
   if (!options_.now_ms) {
     options_.now_ms = wall_clock_ms;

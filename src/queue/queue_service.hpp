@@ -49,10 +49,17 @@ class StaleLease : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+// The shortest lease CampaignQueue accepts.  A holder renews every
+// lease_ms / 3, so at the minimum it appends a renew record (lock, replay,
+// append, fsync) every 50ms, and a renewal may run two whole intervals late
+// before the lease lapses.
+constexpr std::int64_t kMinLeaseMs = 150;
+
 struct QueueOptions {
   std::string directory;          // holds queue.journal, queue.lock, campaigns/
   std::size_t max_depth = 256;    // Queued campaigns admitted at once
-  std::int64_t lease_ms = 30'000; // lease lifetime granted by lease_next()
+  std::int64_t lease_ms = 30'000; // lease lifetime granted by lease_next(),
+                                  // at least kMinLeaseMs
   // Wall-clock source in ms since the Unix epoch; tests inject a fake one.
   // Defaults to std::chrono::system_clock.
   std::function<std::int64_t()> now_ms;

@@ -16,8 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -590,6 +592,90 @@ TEST(FleetTest, OperatorCancelStillKillsAWorkerThatIgnoresItsToken) {
   EXPECT_EQ(report.unfinished, 1u);
   EXPECT_TRUE(report.quarantined.empty());
   EXPECT_FALSE(got.payloads[0].has_value());
+}
+
+// How long a child forked from this process takes to exit once told to, up
+// to the parent's waitpid: the floor under any fleet shutdown.  It grows
+// with the parent's footprint, to several ms in a long ASan test process.
+double bare_exit_ms() {
+  int quit[2] = {-1, -1};
+  if (::pipe(quit) != 0) {
+    throw std::runtime_error("pipe failed");
+  }
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    ::close(quit[0]);
+    ::close(quit[1]);
+    throw std::runtime_error("fork failed");
+  }
+  if (pid == 0) {
+    char byte = 0;
+    (void)!::read(quit[0], &byte, 1);
+    ::_exit(0);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  (void)!::write(quit[1], "q", 1);
+  ::waitpid(pid, nullptr, 0);
+  const std::chrono::duration<double, std::milli> took =
+      std::chrono::steady_clock::now() - start;
+  ::close(quit[0]);
+  ::close(quit[1]);
+  return took.count();
+}
+
+// Shutdown waits on the worker's exit, not on a timer: a one-replica fleet
+// returns about as soon after its only result as a bare child takes to
+// exit, instead of sleeping out a 5ms poll interval after the quit frame.
+// The fastest of ten runs is compared on each side: a loaded sanitizer run
+// can delay any one run's wake-ups by milliseconds, a timer delays them all.
+TEST(FleetTest, ShutdownWakesOnWorkerExitNotOnATimer) {
+  using Clock = std::chrono::steady_clock;
+  constexpr std::size_t kRuns = 10;
+  std::vector<double> bare_ms;
+  std::vector<double> tail_ms;
+  for (std::size_t run = 0; run < kRuns; ++run) {
+    bare_ms.push_back(bare_exit_ms());
+    Clock::time_point succeeded;
+    const SupervisorReport report = run_fleet_set(
+        iota_ids(1),
+        [](std::size_t, Rng&, const CancelToken&) {
+          return std::optional<std::string>("");
+        },
+        [&](std::size_t, std::string&&) { succeeded = Clock::now(); },
+        fleet_options(run + 1, 1));
+    const std::chrono::duration<double, std::milli> tail =
+        Clock::now() - succeeded;
+    ASSERT_EQ(report.succeeded, 1u);
+    tail_ms.push_back(tail.count());
+  }
+  EXPECT_LT(*std::min_element(tail_ms.begin(), tail_ms.end()) -
+                *std::min_element(bare_ms.begin(), bare_ms.end()),
+            3.0);
+}
+
+// A callback that throws ends the run, and the fleet goes with it: every
+// worker is reaped before run_fleet_set rethrows.
+TEST(FleetTest, ThrowingCallbackLeavesNoWorkerBehind) {
+  SupervisorOptions options = fleet_options(5, 2);
+  std::vector<pid_t> pids;
+  options.on_event = [&pids](const SupervisionEvent& event) {
+    if (event.kind == SupervisionEvent::Kind::kWorkerSpawn) {
+      pids.push_back(static_cast<pid_t>(
+          std::stol(event.detail.substr(event.detail.rfind(' ') + 1))));
+    }
+  };
+  EXPECT_THROW(run_fleet_set(
+                   iota_ids(4), healthy_task(),
+                   [](std::size_t, std::string&&) {
+                     throw std::runtime_error("journal died");
+                   },
+                   options),
+               std::runtime_error);
+  ASSERT_FALSE(pids.empty());
+  for (const pid_t pid : pids) {
+    EXPECT_EQ(::waitpid(pid, nullptr, WNOHANG), -1)
+        << "worker " << pid << " is still a child of this process";
+  }
 }
 
 // ---------------------------------------------------------------------------

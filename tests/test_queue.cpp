@@ -8,8 +8,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/cancel.hpp"
@@ -414,6 +417,19 @@ TEST_F(QueueServiceTest, TornAppendAtEveryOffsetPreservesTheQueue) {
   }
 }
 
+TEST_F(QueueServiceTest, RefusesALeaseShorterThanTheMinimum) {
+  try {
+    CampaignQueue queue(options(256, /*lease_ms=*/149));
+    FAIL() << "a 149ms lease was accepted";
+  } catch (const std::invalid_argument& refused) {
+    EXPECT_NE(std::string(refused.what()).find("at least 150"),
+              std::string::npos)
+        << refused.what();
+  }
+  CampaignQueue queue(options(256, /*lease_ms=*/150));
+  EXPECT_EQ(queue.options().lease_ms, 150);
+}
+
 // --- coordinator -----------------------------------------------------------
 
 class QueueCoordinatorTest : public QueueServiceTest {};
@@ -543,6 +559,69 @@ TEST_F(QueueCoordinatorTest, PicksUpACrashedCoordinatorsCampaign) {
   const QueueSnapshot snap = queue.snapshot();
   EXPECT_EQ(snap.view.count(CampaignPhase::kComplete), 1u);
   EXPECT_EQ(snap.view.next_lease_id, 3u);  // the dead lease id is burned
+}
+
+// The lease heartbeat stops the moment the runner returns, so the verdict
+// is journaled without waiting out a renewal timer.  Each runner works 2ms
+// first, so the heartbeat thread is already waiting when it is stopped.
+TEST_F(QueueCoordinatorTest, VerdictFollowsTheRunnerWithoutWaitingOnATimer) {
+  using Clock = std::chrono::steady_clock;
+  constexpr std::size_t kCampaigns = 10;
+  CampaignQueue queue(options());
+  for (std::size_t i = 0; i < kCampaigns; ++i) {
+    queue.submit("--a=" + std::to_string(i));
+  }
+  Clock::time_point returned;
+  std::vector<double> gaps_ms;
+  CoordinatorOptions copts;
+  copts.wait_for_leases = false;
+  copts.on_note = [&](const std::string& line) {
+    if (line.starts_with("campaign ") && line.ends_with(" complete")) {
+      gaps_ms.push_back(
+          std::chrono::duration<double, std::milli>(Clock::now() - returned)
+              .count());
+    }
+  };
+  const CoordinatorReport report = run_coordinator(
+      queue,
+      [&](const CampaignEntry&, const std::string&) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        returned = Clock::now();
+        return CampaignPhase::kComplete;
+      },
+      copts);
+  EXPECT_EQ(report.completed, kCampaigns);
+  ASSERT_EQ(gaps_ms.size(), kCampaigns);
+  std::nth_element(gaps_ms.begin(), gaps_ms.begin() + kCampaigns / 2,
+                   gaps_ms.end());
+  EXPECT_LT(gaps_ms[kCampaigns / 2], 10.0);
+}
+
+// A running campaign's lease is renewed every lease_ms / 3 for as long as
+// its runner works, and the renewals do not disturb the verdict.
+TEST_F(QueueCoordinatorTest, RunningCampaignsLeaseIsRenewed) {
+  CampaignQueue queue(options(256, /*lease_ms=*/150));
+  queue.submit("--a=1");
+  CoordinatorOptions copts;
+  copts.wait_for_leases = false;
+  const CoordinatorReport report = run_coordinator(
+      queue,
+      [](const CampaignEntry&, const std::string&) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(500));
+        return CampaignPhase::kComplete;
+      },
+      copts);
+  EXPECT_EQ(report.completed, 1u);
+  EXPECT_EQ(report.lost, 0u);
+  std::size_t renewals = 0;
+  for (const std::string& record :
+       read_journal(queue.journal_path()).records) {
+    if (decode_queue_record(record).kind == QueueRecord::Kind::kRenew) {
+      ++renewals;
+    }
+  }
+  EXPECT_GE(renewals, 5u);
+  EXPECT_EQ(queue.snapshot().view.count(CampaignPhase::kComplete), 1u);
 }
 
 }  // namespace

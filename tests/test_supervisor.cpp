@@ -614,7 +614,10 @@ TEST(SupervisedCampaignRecord, QuarantineCodecRoundTrips) {
   // Empty message round-trips too.
   const QuarantineRecord bare =
       decode_quarantine_record(encode_quarantine_record(
-          {.replica = 0, .attempts = 1, .failure = FailureClass::kTransient}));
+          {.replica = 0,
+           .attempts = 1,
+           .failure = FailureClass::kTransient,
+           .message = ""}));
   EXPECT_EQ(bare.message, "");
 }
 

@@ -27,9 +27,9 @@
 //
 // Examples:
 //   divsim run --graph regular:512:16 --k 7 --replicas 100
-//   divsim run --graph regular:65536:16 --k 7 --replicas 5000 \
+//   divsim run --graph regular:65536:16 --k 7 --replicas 5000
 //              --checkpoint-dir sweep.ckpt          # Ctrl-C safe; then:
-//   divsim run --graph regular:65536:16 --k 7 --replicas 5000 \
+//   divsim run --graph regular:65536:16 --k 7 --replicas 5000
 //              --checkpoint-dir sweep.ckpt --resume
 //   divsim spectral --graph gnp:400:0.1
 //   divsim graph --graph barbell:16 --analyze
@@ -190,12 +190,13 @@ int usage() {
       "               fingerprint; --max-depth, default 256, refuses with\n"
       "               exit 6 when full).  `queue run --dir Q` coordinates:\n"
       "               each campaign is leased (--lease-ms, default 30000,\n"
-      "               renewed at lease/3), run supervised against its own\n"
-      "               campaigns/<id> checkpoint, and journaled through\n"
-      "               Queued -> Leased -> Running -> Complete|Degraded|\n"
-      "               Failed|Cancelled.  SIGKILL the coordinator at any\n"
-      "               point: the lease expires, the next `queue run`\n"
-      "               requeues and resumes the campaign bit-identically.\n"
+      "               at least 150, renewed at lease/3), run supervised\n"
+      "               against its own campaigns/<id> checkpoint, and\n"
+      "               journaled through Queued -> Leased -> Running ->\n"
+      "               Complete|Degraded|Failed|Cancelled.  SIGKILL the\n"
+      "               coordinator at any point: the lease expires, the\n"
+      "               next `queue run` requeues and resumes the campaign\n"
+      "               bit-identically.\n"
       "               `queue status [--json] [--deep]` inspects; `queue\n"
       "               drain` cancels everything still Queued.\n"
       "exit codes:    0 ok; 1 error (bad flag value or spec, refused flag\n"
