@@ -69,10 +69,10 @@ CalibrationLog::CalibrationLog(const std::string& directory,
     if (fresh) std::filesystem::remove(path_);
   }
 
-  writer_ = std::make_unique<JournalWriter>(path_);
+  writer_ = std::make_unique<JournalWriter>(path_, JournalSync::kWriteThrough);
   if (fresh) {
     writer_->append(encode_header(fingerprint_));
-    writer_->flush();
+    writer_->publish();
   }
 }
 
@@ -86,7 +86,5 @@ void CalibrationLog::append(double wall_seconds) {
   writer_->append(encode_observation(wall_seconds));
   writer_->publish();
 }
-
-void CalibrationLog::flush() { writer_->flush(); }
 
 }  // namespace divlib

@@ -14,6 +14,9 @@
 // replica count) is worse than a cold start, because it would arm deadlines
 // learned for the wrong distribution.  A malformed or torn log degrades the
 // same way; calibration is an optimization, never a correctness input.
+// So the log is written through to the OS at every append but never
+// fsynced (JournalSync::kWriteThrough): a killed process keeps every
+// sample, and a machine crash that loses some costs only a colder start.
 //
 // run_supervised_campaign (engine/campaign) owns the log of its checkpoint
 // directory whenever the caller arms an estimator: it opens the log after
@@ -45,17 +48,9 @@ class CalibrationLog {
   std::size_t warm(CompletionEstimator& estimator) const;
 
   // Appends one observation and writes it through to the OS at once, so a
-  // reader -- or a resume after this process is killed -- sees it, but does
-  // not fsync: it runs as the estimator's observer, under the executor's
-  // lock.  Thread-safe.
+  // reader -- or a resume after this process is killed -- sees it.  It runs
+  // as the estimator's observer, under the executor's lock.  Thread-safe.
   void append(double wall_seconds);
-
-  // Makes every observation appended before the call durable.  A group
-  // commit (io/journal): concurrent callers share one fsync.  The
-  // supervised campaign calls it after each success, outside the executor's
-  // lock, so a sample is on disk before its worker claims again.
-  // Thread-safe.
-  void flush();
 
   // Observations recovered from disk at open time.
   std::size_t loaded() const { return loaded_.size(); }

@@ -339,9 +339,9 @@ SupervisedCampaignResult run_supervised_campaign(
 
   // Persisted calibration: the meta check above keys calibration.journal to
   // this exact configuration, so a resume re-arms its learned deadline
-  // before the first replica runs.  The observer only writes samples
-  // through (it runs under the executor's lock); on_success makes them
-  // durable, outside it, before the worker claims again.
+  // before the first replica runs.  The observer writes samples through
+  // (it runs under the executor's lock); the log is never fsynced, because
+  // calibration is never a correctness input (adaptive/calibration.hpp).
   std::optional<CalibrationLog> calibration;
   CompletionEstimator* const estimator = supervision.estimator;
   if (estimator != nullptr) {
@@ -414,9 +414,6 @@ SupervisedCampaignResult run_supervised_campaign(
           }
           result.payloads[replica] = std::move(payload);
           ++result.ran;
-        }
-        if (calibration.has_value()) {
-          calibration->flush();
         }
         if (due) {
           commit();

@@ -92,7 +92,8 @@ JournalRecovery recover_journal(const std::string& path) {
   return recovery;
 }
 
-JournalWriter::JournalWriter(const std::string& path) : path_(path) {
+JournalWriter::JournalWriter(const std::string& path, JournalSync sync)
+    : path_(path), sync_(sync) {
   // A zero-byte file (e.g. a magic torn away by recovery) needs the magic
   // re-written just like a brand-new one.
   const bool fresh = !std::filesystem::exists(path) ||
@@ -113,14 +114,19 @@ JournalWriter::JournalWriter(const std::string& path) : path_(path) {
         admitted == kMagicSize;
     // A brand-new journal is only findable after a crash once its directory
     // entry is durable: sync the magic, then fsync the parent directory,
-    // mirroring atomic_write_file's rename discipline.
-    if (!wrote || !sync_file(file_)) {
+    // mirroring atomic_write_file's rename discipline.  A write-through
+    // journal skips both.
+    const bool fsynced = sync_ == JournalSync::kFsync;
+    if (!wrote ||
+        !(fsynced ? sync_file(file_) : std::fflush(file_) == 0)) {
       std::fclose(file_);
       file_ = nullptr;
       throw std::runtime_error("JournalWriter: cannot write magic to '" +
                                path + "'");
     }
-    fsync_directory_of(path);
+    if (fsynced) {
+      fsync_directory_of(path);
+    }
   }
 }
 
@@ -131,8 +137,12 @@ JournalWriter::~JournalWriter() {
   // Destructors must not throw, but a failed final sync must not masquerade
   // as durability either: evaluate every step (no short-circuit skipping
   // fclose) and surface the failure on stderr.  Callers who need a hard
-  // guarantee use close(), which throws like flush() does.
-  bool durable = sync_file(file_) && sync_error_.empty();
+  // guarantee use close(), which throws like flush() does.  Like flush(),
+  // the final sync is skipped when no record awaits it.
+  const bool pending =
+      sync_ == JournalSync::kFsync && durable_ < records_written_;
+  bool durable = (pending ? sync_file(file_) : std::fflush(file_) == 0) &&
+                 sync_error_.empty();
   if (std::fclose(file_) != 0) {
     durable = false;
   }
@@ -214,6 +224,10 @@ void JournalWriter::publish() {
 }
 
 bool JournalWriter::flush() {
+  if (sync_ == JournalSync::kWriteThrough) {
+    publish();
+    return false;
+  }
   std::unique_lock<std::mutex> lock(mu_);
   if (file_ == nullptr) {
     throw std::runtime_error("JournalWriter: flush of closed '" + path_ +

@@ -45,6 +45,19 @@ JournalRecovery read_journal(const std::string& path);
 // JournalWriter appends after the last intact record.
 JournalRecovery recover_journal(const std::string& path);
 
+// How a JournalWriter's records reach stable storage.
+enum class JournalSync {
+  // flush() fsyncs, and a new file's magic and directory entry are synced
+  // when it is created: a crash loses at most the records since the last
+  // flush.
+  kFsync,
+  // Never fsyncs: flush(), close() and the destructor only write records
+  // through to the OS.  A killed process keeps every record; a machine
+  // crash may lose the tail or the whole file.  For logs that are never a
+  // correctness input, where an fsync would buy nothing.
+  kWriteThrough,
+};
+
 // Appender.  Creates the file (with magic) when absent; otherwise appends at
 // the current end -- run recover_journal() first after a crash so the tail
 // is intact.  Thread-safe: append(), publish() and flush() may be called
@@ -59,10 +72,12 @@ JournalRecovery recover_journal(const std::string& path);
 // one fsync instead of queueing for one each.
 class JournalWriter {
  public:
-  explicit JournalWriter(const std::string& path);
-  // Flushes + fsyncs + closes.  A failure cannot throw here, so it is
-  // reported loudly on stderr instead; call close() first when the caller
-  // must distinguish "durable" from "hopefully durable".
+  explicit JournalWriter(const std::string& path,
+                         JournalSync sync = JournalSync::kFsync);
+  // Flushes + fsyncs (when records appended since the last flush() await
+  // it) + closes.  A failure cannot throw here, so it is reported loudly on
+  // stderr instead; call close() first when the caller must distinguish
+  // "durable" from "hopefully durable".
   ~JournalWriter();
 
   JournalWriter(const JournalWriter&) = delete;
@@ -80,6 +95,7 @@ class JournalWriter {
   // (fflush + fsync, shared with concurrent callers as described above).
   // Returns true when this call ran the fsync, false when another caller's
   // fsync covered its records or nothing was appended since the last one.
+  // Under JournalSync::kWriteThrough it is publish() and returns false.
   // A failed fflush/fsync throws std::runtime_error here and in every later
   // flush(): after a failed fsync the kernel may report the next one clean
   // although the data is lost, so the writer never claims durability again.
@@ -96,6 +112,7 @@ class JournalWriter {
   std::condition_variable durable_cv_;
   std::FILE* file_ = nullptr;
   std::string path_;
+  JournalSync sync_ = JournalSync::kFsync;
   std::uint64_t records_written_ = 0;
   std::uint64_t durable_ = 0;  // records known to be on disk
   bool syncing_ = false;       // a leader's fsync is in flight

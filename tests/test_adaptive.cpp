@@ -243,6 +243,17 @@ TEST(CalibrationTest, RoundTripsObservationsAcrossReopen) {
   fs::remove_all(dir);
 }
 
+// Every sample is written through at append, with the log still open: a
+// killed process keeps it, and no flush is left to call.
+TEST(CalibrationTest, SamplesAreOnFileBeforeTheLogCloses) {
+  const fs::path dir = fresh_dir("div_calibration_write_through");
+  CalibrationLog log(dir.string(), 0x0badcafeu);
+  log.append(0.25);
+  log.append(0.75);
+  EXPECT_EQ(read_journal(log.path()).records.size(), 3u);  // header + 2
+  fs::remove_all(dir);
+}
+
 TEST(CalibrationTest, FingerprintMismatchColdStartsTheLog) {
   const fs::path dir = fresh_dir("div_calibration_mismatch");
   {

@@ -204,6 +204,24 @@ TEST_F(JournalTest, PublishMakesAppendsVisibleBeforeAnyFlush) {
   EXPECT_TRUE(writer.flush());  // publish() made nothing durable
 }
 
+// A write-through journal never leads an fsync: flush() only publishes, so
+// every record is visible at once and kept after the writer closes.
+TEST_F(JournalTest, WriteThroughFlushPublishesWithoutAnFsync) {
+  {
+    JournalWriter writer(path_, JournalSync::kWriteThrough);
+    writer.append("one");
+    EXPECT_FALSE(writer.flush());
+    ASSERT_EQ(read_journal(path_).records.size(), 1u);
+    writer.append("two");
+    writer.close();
+  }
+  { JournalWriter(path_, JournalSync::kWriteThrough).append("three"); }
+  const JournalRecovery recovery = read_journal(path_);
+  EXPECT_FALSE(recovery.torn());
+  EXPECT_EQ(recovery.records,
+            (std::vector<std::string>{"one", "two", "three"}));
+}
+
 TEST(AtomicFile, WriteIsObservedWholeAndOverwrites) {
   const fs::path dir =
       fs::temp_directory_path() / "divlib_atomic_file_test";
