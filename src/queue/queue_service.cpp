@@ -10,6 +10,10 @@
 #include <sys/file.h>
 #include <unistd.h>
 #endif
+#ifdef __linux__
+#include <linux/fs.h>
+#include <sys/ioctl.h>
+#endif
 
 #include "io/crc32.hpp"
 #include "io/journal.hpp"
@@ -67,6 +71,33 @@ class FileLock {
   int fd_ = -1;
 };
 
+// Marks `directory` as the top of unrelated directory trees (`chattr +T`),
+// so the ext2/3/4 allocator spreads the subdirectories made in it over
+// block groups, as it does for those of /home.  Campaign directories are
+// unrelated trees.  Without the mark every campaign's inodes share one
+// block group with whatever was made and deleted nearby, and ext4 without
+// a journal scans past each inode freed there in the last minute or more
+// on every allocation: a queued campaign's four creations took from 0.1 ms
+// to 2-3 ms depending on how much had been deleted before it.  Best
+// effort: other file systems refuse the flag, and nothing depends on it.
+void mark_top_directory(const std::string& directory) {
+#ifdef __linux__
+  const int fd = ::open(directory.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) {
+    return;
+  }
+  int flags = 0;
+  if (::ioctl(fd, FS_IOC_GETFLAGS, &flags) == 0 &&
+      (flags & FS_TOPDIR_FL) == 0) {
+    flags |= FS_TOPDIR_FL;
+    (void)::ioctl(fd, FS_IOC_SETFLAGS, &flags);
+  }
+  ::close(fd);
+#else
+  (void)directory;
+#endif
+}
+
 }  // namespace
 
 CampaignQueue::CampaignQueue(QueueOptions options)
@@ -84,7 +115,10 @@ CampaignQueue::CampaignQueue(QueueOptions options)
     options_.now_ms = wall_clock_ms;
   }
   fs::create_directories(options_.directory);
-  fs::create_directories(fs::path(options_.directory) / "campaigns");
+  const fs::path campaigns = fs::path(options_.directory) / "campaigns";
+  if (fs::create_directories(campaigns)) {
+    mark_top_directory(campaigns.string());
+  }
   // Fail fast on an unreplayable journal: better at construction than in
   // the middle of someone's submit.  Read-only on purpose -- a torn tail
   // stays on disk so `status` can report it (and exit 4); the next

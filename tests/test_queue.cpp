@@ -7,6 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <unistd.h>
+#ifdef __linux__
+#include <fcntl.h>
+#include <linux/fs.h>
+#include <sys/ioctl.h>
+#endif
 
 #include <algorithm>
 #include <chrono>
@@ -429,6 +434,45 @@ TEST_F(QueueServiceTest, RefusesALeaseShorterThanTheMinimum) {
   CampaignQueue queue(options(256, /*lease_ms=*/150));
   EXPECT_EQ(queue.options().lease_ms, 150);
 }
+
+#ifdef __linux__
+// The inode flags of `path`, or -1 where the file system has none.
+int inode_flags(const fs::path& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  int flags = -1;
+  if (fd >= 0 && ::ioctl(fd, FS_IOC_GETFLAGS, &flags) != 0) {
+    flags = -1;
+  }
+  if (fd >= 0) {
+    ::close(fd);
+  }
+  return flags;
+}
+
+TEST_F(QueueServiceTest, CampaignsDirectoryIsATopDirectory) {
+  // Probe whether this file system keeps the flag at all (ext2/3/4 do).
+  const fs::path probe = fs::path(dir_.string() + "_probe");
+  fs::create_directories(probe);
+  int flags = inode_flags(probe);
+  bool supported = false;
+  if (flags >= 0) {
+    flags |= FS_TOPDIR_FL;
+    const int fd = ::open(probe.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    supported = fd >= 0 && ::ioctl(fd, FS_IOC_SETFLAGS, &flags) == 0 &&
+                (inode_flags(probe) & FS_TOPDIR_FL) != 0;
+    if (fd >= 0) {
+      ::close(fd);
+    }
+  }
+  fs::remove_all(probe);
+  if (!supported) {
+    GTEST_SKIP() << "the temp file system keeps no top-directory flag";
+  }
+
+  CampaignQueue queue(options());
+  EXPECT_NE(inode_flags(dir_ / "campaigns") & FS_TOPDIR_FL, 0);
+}
+#endif
 
 // --- coordinator -----------------------------------------------------------
 
