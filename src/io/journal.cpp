@@ -48,22 +48,36 @@ bool sync_file(std::FILE* file) {
 }  // namespace
 
 JournalRecovery read_journal(const std::string& path) {
-  const std::string bytes = read_file(path);
+  return scan_journal(read_file(path), path);
+}
+
+JournalRecovery scan_journal(std::string_view bytes, const std::string& path,
+                             std::uint64_t from) {
+  if ((from != 0 && from < kMagicSize) || from > bytes.size()) {
+    throw std::invalid_argument("scan_journal: offset " +
+                                std::to_string(from) + " of '" + path +
+                                "' is not a frame boundary");
+  }
   JournalRecovery recovery;
   recovery.total_bytes = bytes.size();
-  if (bytes.size() < kMagicSize ||
-      bytes.compare(0, kMagicSize, kMagic, kMagicSize) != 0) {
-    // An empty or partially-written magic is a torn creation; anything else
-    // under a journal path is a foreign file and must not be truncated.
-    if (bytes.size() < kMagicSize &&
-        std::string_view(kMagic, kMagicSize)
-                .substr(0, bytes.size()) == bytes) {
-      return recovery;  // torn during creation: valid prefix is empty
+  if (from == 0) {
+    if (bytes.size() < kMagicSize ||
+        bytes.compare(0, kMagicSize, std::string_view(kMagic, kMagicSize)) !=
+            0) {
+      // An empty or partially-written magic is a torn creation; anything
+      // else under a journal path is a foreign file and must not be
+      // truncated.
+      if (bytes.size() < kMagicSize &&
+          std::string_view(kMagic, kMagicSize).substr(0, bytes.size()) ==
+              bytes) {
+        return recovery;  // torn during creation: valid prefix is empty
+      }
+      throw std::runtime_error("read_journal: '" + path +
+                               "' is not a divlib journal (bad magic)");
     }
-    throw std::runtime_error("read_journal: '" + path +
-                             "' is not a divlib journal (bad magic)");
+    from = kMagicSize;
   }
-  std::size_t offset = kMagicSize;
+  std::size_t offset = from;
   recovery.valid_bytes = offset;
   while (bytes.size() - offset >= kFrameHeaderSize) {
     const std::uint32_t length = get_u32_le(bytes.data() + offset);

@@ -41,6 +41,17 @@ struct JournalRecovery {
 // magic is wrong (a wrong magic means "not a journal", never a torn tail).
 JournalRecovery read_journal(const std::string& path);
 
+// read_journal()'s scan, over an image of the whole file already in memory
+// (`path` only names it in errors).  `from` resumes the scan where an
+// earlier one stopped: pass the valid_bytes of a scan of bytes that are a
+// prefix of `bytes`, and `records` holds only the frames after them, while
+// valid_bytes and total_bytes still count from the start of the file.  For
+// readers that fold a journal incrementally and read only what was
+// appended since.  Throws std::invalid_argument when `from` lies inside
+// the magic or past the end of `bytes`.
+JournalRecovery scan_journal(std::string_view bytes, const std::string& path,
+                             std::uint64_t from = 0);
+
 // read_journal() + in-place truncation of any torn tail, so a subsequent
 // JournalWriter appends after the last intact record.
 JournalRecovery recover_journal(const std::string& path);

@@ -87,7 +87,10 @@ JsonObject& JsonObject::raw(std::string_view key, std::string_view rendered) {
 }
 
 JsonObject& JsonObject::field(std::string_view key, std::string_view value) {
-  return raw(key, "\"" + json_escape(value) + "\"");
+  std::string quoted(1, '"');
+  quoted += json_escape(value);
+  quoted.push_back('"');
+  return raw(key, quoted);
 }
 
 JsonObject& JsonObject::field(std::string_view key, const char* value) {

@@ -229,8 +229,16 @@ bool QueueView::has_live_work() const {
 
 QueueView replay_queue(const std::vector<std::string>& records) {
   QueueView view;
-  for (std::size_t index = 0; index < records.size(); ++index) {
-    const QueueRecord record = decode_queue_record(records[index]);
+  fold_queue_records(view, records, 0);
+  return view;
+}
+
+void fold_queue_records(QueueView& view,
+                        const std::vector<std::string>& records,
+                        std::size_t first_index) {
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::size_t index = first_index + i;
+    const QueueRecord record = decode_queue_record(records[i]);
     if (record.kind == QueueRecord::Kind::kSubmit) {
       if (view.find(record.campaign) != nullptr) {
         illegal(index, record, "duplicate campaign id");
@@ -327,7 +335,6 @@ QueueView replay_queue(const std::vector<std::string>& records) {
         break;
     }
   }
-  return view;
 }
 
 }  // namespace divlib

@@ -112,4 +112,13 @@ struct QueueView {
 // sequence (e.g. leasing a Running campaign, finishing with a stale lease).
 QueueView replay_queue(const std::vector<std::string>& records);
 
+// replay_queue() from the middle of a journal: folds `records` into `view`,
+// which must already be the fold of the journal's first `first_index`
+// records, so records[i] is the journal's record first_index + i -- the
+// index an illegal transition is named by.  After a throw `view` holds a
+// partial fold and must be discarded.
+void fold_queue_records(QueueView& view,
+                        const std::vector<std::string>& records,
+                        std::size_t first_index);
+
 }  // namespace divlib

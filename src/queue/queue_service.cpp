@@ -15,6 +15,7 @@
 #include <sys/ioctl.h>
 #endif
 
+#include "io/atomic_file.hpp"
 #include "io/crc32.hpp"
 #include "io/journal.hpp"
 
@@ -98,19 +99,36 @@ void mark_top_directory(const std::string& directory) {
 #endif
 }
 
-}  // namespace
-
-CampaignQueue::CampaignQueue(QueueOptions options)
-    : options_(std::move(options)) {
-  if (options_.directory.empty()) {
+void validate_options(const QueueOptions& options) {
+  if (options.directory.empty()) {
     throw std::invalid_argument("CampaignQueue: directory must not be empty");
   }
-  if (options_.lease_ms < kMinLeaseMs) {
+  if (options.lease_ms < kMinLeaseMs) {
     throw std::invalid_argument(
         "CampaignQueue: lease_ms must be at least " +
         std::to_string(kMinLeaseMs) + ", got " +
-        std::to_string(options_.lease_ms));
+        std::to_string(options.lease_ms));
   }
+}
+
+std::string journal_path_in(const std::string& directory) {
+  return (fs::path(directory) / "queue.journal").string();
+}
+
+std::string lock_path_in(const std::string& directory) {
+  return (fs::path(directory) / "queue.lock").string();
+}
+
+}  // namespace
+
+std::string queue_campaign_directory(const std::string& directory,
+                                     std::uint64_t id) {
+  return (fs::path(directory) / "campaigns" / std::to_string(id)).string();
+}
+
+CampaignQueue::CampaignQueue(QueueOptions options)
+    : options_(std::move(options)) {
+  validate_options(options_);
   if (!options_.now_ms) {
     options_.now_ms = wall_clock_ms;
   }
@@ -125,34 +143,75 @@ CampaignQueue::CampaignQueue(QueueOptions options)
   // mutation truncates it under its exclusive lock.
   std::lock_guard<std::mutex> guard(mutex_);
   FileLock lock(lock_path(), /*exclusive=*/false);
-  const std::string path = journal_path();
-  if (fs::exists(path)) {
-    (void)replay_queue(read_journal(path).records);
+  (void)refresh_locked(/*heal=*/false);
+}
+
+QueueSnapshot CampaignQueue::inspect(const QueueOptions& options) {
+  validate_options(options);
+  QueueSnapshot snap;
+  const std::string path = journal_path_in(options.directory);
+  if (!fs::exists(path)) {
+    return snap;  // nothing to lock: no writer has appended here yet
   }
+  FileLock lock(lock_path_in(options.directory), /*exclusive=*/false);
+  const JournalRecovery recovery = read_journal(path);
+  snap.torn = recovery.torn();
+  snap.records = recovery.records.size();
+  snap.view = replay_queue(recovery.records);
+  return snap;
 }
 
 std::string CampaignQueue::journal_path() const {
-  return (fs::path(options_.directory) / "queue.journal").string();
+  return journal_path_in(options_.directory);
 }
 
 std::string CampaignQueue::lock_path() const {
-  return (fs::path(options_.directory) / "queue.lock").string();
+  return lock_path_in(options_.directory);
 }
 
 std::string CampaignQueue::campaign_directory(std::uint64_t id) const {
-  return (fs::path(options_.directory) / "campaigns" / std::to_string(id))
-      .string();
+  return queue_campaign_directory(options_.directory, id);
 }
 
-QueueView CampaignQueue::load_locked() const {
+const CampaignQueue::ViewCache& CampaignQueue::refresh_locked(
+    bool heal, bool* torn) const {
   const std::string path = journal_path();
-  if (!fs::exists(path)) {
-    return QueueView{};
+  // A missing journal reads as no bytes, which fold to the empty queue.
+  std::string bytes = fs::exists(path) ? read_file(path) : std::string();
+  JournalRecovery scan;
+  if (cache_ && bytes.starts_with(cache_->bytes)) {
+    try {
+      scan = scan_journal(bytes, path, cache_->bytes.size());
+      fold_queue_records(cache_->view, scan.records, cache_->records);
+      cache_->records += scan.records.size();
+    } catch (const std::exception&) {
+      cache_.reset();  // the full replay below throws naming the record
+    }
+  } else {
+    cache_.reset();  // the file shrank or its prefix changed
   }
-  // A torn tail here is a crashed writer's last partial append: truncate it
-  // (the decision it was recording never happened) and replay the rest.
-  const JournalRecovery recovery = recover_journal(path);
-  return replay_queue(recovery.records);
+  if (!cache_) {
+    scan = scan_journal(bytes, path);
+    ViewCache fresh;
+    fresh.view = replay_queue(scan.records);
+    fresh.records = scan.records.size();
+    cache_ = std::move(fresh);
+  }
+  bytes.resize(scan.valid_bytes);
+  cache_->bytes = std::move(bytes);
+  if (heal && scan.torn()) {
+    // A torn tail is a crashed writer's last partial append: truncate it
+    // (the decision it was recording never happened).
+    fs::resize_file(path, scan.valid_bytes);
+  }
+  if (torn != nullptr) {
+    *torn = scan.torn();
+  }
+  return *cache_;
+}
+
+const QueueView& CampaignQueue::load_locked() const {
+  return refresh_locked(/*heal=*/true).view;
 }
 
 void CampaignQueue::append_locked(const std::vector<QueueRecord>& records) {
@@ -196,7 +255,7 @@ SubmitOutcome CampaignQueue::submit(const std::string& config) {
   }
   std::lock_guard<std::mutex> guard(mutex_);
   FileLock lock(lock_path(), /*exclusive=*/true);
-  const QueueView view = load_locked();
+  const QueueView& view = load_locked();
   const std::uint32_t fingerprint = crc32_of(config);
   // Dedup: an identical config still live in the queue is the same work;
   // admitting it twice would burn a second campaign's worth of compute.
@@ -224,19 +283,19 @@ SubmitOutcome CampaignQueue::submit(const std::string& config) {
 std::optional<CampaignEntry> CampaignQueue::lease_next() {
   std::lock_guard<std::mutex> guard(mutex_);
   FileLock lock(lock_path(), /*exclusive=*/true);
-  QueueView view = load_locked();
+  const QueueView* view = &load_locked();
   const std::int64_t now = options_.now_ms();
-  if (requeue_expired_locked(view, now) > 0) {
-    view = load_locked();  // pick up the campaigns the expiry freed
+  if (requeue_expired_locked(*view, now) > 0) {
+    view = &load_locked();  // pick up the campaigns the expiry freed
   }
-  const CampaignEntry* oldest = view.oldest_queued();
+  const CampaignEntry* oldest = view->oldest_queued();
   if (oldest == nullptr) {
     return std::nullopt;
   }
   QueueRecord record;
   record.kind = QueueRecord::Kind::kLease;
   record.campaign = oldest->id;
-  record.lease = view.next_lease_id;
+  record.lease = view->next_lease_id;
   record.deadline_ms = now + options_.lease_ms;
   append_locked({record});
   CampaignEntry leased = *oldest;
@@ -275,7 +334,7 @@ const CampaignEntry& require_lease(const QueueView& view,
 void CampaignQueue::renew(std::uint64_t campaign, std::uint64_t lease) {
   std::lock_guard<std::mutex> guard(mutex_);
   FileLock lock(lock_path(), /*exclusive=*/true);
-  const QueueView view = load_locked();
+  const QueueView& view = load_locked();
   require_lease(view, campaign, lease, "renew");
   QueueRecord record;
   record.kind = QueueRecord::Kind::kRenew;
@@ -289,7 +348,7 @@ void CampaignQueue::mark_running(std::uint64_t campaign,
                                  std::uint64_t lease) {
   std::lock_guard<std::mutex> guard(mutex_);
   FileLock lock(lock_path(), /*exclusive=*/true);
-  const QueueView view = load_locked();
+  const QueueView& view = load_locked();
   const CampaignEntry& entry =
       require_lease(view, campaign, lease, "mark_running");
   if (entry.phase != CampaignPhase::kLeased) {
@@ -311,7 +370,7 @@ void CampaignQueue::finish(std::uint64_t campaign, std::uint64_t lease,
   }
   std::lock_guard<std::mutex> guard(mutex_);
   FileLock lock(lock_path(), /*exclusive=*/true);
-  const QueueView view = load_locked();
+  const QueueView& view = load_locked();
   require_lease(view, campaign, lease, "finish");
   QueueRecord record;
   record.kind = QueueRecord::Kind::kFinish;
@@ -326,7 +385,7 @@ void CampaignQueue::release(std::uint64_t campaign, std::uint64_t lease,
                             const std::string& reason) {
   std::lock_guard<std::mutex> guard(mutex_);
   FileLock lock(lock_path(), /*exclusive=*/true);
-  const QueueView view = load_locked();
+  const QueueView& view = load_locked();
   require_lease(view, campaign, lease, "release");
   QueueRecord record;
   record.kind = QueueRecord::Kind::kRequeue;
@@ -345,7 +404,7 @@ std::size_t CampaignQueue::requeue_expired() {
 std::size_t CampaignQueue::drain(const std::string& reason) {
   std::lock_guard<std::mutex> guard(mutex_);
   FileLock lock(lock_path(), /*exclusive=*/true);
-  const QueueView view = load_locked();
+  const QueueView& view = load_locked();
   std::vector<QueueRecord> cancels;
   for (const CampaignEntry& entry : view.campaigns) {
     if (entry.phase == CampaignPhase::kQueued) {
@@ -366,14 +425,9 @@ QueueSnapshot CampaignQueue::snapshot() const {
   std::lock_guard<std::mutex> guard(mutex_);
   FileLock lock(lock_path(), /*exclusive=*/false);
   QueueSnapshot snap;
-  const std::string path = journal_path();
-  if (!fs::exists(path)) {
-    return snap;
-  }
-  const JournalRecovery recovery = read_journal(path);
-  snap.torn = recovery.torn();
-  snap.records = recovery.records.size();
-  snap.view = replay_queue(recovery.records);
+  const ViewCache& cache = refresh_locked(/*heal=*/false, &snap.torn);
+  snap.view = cache.view;
+  snap.records = cache.records;
   return snap;
 }
 

@@ -1,14 +1,26 @@
 // Crash-safe, multi-process campaign queue over queue.journal.
 //
-// CampaignQueue is deliberately stateless between operations: every mutation
-// takes an exclusive flock on <dir>/queue.lock, recovers the journal
-// (truncating any torn tail a crashed writer left), replays it into a
-// QueueView, validates the requested transition against that fresh state,
+// Every mutation takes an exclusive flock on <dir>/queue.lock, reads the
+// journal (truncating any torn tail a crashed writer left), folds it into a
+// QueueView, validates the requested transition against that state,
 // appends the decision record, and fsyncs before releasing the lock.  That
 // makes the queue safe for many submitting clients and a coordinator in
-// separate processes -- the write path is "lock, replay, decide, append,
-// sync" with the journal as the only state -- at a per-operation cost that
-// is trivial next to the campaigns the queue dispatches.
+// separate processes -- the write path is "lock, read, fold, decide,
+// append, sync" with the journal as the only state.
+//
+// The fold is incremental.  A CampaignQueue keeps the view it last folded
+// together with the exact journal bytes it folded it from.  Each operation
+// still reads the whole file under the lock; when the cached bytes are a
+// prefix of what it read, it CRC-checks and folds only the frames after
+// them, at their journal-wide record indices.  A view is a pure function of
+// the bytes folded, so a cache whose bytes prefix the file is the fold of
+// that prefix whoever appended the rest -- another process, another
+// instance, or this one.  It cannot serve a stale view: every byte it
+// trusts is compared with the file read under the lock, and the suffix is
+// folded with the same strict replay.  Anything else -- a file that shrank
+// or whose prefix was rewritten, a different file, a fold that throws --
+// drops the cache and folds the whole journal from scratch, as
+// replay_queue() always did.
 //
 // Admission control: submit() refuses (QueueRefusal) when the Queued depth
 // has reached max_depth, and dedups resubmissions -- an identical config
@@ -80,8 +92,15 @@ struct QueueSnapshot {
 class CampaignQueue {
  public:
   // Creates the directory (recursively) when missing.  Throws on an
-  // unwritable directory or an existing journal that fails replay.
+  // unwritable directory or an existing journal that fails replay.  The
+  // replay seeds the view cache.
   explicit CampaignQueue(QueueOptions options);
+
+  // A one-shot read-only snapshot of the queue in options.directory that,
+  // unlike constructing a CampaignQueue, creates nothing: a directory
+  // without a journal is an empty queue and is left as it is.  Validates
+  // the options like the constructor.
+  static QueueSnapshot inspect(const QueueOptions& options);
 
   CampaignQueue(const CampaignQueue&) = delete;
   CampaignQueue& operator=(const CampaignQueue&) = delete;
@@ -128,9 +147,21 @@ class CampaignQueue {
   std::string journal_path() const;
 
  private:
+  // The fold of journal bytes `bytes` (the magic and the intact frames
+  // after it, exactly as read), holding `records` records.
+  struct ViewCache {
+    std::string bytes;
+    QueueView view;
+    std::uint64_t records = 0;
+  };
+
   std::string lock_path() const;
-  // Recover + replay under an already-held exclusive lock.
-  QueueView load_locked() const;
+  // Brings the cache up to date with the journal under a lock the caller
+  // already holds, and returns it.  `heal` (exclusive lock only) truncates
+  // a torn tail; `torn`, when given, reports whether the file had one.
+  const ViewCache& refresh_locked(bool heal, bool* torn = nullptr) const;
+  // The refreshed view under an already-held exclusive lock.
+  const QueueView& load_locked() const;
   // Append + fsync decision records under the same lock.
   void append_locked(const std::vector<QueueRecord>& records);
   // Appends requeue records for expired leases; returns how many.
@@ -139,6 +170,12 @@ class CampaignQueue {
 
   QueueOptions options_;
   mutable std::mutex mutex_;  // serializes threads within this process
+  mutable std::optional<ViewCache> cache_;  // guarded by mutex_
 };
+
+// <directory>/campaigns/<id>: CampaignQueue::campaign_directory for a queue
+// that is not open.
+std::string queue_campaign_directory(const std::string& directory,
+                                     std::uint64_t id);
 
 }  // namespace divlib

@@ -496,7 +496,9 @@ TEST(SupervisionRecordTest, UnsupervisedResumeRefusesSupervisedJournal) {
   options.meta = "refusal-test 1\n";
   const auto task = [](std::size_t replica,
                        Rng&) -> std::optional<std::string> {
-    return "p" + std::to_string(replica);
+    std::string payload = "p";
+    payload += std::to_string(replica);
+    return payload;
   };
   ASSERT_TRUE(run_campaign(1, task, options).complete());
   {

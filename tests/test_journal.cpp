@@ -156,14 +156,21 @@ TEST_F(JournalTest, MissingFileThrows) {
 TEST_F(JournalTest, ConcurrentAppendsAndFlushesKeepEveryRecord) {
   constexpr int kThreads = 4;
   constexpr int kRecords = 200;
+  const auto record_of = [](int t, int i) {
+    std::string record = "t";
+    record += std::to_string(t);
+    record += '-';
+    record += std::to_string(i);
+    return record;
+  };
   std::atomic<int> led{0};
   {
     JournalWriter writer(path_);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&writer, &led, t] {
+      threads.emplace_back([&writer, &led, &record_of, t] {
         for (int i = 0; i < kRecords; ++i) {
-          writer.append("t" + std::to_string(t) + "-" + std::to_string(i));
+          writer.append(record_of(t, i));
           led.fetch_add(writer.flush() ? 1 : 0);
         }
       });
@@ -183,7 +190,7 @@ TEST_F(JournalTest, ConcurrentAppendsAndFlushesKeepEveryRecord) {
   std::vector<std::string> expected;
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kRecords; ++i) {
-      expected.push_back("t" + std::to_string(t) + "-" + std::to_string(i));
+      expected.push_back(record_of(t, i));
     }
   }
   std::vector<std::string> got = recovery.records;

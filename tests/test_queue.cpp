@@ -16,15 +16,19 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/cancel.hpp"
+#include "io/crc32.hpp"
 #include "io/failpoint.hpp"
 #include "io/journal.hpp"
 #include "queue/coordinator.hpp"
 #include "queue/queue_records.hpp"
+#include "rng/rng.hpp"
 
 namespace divlib {
 namespace {
@@ -213,6 +217,36 @@ TEST(QueueReplayTest, IllegalTransitionsThrowNamingTheRecord) {
   EXPECT_THROW(replay_queue({submit_line(1, "c"), "lease 1 1 5000",
                              "finish 1 1 failed boom", "lease 1 2 7000"}),
                std::runtime_error);
+}
+
+TEST(QueueReplayTest, FoldFromAnIndexContinuesTheReplayAndNamesGlobalIndices) {
+  const std::vector<std::string> journal = {
+      submit_line(1, "--alpha=1"), submit_line(2, "--beta=2"),
+      "lease 1 1 5000",            "running 1 1",
+      "finish 1 1 complete done",  "lease 2 2 6000",
+  };
+  for (std::size_t split = 0; split <= journal.size(); ++split) {
+    QueueView view = replay_queue(
+        std::vector<std::string>(journal.begin(), journal.begin() + split));
+    fold_queue_records(
+        view, std::vector<std::string>(journal.begin() + split, journal.end()),
+        split);
+    const QueueView whole = replay_queue(journal);
+    ASSERT_EQ(view.campaigns.size(), whole.campaigns.size()) << split;
+    EXPECT_EQ(view.campaigns[0].phase, CampaignPhase::kComplete) << split;
+    EXPECT_EQ(view.campaigns[1].phase, CampaignPhase::kLeased) << split;
+    EXPECT_EQ(view.next_campaign_id, whole.next_campaign_id) << split;
+    EXPECT_EQ(view.next_lease_id, whole.next_lease_id) << split;
+  }
+  // Record 1 of the suffix is record 8 of the journal.
+  QueueView view = replay_queue(journal);
+  try {
+    fold_queue_records(view, {"renew 2 2 7000", "lease 2 3 8000"}, 7);
+    FAIL() << "expected the fold to reject leasing a leased campaign";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("record 8 "), std::string::npos)
+        << error.what();
+  }
 }
 
 // --- service ---------------------------------------------------------------
@@ -433,6 +467,298 @@ TEST_F(QueueServiceTest, RefusesALeaseShorterThanTheMinimum) {
   }
   CampaignQueue queue(options(256, /*lease_ms=*/150));
   EXPECT_EQ(queue.options().lease_ms, 150);
+}
+
+// --- view cache ------------------------------------------------------------
+
+// Field-by-field equality of two folded views, naming the first difference.
+::testing::AssertionResult same_view(const QueueView& got,
+                                     const QueueView& want) {
+  if (got.next_campaign_id != want.next_campaign_id ||
+      got.next_lease_id != want.next_lease_id) {
+    return ::testing::AssertionFailure()
+           << "next ids " << got.next_campaign_id << "/" << got.next_lease_id
+           << ", replay has " << want.next_campaign_id << "/"
+           << want.next_lease_id;
+  }
+  if (got.campaigns.size() != want.campaigns.size()) {
+    return ::testing::AssertionFailure()
+           << got.campaigns.size() << " campaigns, replay has "
+           << want.campaigns.size();
+  }
+  for (std::size_t i = 0; i < got.campaigns.size(); ++i) {
+    const CampaignEntry& a = got.campaigns[i];
+    const CampaignEntry& b = want.campaigns[i];
+    if (a.id != b.id || a.fingerprint != b.fingerprint ||
+        a.config != b.config || a.phase != b.phase || a.lease != b.lease ||
+        a.lease_deadline_ms != b.lease_deadline_ms ||
+        a.requeues != b.requeues || a.note != b.note) {
+      return ::testing::AssertionFailure()
+             << "campaign " << a.id << " [" << to_string(a.phase) << ", lease "
+             << a.lease << ", config '" << a.config << "', note '" << a.note
+             << "'] but replay has " << b.id << " [" << to_string(b.phase)
+             << ", lease " << b.lease << ", config '" << b.config
+             << "', note '" << b.note << "']";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Two CampaignQueue instances on one directory stand in for two processes,
+// each with its own view cache, under seeded random interleavings of every
+// operation, failpoint-torn appends, one hand-edited journal prefix and one
+// illegal record.  After every operation both must agree with a fresh
+// replay of the journal on disk, and each operation's outcome must be the
+// one that replay predicts.  A third instance is checked only now and then,
+// so its cache folds long suffixes written by the other two.
+TEST_F(QueueServiceTest, ViewCachesAgreeWithAFreshReplay) {
+  enum class Outcome { kOk, kStale, kRefused, kError };
+  const auto attempt = [](const auto& op) {
+    try {
+      op();
+      return Outcome::kOk;
+    } catch (const StaleLease&) {
+      return Outcome::kStale;
+    } catch (const QueueRefusal&) {
+      return Outcome::kRefused;
+    } catch (const std::runtime_error&) {
+      return Outcome::kError;
+    }
+  };
+  constexpr std::size_t kMaxDepth = 4;
+  constexpr std::int64_t kLeaseMs = 1'000;
+  constexpr int kSteps = 160;
+  std::size_t torn_appends = 0;
+  std::size_t stale = 0;
+  std::size_t refused = 0;
+  std::size_t duplicates = 0;
+  std::size_t expiries = 0;
+  std::size_t long_suffixes = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    fs::remove_all(dir_);
+    Rng rng(seed);
+    CampaignQueue a(options(kMaxDepth, kLeaseMs));
+    CampaignQueue b(options(kMaxDepth, kLeaseMs));
+    CampaignQueue lazy(options(kMaxDepth, kLeaseMs));
+    const std::string path = a.journal_path();
+    std::uint64_t lazy_seen = 0;  // records the lazy instance last folded
+    const auto replayed = [&] {
+      if (!fs::exists(path)) {
+        return JournalRecovery{};
+      }
+      return read_journal(path);
+    };
+    const auto agree = [&](const CampaignQueue& queue, const char* name) {
+      const JournalRecovery disk = replayed();
+      const QueueSnapshot snap = queue.snapshot();
+      EXPECT_EQ(snap.records, disk.records.size()) << name;
+      EXPECT_EQ(snap.torn, disk.torn()) << name;
+      EXPECT_TRUE(same_view(snap.view, replay_queue(disk.records))) << name;
+    };
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> leases;
+    for (int step = 0; step < kSteps; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      CampaignQueue& queue = rng.uniform_below(2) == 0 ? a : b;
+      const QueueView before = replay_queue(replayed().records);
+      const std::int64_t now = now_ms_;
+      // What a lease holder's operation must do: refuse an unknown
+      // campaign, throw StaleLease unless the lease is current, else work.
+      const auto holder = [&](std::uint64_t campaign, std::uint64_t lease) {
+        const CampaignEntry* entry = before.find(campaign);
+        if (entry == nullptr) {
+          return Outcome::kError;
+        }
+        return (entry->phase == CampaignPhase::kLeased ||
+                entry->phase == CampaignPhase::kRunning) &&
+                       entry->lease == lease
+                   ? Outcome::kOk
+                   : Outcome::kStale;
+      };
+      const auto expired = [&](const CampaignEntry& entry) {
+        return (entry.phase == CampaignPhase::kLeased ||
+                entry.phase == CampaignPhase::kRunning) &&
+               entry.lease_deadline_ms <= now;
+      };
+      std::pair<std::uint64_t, std::uint64_t> pick{0, 0};
+      if (!leases.empty()) {
+        pick = leases[rng.uniform_below(leases.size())];
+      }
+      const auto [campaign, lease] = pick;
+      const std::uint64_t op = rng.uniform_below(12);
+      if (op <= 2) {  // submit, from a small pool so dedup and depth bite
+        const std::string config =
+            "--c=" + std::to_string(rng.uniform_below(8));
+        const CampaignEntry* live = nullptr;
+        for (const CampaignEntry& entry : before.campaigns) {
+          if (!phase_is_terminal(entry.phase) && entry.config == config) {
+            live = &entry;
+          }
+        }
+        SubmitOutcome outcome;
+        const Outcome result =
+            attempt([&] { outcome = queue.submit(config); });
+        if (live != nullptr) {
+          ASSERT_EQ(result, Outcome::kOk);
+          EXPECT_TRUE(outcome.duplicate);
+          EXPECT_EQ(outcome.campaign, live->id);
+          ++duplicates;
+        } else if (before.count(CampaignPhase::kQueued) >= kMaxDepth) {
+          EXPECT_EQ(result, Outcome::kRefused);
+          ++refused;
+        } else {
+          ASSERT_EQ(result, Outcome::kOk);
+          EXPECT_FALSE(outcome.duplicate);
+          EXPECT_EQ(outcome.campaign, before.next_campaign_id);
+        }
+      } else if (op <= 4) {  // lease, requeueing expired leases first
+        const CampaignEntry* oldest = nullptr;
+        for (const CampaignEntry& entry : before.campaigns) {
+          if (entry.phase == CampaignPhase::kQueued || expired(entry)) {
+            oldest = &entry;
+            break;
+          }
+        }
+        std::optional<CampaignEntry> leased;
+        ASSERT_EQ(attempt([&] { leased = queue.lease_next(); }),
+                  Outcome::kOk);
+        ASSERT_EQ(leased.has_value(), oldest != nullptr);
+        if (leased) {
+          EXPECT_EQ(leased->id, oldest->id);
+          EXPECT_EQ(leased->lease, before.next_lease_id);
+          leases.emplace_back(leased->id, leased->lease);
+        }
+      } else if (op == 5) {
+        Outcome want = holder(campaign, lease);
+        if (want == Outcome::kOk &&
+            before.find(campaign)->phase == CampaignPhase::kRunning) {
+          want = Outcome::kError;  // already running
+        }
+        EXPECT_EQ(attempt([&] { queue.mark_running(campaign, lease); }), want);
+        stale += want == Outcome::kStale;
+      } else if (op == 6) {
+        EXPECT_EQ(attempt([&] { queue.renew(campaign, lease); }),
+                  holder(campaign, lease));
+      } else if (op == 7) {
+        const CampaignPhase verdicts[] = {CampaignPhase::kComplete,
+                                          CampaignPhase::kDegraded,
+                                          CampaignPhase::kFailed};
+        const CampaignPhase verdict = verdicts[rng.uniform_below(3)];
+        EXPECT_EQ(attempt([&] {
+                    queue.finish(campaign, lease, verdict,
+                                 "verdict at step " + std::to_string(step));
+                  }),
+                  holder(campaign, lease));
+      } else if (op == 8) {
+        EXPECT_EQ(attempt([&] { queue.release(campaign, lease, "released"); }),
+                  holder(campaign, lease));
+      } else if (op == 9) {  // the clock moves; expired leases go back
+        now_ms_ += static_cast<std::int64_t>(rng.uniform_below(700));
+        const auto want = static_cast<std::size_t>(std::count_if(
+            before.campaigns.begin(), before.campaigns.end(),
+            [&](const CampaignEntry& entry) {
+              return (entry.phase == CampaignPhase::kLeased ||
+                      entry.phase == CampaignPhase::kRunning) &&
+                     entry.lease_deadline_ms <= now_ms_;
+            }));
+        std::size_t requeued = 0;
+        ASSERT_EQ(attempt([&] { requeued = queue.requeue_expired(); }),
+                  Outcome::kOk);
+        EXPECT_EQ(requeued, want);
+        expiries += requeued;
+      } else if (op == 10) {
+        if (rng.uniform_below(4) == 0) {
+          std::size_t cancelled = 0;
+          ASSERT_EQ(attempt([&] { cancelled = queue.drain("drained"); }),
+                    Outcome::kOk);
+          EXPECT_EQ(cancelled, before.count(CampaignPhase::kQueued));
+        }
+      } else {  // an append torn inside its frame, as a crash leaves it
+        arm_io_failpoint("journal", rng.uniform_below(16));
+        const Outcome result = attempt([&] {
+          queue.submit("--torn=" + std::to_string(step));
+        });
+        disarm_io_failpoint();
+        if (before.count(CampaignPhase::kQueued) < kMaxDepth) {
+          EXPECT_EQ(result, Outcome::kError);
+          ++torn_appends;
+        }
+      }
+
+      if (step == kSteps / 2) {
+        // Hand-edit the journal's first record in place: same length, so
+        // every frame after it stays where it was, but campaign 1 now has
+        // another config (with its fingerprint recomputed, so the journal
+        // stays legal).  Both caches hold the old bytes.
+        JournalRecovery disk = recover_journal(path);
+        ASSERT_FALSE(disk.records.empty());
+        QueueRecord first = decode_queue_record(disk.records[0]);
+        first.text[2] = 'e';  // "--c=N" -> "--e=N"
+        first.fingerprint = crc32_of(first.text);
+        disk.records[0] = encode_queue_record(first);
+        fs::remove(path);
+        {
+          JournalWriter writer(path);
+          for (const std::string& record : disk.records) {
+            writer.append(record);
+          }
+          writer.close();
+        }
+        ASSERT_EQ(fs::file_size(path), disk.valid_bytes);
+      }
+      if (step == kSteps / 2 + 10) {
+        // An illegal record appended behind the caches' backs: both
+        // instances refuse it naming its journal-wide index, and work
+        // again once it is gone.
+        const JournalRecovery disk = recover_journal(path);
+        {
+          JournalWriter writer(path);
+          writer.append("running 999999 1");
+          writer.close();
+        }
+        const std::string index =
+            "record " + std::to_string(disk.records.size()) + " ";
+        for (CampaignQueue* reader : {&a, &b}) {
+          try {
+            (void)reader->snapshot();
+            ADD_FAILURE() << "the illegal record was folded";
+          } catch (const std::runtime_error& error) {
+            EXPECT_NE(std::string(error.what()).find(index), std::string::npos)
+                << error.what();
+          }
+        }
+        try {
+          (void)b.submit("--after-illegal");
+          ADD_FAILURE() << "a mutation folded the illegal record";
+        } catch (const std::runtime_error& error) {
+          EXPECT_NE(std::string(error.what()).find(index), std::string::npos)
+              << error.what();
+        }
+        fs::resize_file(path, disk.valid_bytes);
+      }
+
+      agree(a, "a");
+      agree(b, "b");
+      if (rng.uniform_below(8) == 0) {
+        const std::uint64_t records = replayed().records.size();
+        if (records > lazy_seen + 1) {
+          ++long_suffixes;
+        }
+        agree(lazy, "lazy");
+        lazy_seen = records;
+      }
+      if (::testing::Test::HasFailure()) {
+        return;  // one seed's first divergence is enough to debug from
+      }
+    }
+  }
+  // Coverage guard: every branch the caches must survive was reached.
+  EXPECT_GT(torn_appends, 0u);
+  EXPECT_GT(stale, 0u);
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(duplicates, 0u);
+  EXPECT_GT(expiries, 0u);
+  EXPECT_GT(long_suffixes, 0u);
 }
 
 #ifdef __linux__

@@ -297,6 +297,9 @@ int cmd_run(const Args& args) {
   const Opinion k = k_flag(args);
   const SelectionScheme scheme = parse_scheme(args.get("scheme", "edge"));
   const std::string process_name = args.get("process", "div");
+  // Refused before any replica runs or the checkpoint directory exists: an
+  // unknown process, or one the graph cannot host, fails every attempt.
+  (void)make_process_from_spec(process_name, scheme, graph);
   const auto replicas = static_cast<std::size_t>(args.get_u64("replicas", 1));
   const std::string stop_text = args.get("stop", "consensus");
   const std::uint64_t trace_stride = args.get_u64("trace", 0);
@@ -780,7 +783,10 @@ int cmd_run(const Args& args) {
         instruments.push_back(',');
       }
       first = false;
-      instruments += "\"" + json_escape(snap.name) + "\":" + snap.to_json();
+      instruments.push_back('"');
+      instruments += json_escape(snap.name);
+      instruments += "\":";
+      instruments += snap.to_json();
     }
     instruments.push_back('}');
     JsonObject line;
@@ -1192,7 +1198,7 @@ CampaignPhase run_queue_campaign(const CampaignEntry& campaign,
 
 // Renders one campaign entry as a JSON object; --deep adds checkpoint
 // progress read from the campaign's own results.journal.
-std::string queue_campaign_json(const CampaignQueue& queue,
+std::string queue_campaign_json(const std::string& queue_dir,
                                 const CampaignEntry& entry, bool deep) {
   JsonObject object;
   object.field("id", static_cast<std::uint64_t>(entry.id))
@@ -1211,7 +1217,7 @@ std::string queue_campaign_json(const CampaignQueue& queue,
   }
   if (deep) {
     const std::string journal =
-        (std::filesystem::path(queue.campaign_directory(entry.id)) /
+        (std::filesystem::path(queue_campaign_directory(queue_dir, entry.id)) /
          "results.journal")
             .string();
     if (std::filesystem::exists(journal)) {
@@ -1269,8 +1275,9 @@ int cmd_queue(const Args& args) {
   options.lease_ms = args.get_int("lease-ms", 30'000);
 
   if (verb == "submit") {
-    CampaignQueue queue(options);
+    // Options first: a refused submit must not create the queue directory.
     const std::string config = canonical_queue_config(args);
+    CampaignQueue queue(options);
     try {
       const SubmitOutcome outcome = queue.submit(config);
       if (outcome.duplicate) {
@@ -1315,15 +1322,15 @@ int cmd_queue(const Args& args) {
     const bool as_json = args.flag("json");
     const bool deep = args.flag("deep");
     warn_unused(args);
-    CampaignQueue queue(options);
-    const QueueSnapshot snap = queue.snapshot();
+    // A read: opening a CampaignQueue would create the directory.
+    const QueueSnapshot snap = CampaignQueue::inspect(options);
     if (as_json) {
       std::string campaigns = "[";
       for (std::size_t i = 0; i < snap.view.campaigns.size(); ++i) {
         if (i > 0) {
           campaigns += ",";
         }
-        campaigns += queue_campaign_json(queue, snap.view.campaigns[i], deep);
+        campaigns += queue_campaign_json(dir, snap.view.campaigns[i], deep);
       }
       campaigns += "]";
       JsonObject status;
