@@ -99,36 +99,19 @@ void mark_top_directory(const std::string& directory) {
 #endif
 }
 
-void validate_options(const QueueOptions& options) {
-  if (options.directory.empty()) {
-    throw std::invalid_argument("CampaignQueue: directory must not be empty");
-  }
-  if (options.lease_ms < kMinLeaseMs) {
-    throw std::invalid_argument(
-        "CampaignQueue: lease_ms must be at least " +
-        std::to_string(kMinLeaseMs) + ", got " +
-        std::to_string(options.lease_ms));
-  }
-}
-
-std::string journal_path_in(const std::string& directory) {
-  return (fs::path(directory) / "queue.journal").string();
-}
-
-std::string lock_path_in(const std::string& directory) {
-  return (fs::path(directory) / "queue.lock").string();
-}
-
 }  // namespace
-
-std::string queue_campaign_directory(const std::string& directory,
-                                     std::uint64_t id) {
-  return (fs::path(directory) / "campaigns" / std::to_string(id)).string();
-}
 
 CampaignQueue::CampaignQueue(QueueOptions options)
     : options_(std::move(options)) {
-  validate_options(options_);
+  if (options_.directory.empty()) {
+    throw std::invalid_argument("CampaignQueue: directory must not be empty");
+  }
+  if (options_.lease_ms < kMinLeaseMs) {
+    throw std::invalid_argument(
+        "CampaignQueue: lease_ms must be at least " +
+        std::to_string(kMinLeaseMs) + ", got " +
+        std::to_string(options_.lease_ms));
+  }
   if (!options_.now_ms) {
     options_.now_ms = wall_clock_ms;
   }
@@ -146,31 +129,17 @@ CampaignQueue::CampaignQueue(QueueOptions options)
   (void)refresh_locked(/*heal=*/false);
 }
 
-QueueSnapshot CampaignQueue::inspect(const QueueOptions& options) {
-  validate_options(options);
-  QueueSnapshot snap;
-  const std::string path = journal_path_in(options.directory);
-  if (!fs::exists(path)) {
-    return snap;  // nothing to lock: no writer has appended here yet
-  }
-  FileLock lock(lock_path_in(options.directory), /*exclusive=*/false);
-  const JournalRecovery recovery = read_journal(path);
-  snap.torn = recovery.torn();
-  snap.records = recovery.records.size();
-  snap.view = replay_queue(recovery.records);
-  return snap;
-}
-
 std::string CampaignQueue::journal_path() const {
-  return journal_path_in(options_.directory);
+  return (fs::path(options_.directory) / "queue.journal").string();
 }
 
 std::string CampaignQueue::lock_path() const {
-  return lock_path_in(options_.directory);
+  return (fs::path(options_.directory) / "queue.lock").string();
 }
 
 std::string CampaignQueue::campaign_directory(std::uint64_t id) const {
-  return queue_campaign_directory(options_.directory, id);
+  return (fs::path(options_.directory) / "campaigns" / std::to_string(id))
+      .string();
 }
 
 const CampaignQueue::ViewCache& CampaignQueue::refresh_locked(
@@ -183,19 +152,17 @@ const CampaignQueue::ViewCache& CampaignQueue::refresh_locked(
     try {
       scan = scan_journal(bytes, path, cache_->bytes.size());
       fold_queue_records(cache_->view, scan.records, cache_->records);
-      cache_->records += scan.records.size();
     } catch (const std::exception&) {
-      cache_.reset();  // the full replay below throws naming the record
+      cache_.reset();  // a partial fold; the error already names the record
+      throw;
     }
+    cache_->records += scan.records.size();
   } else {
-    cache_.reset();  // the file shrank or its prefix changed
-  }
-  if (!cache_) {
+    // Nothing cached yet, or the file shrank or its prefix changed.
+    cache_.reset();
     scan = scan_journal(bytes, path);
-    ViewCache fresh;
-    fresh.view = replay_queue(scan.records);
-    fresh.records = scan.records.size();
-    cache_ = std::move(fresh);
+    cache_ = ViewCache{std::string(), replay_queue(scan.records),
+                       scan.records.size()};
   }
   bytes.resize(scan.valid_bytes);
   cache_->bytes = std::move(bytes);

@@ -18,9 +18,9 @@
 // instance, or this one.  It cannot serve a stale view: every byte it
 // trusts is compared with the file read under the lock, and the suffix is
 // folded with the same strict replay.  Anything else -- a file that shrank
-// or whose prefix was rewritten, a different file, a fold that throws --
-// drops the cache and folds the whole journal from scratch, as
-// replay_queue() always did.
+// or whose prefix was rewritten, a different file -- folds the whole
+// journal from scratch, as replay_queue() always did.  A fold that throws
+// drops the cache, so the next operation starts from scratch too.
 //
 // Admission control: submit() refuses (QueueRefusal) when the Queued depth
 // has reached max_depth, and dedups resubmissions -- an identical config
@@ -96,12 +96,6 @@ class CampaignQueue {
   // replay seeds the view cache.
   explicit CampaignQueue(QueueOptions options);
 
-  // A one-shot read-only snapshot of the queue in options.directory that,
-  // unlike constructing a CampaignQueue, creates nothing: a directory
-  // without a journal is an empty queue and is left as it is.  Validates
-  // the options like the constructor.
-  static QueueSnapshot inspect(const QueueOptions& options);
-
   CampaignQueue(const CampaignQueue&) = delete;
   CampaignQueue& operator=(const CampaignQueue&) = delete;
 
@@ -172,10 +166,5 @@ class CampaignQueue {
   mutable std::mutex mutex_;  // serializes threads within this process
   mutable std::optional<ViewCache> cache_;  // guarded by mutex_
 };
-
-// <directory>/campaigns/<id>: CampaignQueue::campaign_directory for a queue
-// that is not open.
-std::string queue_campaign_directory(const std::string& directory,
-                                     std::uint64_t id);
 
 }  // namespace divlib

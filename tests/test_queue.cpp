@@ -509,8 +509,9 @@ TEST_F(QueueServiceTest, RefusesALeaseShorterThanTheMinimum) {
 // operation, failpoint-torn appends, one hand-edited journal prefix and one
 // illegal record.  After every operation both must agree with a fresh
 // replay of the journal on disk, and each operation's outcome must be the
-// one that replay predicts.  A third instance is checked only now and then,
-// so its cache folds long suffixes written by the other two.
+// one that replay predicts.  A third instance operates only now and then
+// and is checked only then, so its mutations decide on a view whose cache
+// first folds a long suffix the other two appended.
 TEST_F(QueueServiceTest, ViewCachesAgreeWithAFreshReplay) {
   enum class Outcome { kOk, kStale, kRefused, kError };
   const auto attempt = [](const auto& op) {
@@ -542,7 +543,7 @@ TEST_F(QueueServiceTest, ViewCachesAgreeWithAFreshReplay) {
     CampaignQueue b(options(kMaxDepth, kLeaseMs));
     CampaignQueue lazy(options(kMaxDepth, kLeaseMs));
     const std::string path = a.journal_path();
-    std::uint64_t lazy_seen = 0;  // records the lazy instance last folded
+    std::uint64_t lazy_seen = 0;  // records when the lazy instance last read
     const auto replayed = [&] {
       if (!fs::exists(path)) {
         return JournalRecovery{};
@@ -559,8 +560,14 @@ TEST_F(QueueServiceTest, ViewCachesAgreeWithAFreshReplay) {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> leases;
     for (int step = 0; step < kSteps; ++step) {
       SCOPED_TRACE("step " + std::to_string(step));
-      CampaignQueue& queue = rng.uniform_below(2) == 0 ? a : b;
-      const QueueView before = replay_queue(replayed().records);
+      const bool lazy_turn = rng.uniform_below(8) == 0;
+      CampaignQueue& queue =
+          lazy_turn ? lazy : (rng.uniform_below(2) == 0 ? a : b);
+      const JournalRecovery disk_before = replayed();
+      const QueueView before = replay_queue(disk_before.records);
+      if (lazy_turn && disk_before.records.size() > lazy_seen + 1) {
+        ++long_suffixes;
+      }
       const std::int64_t now = now_ms_;
       // What a lease holder's operation must do: refuse an unknown
       // campaign, throw StaleLease unless the lease is current, else work.
@@ -707,9 +714,10 @@ TEST_F(QueueServiceTest, ViewCachesAgreeWithAFreshReplay) {
         ASSERT_EQ(fs::file_size(path), disk.valid_bytes);
       }
       if (step == kSteps / 2 + 10) {
-        // An illegal record appended behind the caches' backs: both
-        // instances refuse it naming its journal-wide index, and work
-        // again once it is gone.
+        // An illegal record appended behind the caches' backs: a snapshot,
+        // a mutation, and the lazy instance's mutation that folds it at the
+        // end of a longer suffix all refuse it naming its journal-wide
+        // index, and all work again once it is gone.
         const JournalRecovery disk = recover_journal(path);
         {
           JournalWriter writer(path);
@@ -718,34 +726,26 @@ TEST_F(QueueServiceTest, ViewCachesAgreeWithAFreshReplay) {
         }
         const std::string index =
             "record " + std::to_string(disk.records.size()) + " ";
-        for (CampaignQueue* reader : {&a, &b}) {
+        const auto refuses = [&](const char* what, const auto& op) {
           try {
-            (void)reader->snapshot();
-            ADD_FAILURE() << "the illegal record was folded";
+            op();
+            ADD_FAILURE() << what << " folded the illegal record";
           } catch (const std::runtime_error& error) {
             EXPECT_NE(std::string(error.what()).find(index), std::string::npos)
-                << error.what();
+                << what << ": " << error.what();
           }
-        }
-        try {
-          (void)b.submit("--after-illegal");
-          ADD_FAILURE() << "a mutation folded the illegal record";
-        } catch (const std::runtime_error& error) {
-          EXPECT_NE(std::string(error.what()).find(index), std::string::npos)
-              << error.what();
-        }
+        };
+        refuses("a snapshot", [&] { (void)a.snapshot(); });
+        refuses("a submit", [&] { (void)b.submit("--after-illegal"); });
+        refuses("the lazy lease", [&] { (void)lazy.lease_next(); });
         fs::resize_file(path, disk.valid_bytes);
       }
 
       agree(a, "a");
       agree(b, "b");
-      if (rng.uniform_below(8) == 0) {
-        const std::uint64_t records = replayed().records.size();
-        if (records > lazy_seen + 1) {
-          ++long_suffixes;
-        }
+      if (lazy_turn) {
         agree(lazy, "lazy");
-        lazy_seen = records;
+        lazy_seen = replayed().records.size();
       }
       if (::testing::Test::HasFailure()) {
         return;  // one seed's first divergence is enough to debug from

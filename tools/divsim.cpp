@@ -1198,7 +1198,7 @@ CampaignPhase run_queue_campaign(const CampaignEntry& campaign,
 
 // Renders one campaign entry as a JSON object; --deep adds checkpoint
 // progress read from the campaign's own results.journal.
-std::string queue_campaign_json(const std::string& queue_dir,
+std::string queue_campaign_json(const CampaignQueue& queue,
                                 const CampaignEntry& entry, bool deep) {
   JsonObject object;
   object.field("id", static_cast<std::uint64_t>(entry.id))
@@ -1217,7 +1217,7 @@ std::string queue_campaign_json(const std::string& queue_dir,
   }
   if (deep) {
     const std::string journal =
-        (std::filesystem::path(queue_campaign_directory(queue_dir, entry.id)) /
+        (std::filesystem::path(queue.campaign_directory(entry.id)) /
          "results.journal")
             .string();
     if (std::filesystem::exists(journal)) {
@@ -1322,15 +1322,22 @@ int cmd_queue(const Args& args) {
     const bool as_json = args.flag("json");
     const bool deep = args.flag("deep");
     warn_unused(args);
-    // A read: opening a CampaignQueue would create the directory.
-    const QueueSnapshot snap = CampaignQueue::inspect(options);
+    // A read: a directory without a journal is an empty queue, and opening
+    // a CampaignQueue there would create it.
+    std::optional<CampaignQueue> queue;
+    QueueSnapshot snap;
+    if (std::filesystem::exists(std::filesystem::path(dir) /
+                                "queue.journal")) {
+      queue.emplace(options);
+      snap = queue->snapshot();
+    }
     if (as_json) {
       std::string campaigns = "[";
       for (std::size_t i = 0; i < snap.view.campaigns.size(); ++i) {
         if (i > 0) {
           campaigns += ",";
         }
-        campaigns += queue_campaign_json(dir, snap.view.campaigns[i], deep);
+        campaigns += queue_campaign_json(*queue, snap.view.campaigns[i], deep);
       }
       campaigns += "]";
       JsonObject status;
